@@ -6,8 +6,9 @@ timestamp and timing fields so reruns with one seed are byte-identical.
 Matrices are read from Matrix Market files (array or coordinate, real
 or complex) or from JSON {"rows", "cols", "entries": [[re, im], ...]}.
 
-Exit codes: 0 success, 1 failed verification assertions, 2 usage
-errors, 3 ingestion errors.
+Exit codes: 0 success, 1 failed verification assertions or a contour
+that missed its quadrature target (``converged`` false), 2 usage errors,
+3 ingestion errors.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def cmd_funcalc(args) -> int:
                     {"phi": args.phi, "beta": args.beta, "gamma": args.gamma,
                      "mesh": args.mesh, "matrix": args.matrix},
                     rep.to_json_dict()), args)
-    return 0
+    return 0 if rep.converged else 1
 
 
 def cmd_sqfun(args) -> int:

@@ -68,7 +68,26 @@ class AdmissibilityError(ValueError):
 
 
 class ContourSpectrumError(ValueError):
-    """The requested contour collides with (or encloses part of) the spectrum."""
+    """The requested contour collides with (or encloses part of) the spectrum.
+
+    When a quadrature node is refused, ``node`` is that node and
+    ``rcond`` the reciprocal condition number of z I - T there.
+    """
+
+    def __init__(self, msg: str, node: Optional[complex] = None,
+                 rcond: Optional[float] = None):
+        super().__init__(msg)
+        self.node = node
+        self.rcond = rcond
+
+
+def _node_resolvents(T: np.ndarray, nodes: np.ndarray, what: str) -> np.ndarray:
+    """numlin.resolvents, with a refused node raised as ContourSpectrumError."""
+    try:
+        return numlin.resolvents(T, nodes)
+    except numlin.SingularMatrixError as exc:
+        raise ContourSpectrumError(f"{what} node too close to the spectrum: {exc}",
+                                   node=exc.node, rcond=1.0 / exc.cond_estimate) from exc
 
 
 @dataclass
@@ -228,6 +247,9 @@ class CalcReport:
     beta: float
     node_count: int
     meta: dict = field(default_factory=dict)
+    #: False when the refinement rounds ran out before the quadrature target
+    converged: bool = True
+    refine_rounds: int = 0
 
     def to_json_dict(self) -> dict:
         from .jsonutil import matrix_to_json, sanitize
@@ -237,9 +259,21 @@ class CalcReport:
             "error_estimate": self.error_estimate,
             "beta": self.beta,
             "node_count": self.node_count,
+            "converged": self.converged,
+            "refine_rounds": self.refine_rounds,
         }
         d.update(sanitize(self.meta))
         return sanitize(d)
+
+
+def _check_separation(nodes: np.ndarray, eigs: np.ndarray, what: str) -> None:
+    """Refuse a contour with a node inside the spectrum tolerance."""
+    dist = np.abs(nodes[:, None] - eigs[None, :]).min(axis=1)
+    j = int(np.argmin(dist))
+    if dist[j] <= 1e-13 * (1.0 + np.abs(eigs).max()):
+        raise ContourSpectrumError(
+            f"{what} node z={complex(nodes[j]):.6g} hits the spectrum tolerance "
+            f"(distance {dist[j]:.3e})", node=complex(nodes[j]))
 
 
 class ContourCalculus:
@@ -284,15 +318,8 @@ class ContourCalculus:
             for _ in range(len(self._levels)):
                 mesh = mesh.refined()
             contour = stolz.boundary_contour(self.beta, mesh)
-            sep = np.abs(contour.nodes[:, None] - self.eigs[None, :]).min()
-            if sep <= 1e-13 * (1.0 + np.abs(self.eigs).max()):
-                raise ContourSpectrumError(
-                    "a quadrature node hits the spectrum tolerance")
-            n = self.T.shape[0]
-            I = np.eye(n, dtype=complex)
-            R = np.empty((len(contour.nodes), n, n), dtype=complex)
-            for j, lam in enumerate(contour.nodes):
-                R[j] = numlin.solve(lam * I - self.T, I)
+            R = _node_resolvents(self.T, contour.nodes, "quadrature")
+            _check_separation(contour.nodes, self.eigs, "quadrature")
             self._levels.append((contour, R))
         return self._levels[k]
 
@@ -318,19 +345,22 @@ class ContourCalculus:
         coarse = self._quad(phi, 0)
         best = coarse
         est = math.inf
-        used = 1
+        used = 0
+        converged = False
         for k in range(1, self.refine_rounds + 1):
             fine = self._quad(phi, k)
             est = float(np.linalg.norm(fine - best, 2))
             best = fine
             used = k
             if est <= self.target_rel * (1.0 + np.linalg.norm(fine, 2)):
+                converged = True
                 break
         contour, _ = self._level(used)
         est += 1e-11 * (1.0 + float(np.linalg.norm(best, 2)))  # roundoff floor
         return CalcReport(value=best, error_estimate=est, beta=self.beta,
                           node_count=len(contour.nodes),
-                          meta={"label": phi.label, "alpha": self.alpha})
+                          meta={"label": phi.label, "alpha": self.alpha},
+                          converged=converged, refine_rounds=used)
 
 
 def eval_contour(T, phi: HolomorphicFn, beta: Optional[float] = None,
@@ -374,18 +404,11 @@ def scaling_convergence(T, phi: HolomorphicFn,
 def _sector_quad(A: np.ndarray, f: HolomorphicFn, nu: float, r_max: float,
                  mesh: MeshSpec) -> np.ndarray:
     contour = stolz.sector_contour(nu, r_max, mesh)
-    eigs = numlin.eig(A).eigenvalues
-    sep = np.abs(contour.nodes[:, None] - eigs[None, :]).min()
-    if sep <= 1e-13 * (1.0 + np.abs(eigs).max()):
-        raise ContourSpectrumError("sector node hits the spectrum tolerance")
-    n = A.shape[0]
-    I = np.eye(n, dtype=complex)
+    R = _node_resolvents(A, contour.nodes, "sector")
+    _check_separation(contour.nodes, numlin.eig(A).eigenvalues, "sector")
     vals = np.asarray(f(contour.nodes), dtype=complex)
     coeff = contour.weights * contour.tangents * vals / (2j * math.pi)
-    out = np.zeros((n, n), dtype=complex)
-    for j, lam in enumerate(contour.nodes):
-        out += coeff[j] * numlin.solve(lam * I - A, I)
-    return out
+    return np.tensordot(coeff, R, axes=(0, 0))
 
 
 def transfer_check(T, f: HolomorphicFn, nu: Optional[float] = None,
@@ -425,8 +448,7 @@ def transfer_check(T, f: HolomorphicFn, nu: Optional[float] = None,
         sc = stolz.sector_contour(nu, r_max, mesh)
         # resolvent scale on the outer truncation circle
         zr = r_max * cmath.exp(1j * nu)
-        I = np.eye(n, dtype=complex)
-        c_res = float(np.linalg.norm(zr * numlin.solve(zr * I - A, I), 2))
+        c_res = float(np.linalg.norm(zr * numlin.resolvents(A, [zr])[0], 2))
         tail = c * c_res * sc.tail_factor(s)
         lhs = _sector_quad(A, f, nu, r_max, mesh)
 

@@ -15,6 +15,7 @@ together with an interpolation-style upper bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -40,14 +41,19 @@ __all__ = [
     "check_vector",
     "eig",
     "solve",
+    "resolvents",
+    "resolvent_block_len",
     "svd",
     "vec_norm",
     "op_norm",
+    "op_norms",
     "mat_power_seq",
 ]
 
 SOLVE_TOL = 1e-10
 RCOND_MIN = 1e-14
+#: bytes of n x n complex matrices that :func:`resolvents` handles per block
+RESOLVENT_BLOCK_BYTES = 2 * 1024 * 1024
 _EPS = np.finfo(float).eps
 
 
@@ -56,11 +62,17 @@ class ShapeError(ValueError):
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
-    """Raised when a linear system is singular to working tolerance."""
+    """Raised when a linear system is singular to working tolerance.
 
-    def __init__(self, msg: str, cond_estimate: float = np.inf):
+    ``node`` is the shift z of the refused system z I - T when the error
+    comes from :func:`resolvents`.
+    """
+
+    def __init__(self, msg: str, cond_estimate: float = np.inf,
+                 node: Optional[complex] = None):
         super().__init__(msg)
         self.cond_estimate = cond_estimate
+        self.node = node
 
 
 class EigNonConvergence(np.linalg.LinAlgError):
@@ -193,15 +205,6 @@ def check_vector(x, space: SpaceModel) -> np.ndarray:
     return x
 
 
-def to_vec(x: np.ndarray) -> np.ndarray:
-    """Row-major vectorization of a matrix element."""
-    return np.asarray(x, dtype=complex).reshape(-1)
-
-
-def from_vec(v: np.ndarray, n: int) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(n, n)
-
-
 # ---------------------------------------------------------------------------
 # eig / solve / svd
 # ---------------------------------------------------------------------------
@@ -290,6 +293,87 @@ def solve(M, B, tol: float = SOLVE_TOL, rcond_min: float = RCOND_MIN) -> np.ndar
             f"residual {resid:.3e} exceeds tolerance {target:.3e}",
             cond_estimate=1.0 / rcond,
         )
+    return X
+
+
+def resolvent_block_len(n: int) -> int:
+    """Nodes per block of :func:`resolvents` for n x n operators."""
+    return max(1, RESOLVENT_BLOCK_BYTES // (16 * n * n))
+
+
+def resolvents(T, nodes) -> np.ndarray:
+    """Stacked resolvents (z_j I - T)^-1 for every node z_j, shape (m, n, n).
+
+    Nodes are inverted by stacked LU solves in blocks of about
+    ``RESOLVENT_BLOCK_BYTES`` of matrices and written into one
+    preallocated output, so no temporary exceeds one block.  Every node
+    keeps the guards of :func:`solve`: the reciprocal condition number
+    ``1 / (||M||_1 ||X||_1)``, exact because X is the full inverse, must
+    reach ``RCOND_MIN``; up to 3 rounds of iterative refinement drive the
+    residual to ``SOLVE_TOL * ||I||_F``, and the roundoff floor
+    ``64 eps ||I||_F / rcond`` is the most that is accepted.  A refused
+    node raises :class:`SingularMatrixError` carrying that node.
+    """
+    T = as_matrix(T, square=True)
+    z = np.asarray(nodes, dtype=complex).reshape(-1)
+    n = T.shape[0]
+    I = np.eye(n, dtype=complex)
+    out = np.empty((z.size, n, n), dtype=complex)
+    step = resolvent_block_len(n)
+    for s in range(0, z.size, step):
+        zb = z[s:s + step]
+        out[s:s + step] = _guarded_inverses(zb[:, None, None] * I - T, zb)
+    return out
+
+
+def _stacked_inverse(M: np.ndarray) -> np.ndarray:
+    I = np.eye(M.shape[-1], dtype=complex)
+    try:
+        return np.linalg.solve(M, I)
+    except np.linalg.LinAlgError:
+        # exactly singular members stay NaN, so the rcond guard refuses them
+        X = np.full(M.shape, np.nan, dtype=complex)
+        for j, Mj in enumerate(M):
+            try:
+                X[j] = np.linalg.solve(Mj, I)
+            except np.linalg.LinAlgError:
+                pass
+        return X
+
+
+def _refuse(detail: str, z: complex, rcond: float):
+    rcond = float(rcond) if np.isfinite(rcond) else 0.0
+    raise SingularMatrixError(f"resolvent node z={complex(z):.6g}: {detail} (rcond={rcond:.3e})",
+                              cond_estimate=1.0 / max(rcond, np.finfo(float).tiny),
+                              node=complex(z))
+
+
+def _guarded_inverses(M: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Inverses of the stack M (one block) under the guards of :func:`solve`."""
+    n = M.shape[-1]
+    I = np.eye(n, dtype=complex)
+    X = _stacked_inverse(M)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rcond = 1.0 / (np.abs(M).sum(axis=1).max(axis=1) * np.abs(X).sum(axis=1).max(axis=1))
+    bad = ~(rcond >= RCOND_MIN)  # NaN counts as refused
+    if bad.any():
+        j = int(np.argmax(bad))
+        _refuse(f"singular to tolerance, rcond below {RCOND_MIN:.1e}", z[j], rcond[j])
+    target = SOLVE_TOL * math.sqrt(n)  # sqrt(n) = ||I||_F
+    R = I - M @ X
+    resid = np.linalg.norm(R, axis=(1, 2))
+    for _ in range(3):
+        todo = np.flatnonzero(resid > target)
+        if todo.size == 0:
+            break
+        X[todo] += np.linalg.solve(M[todo], R[todo])
+        R[todo] = I - M[todo] @ X[todo]
+        resid[todo] = np.linalg.norm(R[todo], axis=(1, 2))
+    floor = 64.0 * _EPS * math.sqrt(n) / rcond
+    over = resid > np.maximum(target, floor)
+    if over.any():
+        j = int(np.argmax(over))
+        _refuse(f"residual {resid[j]:.3e} exceeds tolerance {target:.3e}", z[j], rcond[j])
     return X
 
 
@@ -455,6 +539,26 @@ def op_norm(M, space: SpaceModel, restarts: int = 8, seed: int = 0) -> OpNormRes
         return OpNormResult(value=lower, upper=upper, exact=False,
                             witness=xw.reshape(space.n, space.n))
     raise ValueError(f"unknown space model {space!r}")
+
+
+def op_norms(stack, space: SpaceModel) -> np.ndarray:
+    """``op_norm(A, space).value`` for every A in a stack of shape (m, d, d).
+
+    Hilbert and Schatten-2 take a stacked ``svd(compute_uv=False)`` and
+    the sup model stacked row sums; the other models call
+    :func:`op_norm` once per matrix.
+    """
+    A = np.asarray(stack, dtype=complex)
+    d = space_dim(space)
+    if A.ndim != 3 or A.shape[1:] != (d, d):
+        raise ShapeError(f"expected a stack of {d}x{d} operators, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix contains non-finite entries")
+    if isinstance(space, Hilbert) or (isinstance(space, SchattenP) and space.p == 2.0):
+        return np.linalg.svd(A, compute_uv=False)[:, 0]
+    if isinstance(space, SupSeq):
+        return np.abs(A).sum(axis=2).max(axis=1)
+    return np.array([op_norm(M, space).value for M in A], dtype=float)
 
 
 def mat_power_seq(T, N: int) -> list:

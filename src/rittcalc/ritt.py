@@ -103,8 +103,8 @@ def resolvent_sample_points(T, beta: float, per_piece: int = 48,
     is star-shaped about 0 so radial dilation leaves the closure), the
     circles |z| = 2 and |z| = 10, minus a small disc about the vertex.
     """
-    base = stolz.boundary_samples(beta, per_piece)[:: max(1, len(
-        stolz.boundary_samples(beta, per_piece)) // (4 * per_piece))]
+    samples = stolz.boundary_samples(beta, per_piece)
+    base = samples[:: max(1, len(samples) // (4 * per_piece))]
     pts = [f * base for f in RESOLVENT_DILATIONS]
     th = np.linspace(0.0, 2 * math.pi, circle_points, endpoint=False)
     pts.append(2.0 * np.exp(1j * th))
@@ -118,19 +118,23 @@ def resolvent_sup(T, beta: float, space: SpaceModel, per_piece: int = 48) -> flo
 
     A heuristic (sampled, no maximum principle invoked): the returned
     value is a lower bound for the true supremum.  Sample points that
-    fall inside the spectrum tolerance are skipped with a warning.
+    fall inside the spectrum tolerance are skipped with a warning.  The
+    points go through the resolvent kernel one block at a time, so no
+    more than one block of resolvents is held.
     """
     T = as_matrix(T, square=True)
     eigs = numlin.eig(T).eigenvalues
-    I = np.eye(T.shape[0], dtype=complex)
+    lam = resolvent_sample_points(T, beta, per_piece)
+    near = np.abs(lam[:, None] - eigs[None, :]).min(axis=1) <= 1e-12 * (1.0 + np.abs(lam))
+    skipped = int(np.count_nonzero(near))
+    lam = lam[~near]
     best = 0.0
-    skipped = 0
-    for lam in resolvent_sample_points(T, beta, per_piece):
-        if np.min(np.abs(eigs - lam)) <= 1e-12 * (1.0 + abs(lam)):
-            skipped += 1
-            continue
-        R = numlin.solve(lam * I - T, I)
-        best = max(best, op_norm((lam - 1.0) * R, space).value)
+    step = numlin.resolvent_block_len(T.shape[0])
+    for s in range(0, lam.size, step):
+        z = lam[s:s + step]
+        R = numlin.resolvents(T, z)
+        R *= (z - 1.0)[:, None, None]
+        best = max(best, float(numlin.op_norms(R, space).max()))
     if skipped:
         warnings.warn(f"resolvent_sup skipped {skipped} sample points inside "
                       "the spectrum tolerance")
@@ -251,15 +255,16 @@ def ritt_verdict(T, space: Optional[SpaceModel] = None,
                        if alpha != NOT_STOLZ else
                        "spectrum leaves the closed unit disc or touches its boundary off 1")
         verdict = "not-ritt"
+        decay_n = min(cfg.N, 64)
         try:
-            decay_N = decay_sequences(T, space, min(cfg.N, 64))
+            decay_N = decay_sequences(T, space, decay_n)
         except numlin.PowerOverflow as exc:
             reasons.append(str(exc))
             decay_N = (math.inf,) * 4
         return RittReport(
             power_bound=decay_N[0], increment_bound=decay_N[1],
             type_alpha=alpha, resolvent_sup={}, decay=decay_N,
-            verdict=verdict, reasons=reasons, N_used=cfg.N, space=space,
+            verdict=verdict, reasons=reasons, N_used=decay_n, space=space,
             norms_exact=_norms_exact(space),
         )
 

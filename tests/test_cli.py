@@ -141,3 +141,17 @@ def test_sqfun_schatten_space_with_x(tdir):
     rep = load(out)
     expected = (2.0 / 3.0) * 2.0 ** (1.0 / 3.0)
     assert abs(rep["result"]["value"] - expected) <= 1e-8
+
+
+def test_funcalc_exits_1_when_not_converged(tmp_path):
+    import scipy.io
+
+    from rittcalc import ritt
+
+    T = np.array([[0.5 + 0.3j, 40.0], [0.0, 0.5 - 0.3j]])
+    scipy.io.mmwrite(str(tmp_path / "P.mtx"), T, precision=17)
+    beta = ritt.spectral_type(T) + 1e-3
+    out = tmp_path / "rep.json"
+    assert run(["funcalc", tmp_path / "P.mtx", "--phi", "poly:0,0,1,-1",
+                "--beta", repr(beta), "--out", out, "--no-timestamp"]) == 1
+    assert load(out)["result"]["converged"] is False

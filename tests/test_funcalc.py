@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rittcalc import funcalc, numlin, stolz
+from rittcalc import funcalc, numlin, ritt, stolz
 from rittcalc.funcalc import (ContourCalculus, calculus_constant, eval_contour,
                               eval_poly, evenodd_split, frac_power,
                               frac_power_eig, frac_power_fn, hinf_norm,
@@ -250,3 +250,41 @@ def test_nevanlinna_diag_contour_route():
     out = nevanlinna_diag(T, frac_power_fn(1.0), Hilbert(2), N=128, gamma=1.1)
     ref = nevanlinna_diag(T, poly([1, -1]), Hilbert(2), N=128, gamma=1.1)
     assert out["sup"] == pytest.approx(ref["sup"], abs=1e-7)
+
+
+# the non-normal probe whose contour misses its quadrature target: beta one
+# milli-radian above the spectral type, true error about 17.5
+PROBE_T = np.array([[0.5 + 0.3j, 40.0], [0.0, 0.5 - 0.3j]])
+PROBE_PHI = poly([0, 0, 1, -1])  # z^2 (1 - z)
+
+
+def test_calc_report_flags_missed_quadrature_target():
+    beta = ritt.spectral_type(PROBE_T) + 1e-3
+    rep = eval_contour(PROBE_T, PROBE_PHI, beta=beta)
+    assert not rep.converged
+    assert rep.refine_rounds == funcalc.REFINE_ROUNDS
+    assert np.linalg.norm(rep.value - eval_poly(PROBE_T, PROBE_PHI), 2) > rep.error_estimate
+    d = rep.to_json_dict()
+    assert d["converged"] is False and d["refine_rounds"] == funcalc.REFINE_ROUNDS
+    ok = eval_contour(T_TRI, poly([0, 1, -1]), beta=math.pi / 4)
+    assert ok.converged and 1 <= ok.refine_rounds <= funcalc.REFINE_ROUNDS
+
+
+def test_contour_near_singular_node_is_loud():
+    # the pseudospectrum of a large Jordan block reaches the contour
+    J = np.array([[0.5, 1e9], [0.0, 0.5]])
+    with pytest.raises(funcalc.ContourSpectrumError, match="rcond") as exc:
+        ContourCalculus(J, beta=math.pi / 4).apply(poly([0, 1, -1]))
+    assert exc.value.rcond < numlin.RCOND_MIN
+    assert exc.value.node is not None and f"{exc.value.node:.6g}" in str(exc.value)
+
+
+def test_sector_node_on_eigenvalue_is_loud():
+    mesh = stolz.MeshSpec(segment_panels=4, arc_panels=1, points_per_panel=4)
+    node = complex(stolz.sector_contour(1.0, 10.0, mesh).nodes[5])
+    A = np.diag([node, 2.0])
+    f = funcalc.from_callable(lambda z: z / (1 + z) ** 2, certificate=(1.0, 1.0))
+    with pytest.raises(funcalc.ContourSpectrumError, match="rcond") as exc:
+        funcalc._sector_quad(A, f, 1.0, 10.0, mesh)
+    assert exc.value.node == node
+    assert exc.value.rcond < numlin.RCOND_MIN

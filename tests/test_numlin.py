@@ -1,7 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 
-from rittcalc import numlin
+from rittcalc import numlin, ritt
 from rittcalc.numlin import (Hilbert, LpWeighted, SchattenP, SupSeq, dual,
                              eig, mat_power_seq, op_norm, solve, svd, vec_norm)
 
@@ -173,3 +174,129 @@ def test_op_norm_schatten_p_between_bounds():
         # sandwiched by the Schatten-2 (= spectral) norm equivalence
         s2 = svd(M)[0]
         assert r.value <= 2 ** abs(0.5 - 1 / p) * s2 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# resolvent kernel
+# ---------------------------------------------------------------------------
+
+def _similar(seed, lams):
+    rng = np.random.default_rng(seed)
+    n = len(lams)
+    V = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return V @ np.diag(np.asarray(lams, dtype=complex)) @ np.linalg.inv(V)
+
+
+#: operators with eigenvalue 1 (semisimple, non-normal, defective)
+EIGENVALUE_ONE = {
+    "diag-one": np.diag([1.0, 0.5]),
+    "one-upper": np.array([[1.0, 1.0], [0.0, 0.5]]),
+    "defective-one": np.array([[1.0, 1.0], [0.0, 1.0]]),
+    "similar-one": _similar(7, [1.0, 0.5, 0.3, -0.2]),
+}
+#: non-normal operators with spectrum off 1
+NON_NORMAL = {
+    "upper-tri": np.array([[0.5, 0.3], [0.0, 0.2]]),
+    "shifted-nilpotent": 0.5 * np.eye(2) + np.array([[0.0, 10.0], [0.0, 0.0]]),
+    "jordan3": 0.5 * np.eye(3) + np.diag([1.0, 1.0], 1),
+    "similar-complex": _similar(3, [0.3, 0.5 + 0.1j, 0.8]),
+}
+GALLERY = {**EIGENVALUE_ONE, **NON_NORMAL}
+#: ritt_verdict at N=64 on the gallery, as computed by the per-node solve loop
+GALLERY_VERDICTS = {
+    "diag-one": "ritt", "one-upper": "ritt", "defective-one": "inconclusive",
+    "similar-one": "ritt", "upper-tri": "ritt", "shifted-nilpotent": "ritt",
+    "jordan3": "ritt", "similar-complex": "ritt",
+}
+
+
+def _kernel_nodes(T):
+    beta = 0.5 * (ritt.spectral_type(T) + np.pi / 2)
+    return ritt.resolvent_sample_points(T, beta, per_piece=12)
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_resolvents_match_per_node_solve(name):
+    T = GALLERY[name]
+    nodes = _kernel_nodes(T)
+    I = np.eye(T.shape[0], dtype=complex)
+    R = numlin.resolvents(T, nodes)
+    assert R.shape == (len(nodes),) + T.shape
+    for z, Rz in zip(nodes, R):
+        ref = solve(z * I - T, I)
+        assert np.linalg.norm(Rz - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_resolvents_match_mpmath_on_jordan_block():
+    T = NON_NORMAL["jordan3"]
+    nodes = np.array([0.9 + 0.4j, -0.6 + 0.1j, 1.0 + 1e-3j, 0.5 - 0.45j, 3.0])
+    R = numlin.resolvents(T, nodes)
+    with mpmath.workdps(40):
+        for z, Rz in zip(nodes, R):
+            M = mpmath.matrix([[(z if i == j else 0) - complex(T[i, j]) for j in range(3)]
+                               for i in range(3)])
+            ref = np.array((M ** -1).tolist(), dtype=complex)
+            assert np.linalg.norm(Rz - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_resolvents_partial_last_block(monkeypatch):
+    T = NON_NORMAL["similar-complex"]
+    nodes = _kernel_nodes(T)[:10]
+    whole = numlin.resolvents(T, nodes)
+    # 3 x 3 complex matrices are 144 bytes: blocks of 3 nodes, the last holds 1
+    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", 3 * 144)
+    assert numlin.resolvent_block_len(3) == 3
+    blocked = numlin.resolvents(T, nodes)
+    assert np.array_equal(blocked, whole)
+    assert numlin.resolvents(T, []).shape == (0, 3, 3)
+
+
+def test_resolvents_raise_on_singular_node(monkeypatch):
+    T = np.diag([0.5, 0.2])
+    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", 2 * 64)  # 2 nodes per block
+    with pytest.raises(numlin.SingularMatrixError) as exc:
+        numlin.resolvents(T, [0.9, 0.1j, 0.3, 0.5])
+    assert exc.value.node == 0.5
+    assert exc.value.cond_estimate > 1e300
+    assert "rcond" in str(exc.value)
+    # near-singular: the pseudospectrum of a large Jordan block reaches the node
+    J = np.array([[0.5, 1e9], [0.0, 0.5]])
+    with pytest.raises(numlin.SingularMatrixError) as exc:
+        numlin.resolvents(J, [0.5 + 0.3j])
+    assert exc.value.node == 0.5 + 0.3j
+    assert 1.0 / exc.value.cond_estimate < numlin.RCOND_MIN
+
+
+def test_resolvents_refuse_residual_above_roundoff_floor(monkeypatch):
+    # a solver that is off by 1e-3 everywhere: refinement cannot repair it
+    exact = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda M, B: exact(M, B) + 1e-3)
+    with pytest.raises(numlin.SingularMatrixError, match="residual") as exc:
+        numlin.resolvents(np.diag([0.5, 0.2]), [0.9, 2.0])
+    assert exc.value.node == 0.9
+
+
+@pytest.mark.parametrize("space", [Hilbert(4), LpWeighted(3.0, (1.0, 2.0, 0.5, 1.5)),
+                                   SchattenP(2.0, 2), SchattenP(3.0, 2), SupSeq(4)])
+def test_op_norms_match_op_norm(space):
+    rng = np.random.default_rng(8)
+    stack = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    got = numlin.op_norms(stack, space)
+    ref = np.array([op_norm(A, space).value for A in stack])
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
+    assert numlin.op_norms(stack[:0], space).shape == (0,)
+    with pytest.raises(numlin.ShapeError):
+        numlin.op_norms(stack[:, :3, :3], space)
+
+
+def test_ritt_verdicts_unchanged_on_gallery():
+    cfg = ritt.RittConfig(N=64)
+    for name, T in GALLERY.items():
+        rep = ritt.ritt_verdict(T, config=cfg)
+        assert rep.verdict == GALLERY_VERDICTS[name], name
+        # every sampled supremum against a dense-inverse oracle
+        for beta, val in rep.resolvent_sup.items():
+            pts = ritt.resolvent_sample_points(T, beta, cfg.resolvent_per_piece)
+            I = np.eye(T.shape[0])
+            oracle = max(np.linalg.norm((z - 1) * np.linalg.inv(z * I - T), 2) for z in pts)
+            assert abs(val - oracle) <= 1e-9 * oracle, name

@@ -141,3 +141,26 @@ def test_report_serializes():
     assert isinstance(d["resolvent_sup"], list)
     rep2 = ritt_verdict(np.diag([-1.0]), config=ritt.RittConfig(N=32))
     assert rep2.to_json_dict()["type_alpha"] == "not-Stolz"
+
+
+def test_not_ritt_reports_decay_n_used():
+    # the not-ritt branch computes its decay sequences at min(N, 64)
+    rep = ritt_verdict(np.array([[0.0, -1.0], [1.0, 0.0]]), config=ritt.RittConfig(N=512))
+    assert rep.verdict == "not-ritt"
+    assert rep.N_used == 64
+    assert rep.to_json_dict()["N_used"] == 64
+
+
+def test_resolvent_sample_points_single_boundary_sample(monkeypatch):
+    calls = []
+    orig = stolz.boundary_samples
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(stolz, "boundary_samples", counted)
+    pts = resolvent_sample_points(np.diag([0.5]), math.pi / 4, per_piece=8)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert np.array_equal(pts, resolvent_sample_points(np.diag([0.5]), math.pi / 4, per_piece=8))

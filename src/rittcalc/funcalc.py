@@ -628,13 +628,14 @@ def nevanlinna_diag(T, phi: HolomorphicFn, space: SpaceModel, N: int,
         phiT = eval_poly(T, phi)
     else:
         phiT = eval_contour(T, phi, gamma=gamma).value
-    powers = numlin.mat_power_seq(T, N)
     sup = 0.0
     arg = 0
-    for k in range(1, N + 1):
-        v = k * numlin.op_norm(phiT @ (powers[k] - powers[k - 1]), space).value
-        if v > sup:
-            sup, arg = v, k
+    with numlin.overflow_first(numlin.increment_blocks(T, N)) as blocks:
+        for k, D in blocks:
+            v = k * numlin.op_norms(phiT @ D, space)
+            j = int(np.argmax(v))
+            if v[j] > sup:
+                sup, arg = float(v[j]), int(k[j])
     alpha = ritt.spectral_type(T)
     g = gamma if gamma is not None else 0.5 * (alpha + math.pi / 2)
     denom = hinf_norm(phi, g, per_piece=256)

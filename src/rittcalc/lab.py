@@ -215,10 +215,13 @@ def pairing_bound_check(T, phi, x, y, N: int = 400,
     phiT = funcalc.eval_poly(T, phi)
     lhs = abs(complex(np.vdot(y, phiT @ x)))
 
-    powers = numlin.mat_power_seq(T, N)
     A = np.eye(n, dtype=complex) - T
-    f1 = max((k + 1) * np.linalg.norm(phiT @ powers[k - 1] @ A, 2)
-             for k in range(1, N + 1))
+    f1 = 0.0
+    # T^(k-1) for k = 1..N
+    with numlin.overflow_first(numlin.power_blocks(T, N - 1)) as blocks:
+        for s, P in blocks:
+            k = np.arange(s + 1, s + len(P) + 1)
+            f1 = max(f1, float(np.max((k + 1) * numlin.op_norms(phiT @ P @ A, space))))
     cfg = sqfun.SFConfig(m=1, tail_tol=tail_tol)
     sf_x = sqfun.square_function(T, x, space, cfg)
     psi = funcalc.poly(np.convolve(np.convolve([1, 1, 1], [1, 1, 1]), [1, 1, 1]) / 2.0,

@@ -15,6 +15,7 @@ together with an interpolation-style upper bound.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -47,7 +48,11 @@ __all__ = [
     "vec_norm",
     "op_norm",
     "op_norms",
+    "is_exact_model",
     "mat_power_seq",
+    "power_blocks",
+    "increment_blocks",
+    "overflow_first",
 ]
 
 SOLVE_TOL = 1e-10
@@ -506,16 +511,16 @@ def op_norm(M, space: SpaceModel, restarts: int = 8, seed: int = 0) -> OpNormRes
     norm-equivalence upper bound, flagged approximate.
     """
     M = as_operator(M, space)
-    if isinstance(space, Hilbert) or (isinstance(space, SchattenP) and space.p == 2.0):
-        s = svd(M, factors=True)
-        val = float(s[0][0])
-        witness = s[2][0].conj()
-        return OpNormResult(value=val, upper=val, exact=True, witness=witness)
     if isinstance(space, SupSeq):
         rows = np.sum(np.abs(M), axis=1)
         i = int(np.argmax(rows))
         val = float(rows[i])
         witness = np.where(np.abs(M[i]) > 0, np.conj(M[i]) / np.maximum(np.abs(M[i]), 1e-300), 1.0)
+        return OpNormResult(value=val, upper=val, exact=True, witness=witness)
+    if is_exact_model(space):
+        s = svd(M, factors=True)
+        val = float(s[0][0])
+        witness = s[2][0].conj()
         return OpNormResult(value=val, upper=val, exact=True, witness=witness)
     if isinstance(space, LpWeighted):
         p = space.p
@@ -554,11 +559,22 @@ def op_norms(stack, space: SpaceModel) -> np.ndarray:
         raise ShapeError(f"expected a stack of {d}x{d} operators, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
-    if isinstance(space, Hilbert) or (isinstance(space, SchattenP) and space.p == 2.0):
-        return np.linalg.svd(A, compute_uv=False)[:, 0]
     if isinstance(space, SupSeq):
         return np.abs(A).sum(axis=2).max(axis=1)
+    if is_exact_model(space):
+        return np.linalg.svd(A, compute_uv=False)[:, 0]
     return np.array([op_norm(M, space).value for M in A], dtype=float)
+
+
+def is_exact_model(space: SpaceModel) -> bool:
+    """Whether :func:`op_norm` computes the norm exactly on this model.
+
+    Hilbert and Schatten-2 take the largest singular value, the sup
+    model the largest absolute row sum; every other model gets a
+    lower bound with an upper bracket.
+    """
+    return isinstance(space, (Hilbert, SupSeq)) or (
+        isinstance(space, SchattenP) and space.p == 2.0)
 
 
 def mat_power_seq(T, N: int) -> list:
@@ -574,3 +590,68 @@ def mat_power_seq(T, N: int) -> list:
                 raise PowerOverflow(n)
             out.append(P)
     return out
+
+
+def power_blocks(T, N: int):
+    """Yield ``(s, P)`` with P the stack T^s, ..., T^(s+m-1), until T^N.
+
+    The same powers as :func:`mat_power_seq`, bit for bit (each is the
+    previous one times T), in blocks of ``resolvent_block_len(n)``
+    matrices, so a pass over them holds one block instead of N + 1
+    matrices.  A non-finite power raises :class:`PowerOverflow` with
+    the same n that :func:`mat_power_seq` reports.
+    """
+    T = as_matrix(T, square=True)
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    n = T.shape[0]
+    step = resolvent_block_len(n)
+    prev = None
+    for s in range(0, N + 1, step):
+        P = np.empty((min(step, N + 1 - s), n, n), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(P.shape[0]):
+                if prev is None:
+                    P[k] = np.eye(n)
+                else:
+                    np.matmul(prev, T, out=P[k])
+                prev = P[k]
+        finite = np.isfinite(P).all(axis=(1, 2))
+        if not finite.all():
+            raise PowerOverflow(s + int(np.argmin(finite)))
+        yield s, P
+
+
+def increment_blocks(T, N: int):
+    """Yield ``(n, D)`` with D the stack T^n - T^(n-1) for the n in the
+    integer array ``n``, block by block over :func:`power_blocks`, until
+    n = N.  Each difference is the one the power list gives, bit for bit.
+    """
+    prev = None
+    for s, P in power_blocks(T, N):
+        D = np.empty_like(P)
+        D[1:] = P[1:] - P[:-1]
+        if prev is not None:
+            D[0] = P[0] - prev
+        prev = P[-1]
+        lo = 1 if s == 0 else 0  # T^0 has no increment
+        if lo < len(P):
+            yield np.arange(s + lo, s + len(P)), D[lo:]
+
+
+@contextlib.contextmanager
+def overflow_first(blocks):
+    """Run a walk over power blocks; a power overflow outranks a product's.
+
+    A product of finite powers, such as T^n (I-T)^3, can overflow a few
+    powers before the powers do, and its norm then raises ValueError.
+    A walk over the whole power list meets the :class:`PowerOverflow`
+    first, so on a ValueError the rest of ``blocks`` is run and its
+    overflow, if any, is raised instead.
+    """
+    try:
+        yield blocks
+    except ValueError:
+        for _ in blocks:
+            pass
+        raise

@@ -23,13 +23,15 @@ from typing import Optional
 import numpy as np
 
 from . import numlin, stolz
-from .numlin import Hilbert, SpaceModel, as_matrix, mat_power_seq, op_norm
+from .numlin import (Hilbert, SpaceModel, as_matrix, increment_blocks, is_exact_model,
+                     op_norms, overflow_first, power_blocks)
 from .stolz import NOT_STOLZ
 
 __all__ = [
     "RittConfig",
     "RittReport",
     "power_bound",
+    "increment_profile",
     "increment_bound",
     "spectral_type",
     "resolvent_sample_points",
@@ -58,17 +60,28 @@ def power_bound(T, space: SpaceModel, N: int) -> float:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    powers = mat_power_seq(as_matrix(T, square=True), N)
-    return max(op_norm(P, space).value for P in powers)
+    return max(float(op_norms(P, space).max())
+               for _, P in power_blocks(as_matrix(T, square=True), N))
+
+
+def increment_profile(T, space: SpaceModel, N: int) -> np.ndarray:
+    """n ||T^n - T^(n-1)|| for n = 1..N, as an array of length N.
+
+    The profile at N is a prefix of the profile at any larger N, so a
+    doubling test computes it once, at the larger N.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    out = np.empty(N)
+    with overflow_first(increment_blocks(as_matrix(T, square=True), N)) as blocks:
+        for n, D in blocks:
+            out[n - 1] = n * op_norms(D, space)
+    return out
 
 
 def increment_bound(T, space: SpaceModel, N: int) -> float:
     """max over 1 <= n <= N of n * ||T^n - T^(n-1)||."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    powers = mat_power_seq(as_matrix(T, square=True), N)
-    return max(n * op_norm(powers[n] - powers[n - 1], space).value
-               for n in range(1, N + 1))
+    return float(increment_profile(T, space, N).max())
 
 
 def spectral_type(T) -> float:
@@ -142,14 +155,27 @@ def resolvent_sup(T, beta: float, space: SpaceModel, per_piece: int = 48) -> flo
 
 
 def _decay_profiles(T: np.ndarray, space: SpaceModel, N: int):
-    """Per-n values of the four decay sequences, n = 0..N (S0) / 1..N (S1-3)."""
-    powers = mat_power_seq(T, N)
+    """Per-n values of the four decay sequences, n = 0..N (S0) / 1..N (S1-3).
+
+    One pass over the powers, a block at a time: S0 takes the norms of
+    the block, S1..S3 those of its products with (I-T)^j.
+    """
     A = np.eye(T.shape[0], dtype=complex) - T
     A2, A3 = A @ A, A @ A @ A
-    s0 = np.array([op_norm(P, space).value for P in powers])
-    s1 = np.array([n * op_norm(powers[n - 1] @ A, space).value for n in range(1, N + 1)])
-    s2 = np.array([n**2 * op_norm(powers[n - 1] @ A2, space).value for n in range(1, N + 1)])
-    s3 = np.array([n**3 * op_norm(powers[n - 1] @ A3, space).value for n in range(1, N + 1)])
+    s0 = np.empty(N + 1)
+    s1, s2, s3 = np.empty(N), np.empty(N), np.empty(N)
+    with (overflow_first(power_blocks(T, N)) as blocks,
+          np.errstate(over="ignore", invalid="ignore")):
+        for s, P in blocks:
+            s0[s:s + len(P)] = op_norms(P, space)
+            Q = P[:N - s]  # T^(n-1) for n = s+1 .. min(s+m, N)
+            if not len(Q):
+                continue
+            n = np.arange(s + 1, s + len(Q) + 1, dtype=float)
+            cut = slice(s, s + len(Q))
+            s1[cut] = n * op_norms(Q @ A, space)
+            s2[cut] = n**2 * op_norms(Q @ A2, space)
+            s3[cut] = n**3 * op_norms(Q @ A3, space)
     return s0, s1, s2, s3
 
 
@@ -265,7 +291,7 @@ def ritt_verdict(T, space: Optional[SpaceModel] = None,
             power_bound=decay_N[0], increment_bound=decay_N[1],
             type_alpha=alpha, resolvent_sup={}, decay=decay_N,
             verdict=verdict, reasons=reasons, N_used=decay_n, space=space,
-            norms_exact=_norms_exact(space),
+            norms_exact=is_exact_model(space),
         )
 
     try:
@@ -275,7 +301,7 @@ def ritt_verdict(T, space: Optional[SpaceModel] = None,
             power_bound=math.inf, increment_bound=math.inf, type_alpha=alpha,
             resolvent_sup={}, decay=(math.inf,) * 4,
             verdict="inconclusive", reasons=[str(exc)], N_used=cfg.N,
-            space=space, norms_exact=_norms_exact(space),
+            space=space, norms_exact=is_exact_model(space),
         )
 
     names = ("S0", "S1", "S2", "S3")
@@ -302,12 +328,5 @@ def ritt_verdict(T, space: Optional[SpaceModel] = None,
         power_bound=sup_2N[0], increment_bound=sup_2N[1], type_alpha=alpha,
         resolvent_sup=res, decay=tuple(sup_2N), verdict=verdict,
         reasons=reasons, N_used=cfg.N, space=space,
-        norms_exact=_norms_exact(space),
+        norms_exact=is_exact_model(space),
     )
-
-
-def _norms_exact(space: SpaceModel) -> bool:
-    from .numlin import SchattenP, SupSeq
-
-    return isinstance(space, Hilbert) or isinstance(space, SupSeq) or (
-        isinstance(space, SchattenP) and space.p == 2.0)

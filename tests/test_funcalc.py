@@ -244,6 +244,22 @@ def test_frac_power_fn_principal_branch():
     assert f(0.19).imag == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("space", [Hilbert(3), numlin.SupSeq(3),
+                                   numlin.LpWeighted(3.0, (1.0, 2.0, 0.5))],
+                         ids=["hilbert", "sup", "lp3"])
+def test_nevanlinna_diag_matches_power_list(monkeypatch, space):
+    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", 7 * 16 * 3 * 3)  # partial blocks
+    T = ritt_instance(6, dim=3)
+    phi = poly([0, 1, -1])
+    phiT = eval_poly(T, phi)
+    powers = numlin.mat_power_seq(T, 40)
+    ref = [k * numlin.op_norm(phiT @ (powers[k] - powers[k - 1]), space).value
+           for k in range(1, 41)]
+    out = nevanlinna_diag(T, phi, space, N=40)
+    assert abs(out["sup"] - max(ref)) <= 1e-12 * max(ref)
+    assert out["argmax_k"] == 1 + int(np.argmax(ref))
+
+
 def test_nevanlinna_diag_contour_route():
     # non-polynomial symbol goes through the boundary integral
     T = np.diag([0.5, 0.9])

@@ -127,6 +127,20 @@ def test_similarity_tuple_equivalence():
 
 # -- pairing bound ------------------------------------------------------------
 
+def test_pairing_bound_matches_power_list(monkeypatch):
+    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", 9 * 16 * 3 * 3)  # partial blocks
+    T = ritt_instance(12, dim=3)
+    phi = funcalc.poly([1, -2, 1])
+    x, y = np.array([1.0, 0.5, -1.0]), np.array([0.2, 1.0, 1.0j])
+    out = lab.pairing_bound_check(T, phi, x, y, N=50)
+    phiT = funcalc.eval_poly(T, phi)
+    powers = numlin.mat_power_seq(T, 50)
+    A = np.eye(3) - T
+    ref = max((k + 1) * np.linalg.norm(phiT @ powers[k - 1] @ A, 2) for k in range(1, 51))
+    assert abs(out["rhs_factors"][0] - ref) <= 1e-12 * ref
+    assert out["holds"]
+
+
 def test_pairing_bound_zero_phi():
     out = lab.pairing_bound_check(np.diag([0.5]), funcalc.poly([0.0]),
                                   [1.0], [1.0])

@@ -134,6 +134,33 @@ def test_mat_power_seq_overflow_reported():
     assert exc.value.n == 2
 
 
+@pytest.mark.parametrize("block_len", [1, 7, 40])
+def test_power_blocks_bit_identical_to_mat_power_seq(monkeypatch, block_len):
+    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", block_len * 16 * 3 * 3)
+    rng = np.random.default_rng(4)
+    T = 0.4 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    ref = mat_power_seq(T, 30)
+    starts, got = zip(*numlin.power_blocks(T, 30))
+    assert list(starts) == list(range(0, 31, block_len))
+    assert max(len(P) for P in got) == min(block_len, 31)
+    assert np.array_equal(np.concatenate(got), np.array(ref))
+    inc = [(n, D) for ns, Ds in numlin.increment_blocks(T, 30) for n, D in zip(ns, Ds)]
+    assert [n for n, _ in inc] == list(range(1, 31))
+    assert all(np.array_equal(D, ref[n] - ref[n - 1]) for n, D in inc)
+
+
+def test_is_exact_model():
+    exact = [Hilbert(2), SupSeq(2), SchattenP(2.0, 2)]
+    approx = [LpWeighted(3.0, (1.0, 1.0)), SchattenP(3.0, 2), SchattenP(1.0, 2)]
+    assert all(numlin.is_exact_model(s) for s in exact)
+    assert not any(numlin.is_exact_model(s) for s in approx)
+    M = np.array([[0.5, 0.2], [0.1, 0.3]])
+    for s in exact + approx:
+        dim = numlin.space_dim(s)
+        A = np.kron(M, np.eye(dim // 2)) if dim != 2 else M
+        assert op_norm(A, s).exact == numlin.is_exact_model(s)
+
+
 def test_dual_models():
     assert dual(Hilbert(3)) == Hilbert(3)
     d = dual(LpWeighted(3.0, (1.0, 2.0)))

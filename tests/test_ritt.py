@@ -164,3 +164,86 @@ def test_resolvent_sample_points_single_boundary_sample(monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     assert np.array_equal(pts, resolvent_sample_points(np.diag([0.5]), math.pi / 4, per_piece=8))
+
+
+# ---------------------------------------------------------------------------
+# streamed decay profiles against the per-matrix power list
+# ---------------------------------------------------------------------------
+
+def _ritt_matrix(dim, seed):
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.1, 0.9, size=dim) * np.exp(1j * rng.uniform(-0.4, 0.4, size=dim))
+    V = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return V @ np.diag(lam) @ np.linalg.inv(V)
+
+
+def _reference_profiles(T, space, N):
+    # the stored power list with one op_norm per matrix
+    powers = numlin.mat_power_seq(T, N)
+    A = np.eye(T.shape[0]) - T
+    norm = lambda M: numlin.op_norm(M, space).value
+    s0 = np.array([norm(P) for P in powers])
+    s = [np.array([n**j * norm(powers[n - 1] @ np.linalg.matrix_power(A, j))
+                   for n in range(1, N + 1)]) for j in (1, 2, 3)]
+    inc = np.array([n * norm(powers[n] - powers[n - 1]) for n in range(1, N + 1)])
+    return (s0, *s), inc
+
+
+N_STREAM = 12
+
+
+@pytest.mark.parametrize("space", [Hilbert(4), numlin.SupSeq(4), numlin.SchattenP(2.0, 2),
+                                   numlin.LpWeighted(3.0, (1.0, 2.0, 0.5, 1.5))],
+                         ids=["hilbert", "sup", "schatten2", "lp3"])
+@pytest.mark.parametrize("block_len", [1, 5, N_STREAM + 4],
+                         ids=["len1", "partial-last", "one-block"])
+def test_streamed_profiles_match_power_list(monkeypatch, space, block_len):
+    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", block_len * 16 * 4 * 4)
+    assert numlin.resolvent_block_len(4) == block_len
+    T = _ritt_matrix(4, 11)
+    ref, inc = _reference_profiles(T, space, N_STREAM)
+    got = ritt._decay_profiles(numlin.as_matrix(T), space, N_STREAM)
+    for r, g in zip(ref, got):
+        assert g.shape == r.shape
+        assert np.max(np.abs(g - r)) <= 1e-12 * np.max(r)
+    assert abs(power_bound(T, space, N_STREAM) - ref[0].max()) <= 1e-12 * ref[0].max()
+    prof = ritt.increment_profile(T, space, N_STREAM)
+    assert np.max(np.abs(prof - inc)) <= 1e-12 * np.max(inc)
+    assert abs(increment_bound(T, space, N_STREAM) - inc.max()) <= 1e-12 * inc.max()
+
+
+def test_power_overflow_mid_block_matches_power_list(monkeypatch):
+    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", 4 * 16 * 4)  # 4 powers per block
+    T = np.diag([1e60, 0.5])  # T^5 is finite, T^6 overflows: inside the second block
+    with pytest.raises(numlin.PowerOverflow) as ref:
+        numlin.mat_power_seq(T, 20)
+    assert ref.value.n == 6
+    for call in (lambda: decay_sequences(T, Hilbert(2), 20),
+                 lambda: power_bound(T, Hilbert(2), 20),
+                 lambda: increment_bound(T, Hilbert(2), 20)):
+        with pytest.raises(numlin.PowerOverflow) as exc:
+            call()
+        assert exc.value.n == ref.value.n
+
+
+def test_decay_sequences_hold_one_block_of_powers():
+    import tracemalloc
+
+    T = _ritt_matrix(48, 5)
+    tracemalloc.start()
+    try:
+        decay_sequences(T, numlin.SupSeq(48), 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 1025 stored powers alone took 37.8 MB
+    assert peak < 10e6
+
+
+def test_increment_profile_prefix_is_increment_bound():
+    T = _ritt_matrix(3, 2)
+    for space in (Hilbert(3), numlin.LpWeighted(3.0, (1.0, 0.5, 2.0))):
+        prof = ritt.increment_profile(T, space, 64)
+        assert prof.shape == (64,)
+        for N in (1, 17, 32, 64):
+            assert float(prof[:N].max()) == increment_bound(T, space, N)

@@ -432,74 +432,125 @@ class OpNormResult:
         return self.value
 
 
-def _dual_exponent_map(y: np.ndarray, p: float) -> np.ndarray:
-    # duality map of the p-norm: |y|^(p-1) * phase(y), zero-safe
-    a = np.abs(y)
-    out = np.zeros_like(y)
-    nz = a > 0
-    out[nz] = (a[nz] ** (p - 1.0)) * (y[nz] / a[nz])
-    return out
+def _lp_norms(V: np.ndarray, p: float) -> np.ndarray:
+    """Unweighted p-norms of the vectors along the last axis."""
+    return np.sum(np.abs(V) ** p, axis=-1) ** (1.0 / p)
 
 
-def _schatten_dual_map(Y: np.ndarray, p: float) -> np.ndarray:
-    U, s, Vh = scipy.linalg.svd(Y)
+def _lp_dual_maps(V: np.ndarray, p: float) -> np.ndarray:
+    """Duality map of the p-norm, |v|^(p-1) * phase(v), elementwise and zero-safe."""
+    a = np.abs(V)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a > 0, (a ** (p - 1.0)) * (V / a), 0.0)
+
+
+def _schatten_norms(V: np.ndarray, p: float, n: int) -> np.ndarray:
+    """Schatten-p norms of the row-major n x n matrices along the last axis."""
+    s = np.linalg.svd(V.reshape(V.shape[:-1] + (n, n)), compute_uv=False)
+    return np.sum(s ** p, axis=-1) ** (1.0 / p)
+
+
+def _schatten_dual_maps(V: np.ndarray, p: float, n: int) -> np.ndarray:
+    """Duality maps of the Schatten-p norm, one stacked SVD for the stack V."""
+    U, s, Vh = np.linalg.svd(V.reshape(V.shape[:-1] + (n, n)))
     if p == 1.0:
-        return U @ Vh  # polar factor: a norming subgradient of the trace norm
-    if p == np.inf:
-        return np.outer(U[:, 0], Vh[0])  # top singular dyad
-    return (U * (s ** (p - 1.0))) @ Vh
+        out = U @ Vh  # polar factor: a norming subgradient of the trace norm
+    elif p == np.inf:
+        out = U[..., :, :1] * Vh[..., :1, :]  # top singular dyad
+    else:
+        out = (U * (s[..., None, :] ** (p - 1.0))) @ Vh
+    return out.reshape(V.shape)
 
 
-def _boyd_lower(A: np.ndarray, space: SpaceModel, restarts: int, seed: int):
-    """Norm-ascent lower bound with witness (Boyd fixed-point iteration)."""
+def _top_right_singular(A: np.ndarray) -> np.ndarray:
+    """Top right singular vector of each matrix of the stack A, zero where
+    the SVD fails (a zero start is skipped by the ascent)."""
+    try:
+        return np.linalg.svd(A)[2][:, 0].conj()
+    except np.linalg.LinAlgError:
+        out = np.zeros(A.shape[:2], dtype=complex)
+        for j, Aj in enumerate(A):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[j] = np.linalg.svd(Aj)[2][0].conj()
+        return out
+
+
+def _boyd_ascent(A: np.ndarray, space: SpaceModel, restarts: int = 8, seed: int = 0):
+    """Boyd's norm ascent on every start of every matrix of the stack A.
+
+    ``space`` is unweighted p (an LpWeighted with unit weights) or
+    Schatten-p.  Each matrix gets the same starts: the ones vector, its
+    top right singular vector (one stacked SVD) and ``restarts``
+    Philox(``seed``) random vectors.  The starts sit in the rows of an
+    (m, S, d) array, so an iteration is one batched product with the
+    stack and elementwise or stacked-SVD dual maps for every start that
+    has not stopped.  A start stops when its value no longer rises by
+    1e-13 relative, reaches 0, or after 200 products.  Every matrix is
+    computed with the same shapes whatever its neighbours, so its value
+    does not depend on the stack it sits in.
+
+    Returns ``(values, witnesses)``: the largest value of each matrix
+    and the first iterate that attained it (the unnormalized ones vector
+    when the value is 0).
+    """
     p = space.p
     q = np.inf if p == 1.0 else p / (p - 1.0)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    d = A.shape[0]
-    schatten = isinstance(space, SchattenP)
-
-    if schatten:
+    if isinstance(space, SchattenP):
         n = space.n
-        norm_of = lambda v: float(np.sum(svd(v.reshape(n, n)) ** p) ** (1.0 / p))
-        dual_map = lambda v: _schatten_dual_map(v.reshape(n, n), p).reshape(-1)
-        dual_map_q = lambda v: _schatten_dual_map(v.reshape(n, n), q).reshape(-1)
+        norms = lambda V: _schatten_norms(V, p, n)
+        dual_p = lambda V: _schatten_dual_maps(V, p, n)
+        dual_q = lambda V: _schatten_dual_maps(V, q, n)
     else:
-        norm_of = lambda v: float(np.sum(np.abs(v) ** p) ** (1.0 / p))
-        dual_map = lambda v: _dual_exponent_map(v, p)
-        dual_map_q = lambda v: _dual_exponent_map(v, q)
+        norms = lambda V: _lp_norms(V, p)
+        dual_p = lambda V: _lp_dual_maps(V, p)
+        dual_q = lambda V: _lp_dual_maps(V, q)
+    m, d, _ = A.shape
+    AT = np.ascontiguousarray(A.transpose(0, 2, 1))  # rows: x @ A^T = (A x)^T
+    AC = A.conj()                                    # rows: g @ conj(A) = (A^* g)^T
 
-    starts = [np.ones(d, dtype=complex)]
-    try:
-        _, _, Vh = scipy.linalg.svd(A)
-        starts.append(Vh[0].conj())
-    except np.linalg.LinAlgError:
-        pass
-    for _ in range(restarts):
-        starts.append(rng.normal(size=d) + 1j * rng.normal(size=d))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    X = np.empty((m, 2 + restarts, d), dtype=complex)
+    ones = np.ones(d, dtype=complex)
+    X[:, 0] = ones
+    X[:, 1] = _top_right_singular(A)
+    for r in range(restarts):
+        X[:, 2 + r] = rng.normal(size=d) + 1j * rng.normal(size=d)
 
-    best = 0.0
-    best_x = starts[0]
-    for x in starts:
-        nx = norm_of(x)
-        if nx == 0:
-            continue
-        x = x / nx
-        prev = -np.inf
-        for _ in range(200):
-            y = A @ x
-            val = norm_of(y)
-            if val > best:
-                best, best_x = val, x.copy()
-            if val <= prev * (1.0 + 1e-13) or val == 0.0:
-                break
-            prev = val
-            z = A.conj().T @ dual_map(y)
-            x = dual_map_q(z)
-            nx = norm_of(x)
-            if nx == 0:
-                break
-            x = x / nx
-    return best, best_x
+    def normalized(V, nv, keep):
+        # dead rows are zeroed so every stacked SVD stays finite
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(keep[..., None], V / nv[..., None], 0.0)
+
+    nx = norms(X)
+    live = nx > 0
+    X = normalized(X, nx, live)
+    prev = np.full(live.shape, -np.inf)
+    best = np.zeros(live.shape)
+    wit = np.empty_like(X)
+    for _ in range(200):
+        rows = np.flatnonzero(live.any(axis=1))
+        if rows.size == 0:
+            break
+        Xa, lv = X[rows], live[rows]
+        Y = Xa @ AT[rows]
+        val = norms(Y)
+        up = lv & (val > best[rows])
+        if up.any():
+            j, s = np.nonzero(up)
+            best[rows[j], s] = val[j, s]
+            wit[rows[j], s] = Xa[j, s]
+        go = lv & ~((val <= prev[rows] * (1.0 + 1e-13)) | (val == 0.0))
+        prev[rows] = val
+        Xn = dual_q(dual_p(Y) @ AC[rows])
+        nx = norms(Xn)
+        go &= nx > 0
+        X[rows] = normalized(Xn, nx, go)
+        live[rows] = go
+    first = np.argmax(best, axis=1)  # the first start to reach the maximum
+    values = best[np.arange(m), first]
+    witnesses = wit[np.arange(m), first]
+    witnesses[values == 0.0] = ones
+    return values, witnesses
 
 
 def op_norm(M, space: SpaceModel, restarts: int = 8, seed: int = 0) -> OpNormResult:
@@ -524,10 +575,9 @@ def op_norm(M, space: SpaceModel, restarts: int = 8, seed: int = 0) -> OpNormRes
         return OpNormResult(value=val, upper=val, exact=True, witness=witness)
     if isinstance(space, LpWeighted):
         p = space.p
-        w = np.asarray(space.weights)
-        D = w ** (1.0 / p)
-        A = (D[:, None] * M) / D[None, :]  # unweighted-p realization
-        lower, xw = _boyd_lower(A, LpWeighted(p, tuple(np.ones(len(w)))), restarts, seed)
+        A, D, unweighted = _unweighted_lp(M, space)
+        values, witnesses = _boyd_ascent(A[None], unweighted, restarts, seed)
+        lower, xw = float(values[0]), witnesses[0]
         # Riesz-Thorin bracket between the (weighted) 1- and inf-norms
         n1 = float(np.max(np.sum(np.abs(A), axis=0)))
         ninf = float(np.max(np.sum(np.abs(A), axis=1)))
@@ -538,7 +588,8 @@ def op_norm(M, space: SpaceModel, restarts: int = 8, seed: int = 0) -> OpNormRes
         return OpNormResult(value=lower, upper=upper, exact=False, witness=xw / D)
     if isinstance(space, SchattenP):
         p = space.p
-        lower, xw = _boyd_lower(M, space, restarts, seed)
+        values, witnesses = _boyd_ascent(M[None], space, restarts, seed)
+        lower, xw = float(values[0]), witnesses[0]
         upper_eq = space.n ** abs(0.5 - 1.0 / p) * float(svd(M)[0])
         upper = max(lower, upper_eq)
         return OpNormResult(value=lower, upper=upper, exact=False,
@@ -546,12 +597,21 @@ def op_norm(M, space: SpaceModel, restarts: int = 8, seed: int = 0) -> OpNormRes
     raise ValueError(f"unknown space model {space!r}")
 
 
+def _unweighted_lp(M: np.ndarray, space: LpWeighted):
+    """``(D M D^-1, D, unweighted)`` with D = w^(1/p): the realization of M
+    (one matrix or a stack) on unweighted p, isometric to the weighted one."""
+    D = np.asarray(space.weights) ** (1.0 / space.p)
+    A = (D[:, None] * M) / D[None, :]
+    return A, D, LpWeighted(space.p, (1.0,) * len(D))
+
+
 def op_norms(stack, space: SpaceModel) -> np.ndarray:
     """``op_norm(A, space).value`` for every A in a stack of shape (m, d, d).
 
     Hilbert and Schatten-2 take a stacked ``svd(compute_uv=False)`` and
-    the sup model stacked row sums; the other models call
-    :func:`op_norm` once per matrix.
+    the sup model stacked row sums; weighted p and Schatten-p run one
+    stacked Boyd ascent over the whole stack (:func:`_boyd_ascent`), which
+    gives each matrix the value that :func:`op_norm` gives it alone.
     """
     A = np.asarray(stack, dtype=complex)
     d = space_dim(space)
@@ -563,7 +623,9 @@ def op_norms(stack, space: SpaceModel) -> np.ndarray:
         return np.abs(A).sum(axis=2).max(axis=1)
     if is_exact_model(space):
         return np.linalg.svd(A, compute_uv=False)[:, 0]
-    return np.array([op_norm(M, space).value for M in A], dtype=float)
+    if isinstance(space, LpWeighted):
+        A, _, space = _unweighted_lp(A, space)
+    return _boyd_ascent(A, space)[0]
 
 
 def is_exact_model(space: SpaceModel) -> bool:

@@ -321,7 +321,12 @@ def ritt_verdict(T, space: Optional[SpaceModel] = None,
         beta = alpha + (math.pi / 2 - alpha) * f
         if beta <= alpha or beta >= math.pi / 2:
             continue
-        res[round(beta, 12)] = resolvent_sup(T, beta, space, cfg.resolvent_per_piece)
+        try:
+            res[round(beta, 12)] = resolvent_sup(T, beta, space, cfg.resolvent_per_piece)
+        except numlin.SingularMatrixError as exc:
+            # the message names the refused node and its rcond
+            stable = False
+            reasons.append(f"resolvent_sup at beta={beta:.6g} refused: {exc}")
 
     verdict = "ritt" if stable else "inconclusive"
     return RittReport(

@@ -79,8 +79,9 @@ def test_criterion_10_growth_witness():
 
 
 def test_criterion_11_gallery():
+    t0 = time.perf_counter()
     checks = verify.criterion_11_gallery(SEED)
-    _report("11-gallery", checks)
+    _report("11-gallery", checks, time.perf_counter() - t0, budget=3.0)
 
 
 def test_criterion_12_determinism(tmp_path):

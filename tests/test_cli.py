@@ -155,3 +155,32 @@ def test_funcalc_exits_1_when_not_converged(tmp_path):
     assert run(["funcalc", tmp_path / "P.mtx", "--phi", "poly:0,0,1,-1",
                 "--beta", repr(beta), "--out", out, "--no-timestamp"]) == 1
     assert load(out)["result"]["converged"] is False
+
+
+def test_analyze_lp3_default_config_runs_the_ascent(tmp_path):
+    # default RittConfig apart from N, resolvent stage included: every lp
+    # norm here goes through the stacked Boyd ascent
+    import scipy.io
+
+    T = np.array([[0.5, 0.3, 0.1], [0.0, 0.2, 0.4], [0.0, 0.0, 0.3]])
+    scipy.io.mmwrite(str(tmp_path / "T.mtx"), T)
+    out = tmp_path / "rep.json"
+    assert run(["analyze", tmp_path / "T.mtx", "--space", "lp:3", "--N", 8,
+                "--out", out, "--no-timestamp"]) == 0
+    res = load(out)["result"]
+    assert res["verdict"] == "ritt"
+    assert res["norms_exact"] is False
+    assert len(res["resolvent_sup"]) == 3
+
+
+def test_analyze_refused_resolvent_node_is_inconclusive(tmp_path):
+    import scipy.io
+
+    scipy.io.mmwrite(str(tmp_path / "J.mtx"), np.array([[0.5, 1e30], [0.0, 0.5]]),
+                     precision=17)
+    out = tmp_path / "rep.json"
+    assert run(["analyze", tmp_path / "J.mtx", "--N", 8, "--out", out,
+                "--no-timestamp"]) == 0
+    res = load(out)["result"]
+    assert res["verdict"] == "inconclusive"
+    assert any("refused" in r and "rcond=" in r for r in res["reasons"])

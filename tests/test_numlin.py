@@ -1,10 +1,14 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rittcalc import numlin, ritt
-from rittcalc.numlin import (Hilbert, LpWeighted, SchattenP, SupSeq, dual,
-                             eig, mat_power_seq, op_norm, solve, svd, vec_norm)
+from rittcalc.numlin import (Hilbert, LpWeighted, SchattenP, SpaceModel, SupSeq,
+                             check_vector, dual, eig, mat_power_seq, op_norm, solve,
+                             svd, vec_norm)
 
 
 def test_eig_diagonal():
@@ -327,3 +331,210 @@ def test_ritt_verdicts_unchanged_on_gallery():
             I = np.eye(T.shape[0])
             oracle = max(np.linalg.norm((z - 1) * np.linalg.inv(z * I - T), 2) for z in pts)
             assert abs(val - oracle) <= 1e-9 * oracle, name
+
+
+# ---------------------------------------------------------------------------
+# stacked Boyd ascent against the per-start reference
+# ---------------------------------------------------------------------------
+
+def _dual_exponent_map(y: np.ndarray, p: float) -> np.ndarray:
+    # duality map of the p-norm: |y|^(p-1) * phase(y), zero-safe
+    a = np.abs(y)
+    out = np.zeros_like(y)
+    nz = a > 0
+    out[nz] = (a[nz] ** (p - 1.0)) * (y[nz] / a[nz])
+    return out
+
+
+def _schatten_dual_map(Y: np.ndarray, p: float) -> np.ndarray:
+    U, s, Vh = scipy.linalg.svd(Y)
+    if p == 1.0:
+        return U @ Vh  # polar factor: a norming subgradient of the trace norm
+    if p == np.inf:
+        return np.outer(U[:, 0], Vh[0])  # top singular dyad
+    return (U * (s ** (p - 1.0))) @ Vh
+
+
+def _boyd_lower(A: np.ndarray, space: SpaceModel, restarts: int, seed: int):
+    """Norm-ascent lower bound with witness (Boyd fixed-point iteration)."""
+    p = space.p
+    q = np.inf if p == 1.0 else p / (p - 1.0)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    d = A.shape[0]
+    schatten = isinstance(space, SchattenP)
+
+    if schatten:
+        n = space.n
+        norm_of = lambda v: float(np.sum(svd(v.reshape(n, n)) ** p) ** (1.0 / p))
+        dual_map = lambda v: _schatten_dual_map(v.reshape(n, n), p).reshape(-1)
+        dual_map_q = lambda v: _schatten_dual_map(v.reshape(n, n), q).reshape(-1)
+    else:
+        norm_of = lambda v: float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+        dual_map = lambda v: _dual_exponent_map(v, p)
+        dual_map_q = lambda v: _dual_exponent_map(v, q)
+
+    starts = [np.ones(d, dtype=complex)]
+    try:
+        _, _, Vh = scipy.linalg.svd(A)
+        starts.append(Vh[0].conj())
+    except np.linalg.LinAlgError:
+        pass
+    for _ in range(restarts):
+        starts.append(rng.normal(size=d) + 1j * rng.normal(size=d))
+
+    best = 0.0
+    best_x = starts[0]
+    for x in starts:
+        nx = norm_of(x)
+        if nx == 0:
+            continue
+        x = x / nx
+        prev = -np.inf
+        for _ in range(200):
+            y = A @ x
+            val = norm_of(y)
+            if val > best:
+                best, best_x = val, x.copy()
+            if val <= prev * (1.0 + 1e-13) or val == 0.0:
+                break
+            prev = val
+            z = A.conj().T @ dual_map(y)
+            x = dual_map_q(z)
+            nx = norm_of(x)
+            if nx == 0:
+                break
+            x = x / nx
+    return best, best_x
+
+
+def _reference(M, space):
+    """(value, witness) of the per-start ascent, realized as op_norm does."""
+    if isinstance(space, LpWeighted):
+        D = np.asarray(space.weights) ** (1.0 / space.p)
+        A = (D[:, None] * M) / D[None, :]
+        val, x = _boyd_lower(A, LpWeighted(space.p, (1.0,) * len(D)), 8, 0)
+        return val, x / D
+    val, x = _boyd_lower(M, space, 8, 0)
+    return val, x.reshape(space.n, space.n)
+
+
+def _attained(M, x, space):
+    x = check_vector(x, space)
+    return vec_norm((M @ x.reshape(-1)).reshape(x.shape), space) / vec_norm(x, space)
+
+
+def _check_against_reference(stack, space):
+    got = numlin.op_norms(stack, space)
+    for j, M in enumerate(stack):
+        ref, ref_witness = _reference(M, space)
+        r = op_norm(M, space)
+        assert got[j] == r.value  # one kernel: a stack of one is the same
+        assert abs(r.value - ref) <= 1e-12 * ref
+        if r.value == 0.0:  # the unnormalized ones start, mapped back to the space
+            assert np.array_equal(r.witness, ref_witness)
+        else:
+            assert abs(_attained(M, r.witness, space) - r.value) <= 1e-12 * r.value
+    return got
+
+
+ASCENT_SPACES = [LpWeighted(1.5, (1.0, 2.0, 0.5, 1.5)), LpWeighted(3.0, (0.3, 1.0, 4.0, 1.2)),
+                 SchattenP(1.0, 2), SchattenP(1.5, 2), SchattenP(3.0, 2)]
+
+
+@pytest.mark.parametrize("space", ASCENT_SPACES, ids=repr)
+def test_stacked_ascent_matches_per_start_reference(space):
+    rng = np.random.default_rng(11)
+    stack = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    stack[1] *= 1e-3
+    stack[2] = np.triu(stack[2])  # non-normal
+    stack[3] = 0.0
+    stack[4, 1, :] = 0.0  # a zero row
+    stack[5, :, 2] = 0.0  # a zero column
+    got = _check_against_reference(stack, space)
+    assert got[3] == 0.0
+    assert np.array_equal(numlin._boyd_ascent(stack[3:4], space)[1][0], np.ones(4))
+
+
+def test_stacked_ascent_far_field_resolvent_runs_to_the_cap(monkeypatch):
+    # (lam - 1) R(lam) at |lam| = 10 is close to a multiple of I: the ascent
+    # creeps up by more than 1e-13 per step for all 200 products
+    rng = np.random.default_rng(3)
+    rng.normal(size=(2, 4, 4))
+    T = 0.3 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    lam = 10.0 * np.exp(2.5j)
+    M = (lam - 1.0) * np.linalg.inv(lam * np.eye(4) - T)
+    space = LpWeighted(3.0, (1.0,) * 4)
+    calls = []
+    norms = numlin._lp_norms
+    monkeypatch.setattr(numlin, "_lp_norms", lambda V, p: calls.append(1) or norms(V, p))
+    _check_against_reference(M[None], space)
+    calls.clear()
+    numlin.op_norms(M[None], space)
+    assert len(calls) == 1 + 2 * 200  # the starts, then two norms per product
+
+
+@pytest.mark.parametrize("space", [LpWeighted(3.0, (1.0, 2.0, 0.5, 1.5)), SchattenP(3.0, 2)],
+                         ids=repr)
+def test_stacked_ascent_is_batch_invariant(space):
+    rng = np.random.default_rng(12)
+    stack = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
+    stack[::7] *= np.geomspace(1e-6, 1e3, 8)[:, None, None]
+    whole = numlin.op_norms(stack, space)
+    assert np.array_equal(whole, [op_norm(M, space).value for M in stack])
+    for j in (0, 17, 49):
+        assert numlin.op_norms(stack[j:j + 1], space)[0] == whole[j]
+    assert np.array_equal(numlin.op_norms(stack[::-1], space), whole[::-1])
+    assert np.array_equal(numlin.op_norms(stack[10:13], space), whole[10:13])
+
+
+def test_stacked_ascent_failed_svd_loses_only_its_own_start(monkeypatch):
+    rng = np.random.default_rng(13)
+    stack = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    space = LpWeighted(3.0, (1.0, 1.0, 1.0))  # unit weights: the kernel sees stack[0]
+    clean = numlin.op_norms(stack, space)
+    poisoned = stack[0].copy()
+
+    def failing(svd_fn):
+        def call(a, *args, **kwargs):
+            a = np.asarray(a)
+            if any(np.array_equal(B, poisoned) for B in a.reshape((-1,) + a.shape[-2:])):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd_fn(a, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "svd", failing(np.linalg.svd))
+    monkeypatch.setattr(scipy.linalg, "svd", failing(scipy.linalg.svd))
+    got = numlin.op_norms(stack, space)
+    ref0, _ = _boyd_lower(stack[0], space, 8, 0)  # without its SVD start
+    assert abs(got[0] - ref0) <= 1e-12 * ref0
+    assert np.array_equal(got[1:], clean[1:])
+
+
+def _bracket(M, space):
+    """Upper bound independent of the ascent: Riesz-Thorin and norm
+    equivalence on lp, norm equivalence on Schatten-p."""
+    p = space.p
+    if isinstance(space, LpWeighted):
+        D = np.asarray(space.weights) ** (1.0 / p)
+        A = (D[:, None] * M) / D[None, :]
+        rt = np.abs(A).sum(axis=0).max() ** (1 / p) * np.abs(A).sum(axis=1).max() ** (1 - 1 / p)
+        return min(rt, len(D) ** abs(0.5 - 1 / p) * np.linalg.norm(A, 2))
+    return space.n ** abs(0.5 - 1 / p) * np.linalg.norm(M, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4), d=st.integers(1, 5),
+       schatten=st.booleans(), scale=st.floats(1e-3, 1e3))
+def test_stacked_ascent_lies_in_the_bracket(seed, m, d, schatten, scale):
+    rng = np.random.default_rng(seed)
+    if schatten:
+        space = SchattenP(3.0, 1 + d % 2)
+        d = space.n ** 2
+    else:
+        space = LpWeighted(3.0, tuple(rng.uniform(0.2, 5.0, size=d)))
+    stack = scale * (rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d)))
+    got = numlin.op_norms(stack, space)
+    ones = np.ones(d)
+    for M, v in zip(stack, got):
+        first = _attained(M, ones, space)  # the first start's ratio
+        assert first * (1 - 1e-12) <= v <= _bracket(M, space) * (1 + 1e-12)

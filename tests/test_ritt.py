@@ -247,3 +247,17 @@ def test_increment_profile_prefix_is_increment_bound():
         assert prof.shape == (64,)
         for N in (1, 17, 32, 64):
             assert float(prof[:N].max()) == increment_bound(T, space, N)
+
+
+@pytest.mark.parametrize("N", [8, 64])
+def test_verdict_inconclusive_when_resolvent_node_refused(N):
+    # spectrum {0.5} passes, but the pseudospectrum of this Jordan-like block
+    # swallows the resolvent nodes: the kernel refuses them (rcond ~ 1e-61)
+    T = np.array([[0.5, 1e30], [0.0, 0.5]])
+    rep = ritt_verdict(T, config=ritt.RittConfig(N=N))
+    assert rep.verdict == "inconclusive"
+    refused = [r for r in rep.reasons if "refused" in r]
+    assert refused
+    assert all("beta=" in r and "z=" in r and "rcond=" in r for r in refused)
+    assert rep.N_used == N
+    assert len(refused) + len(rep.resolvent_sup) == len(ritt.RittConfig().beta_fracs)

@@ -56,26 +56,34 @@ def load_matrix(path: str) -> np.ndarray:
 
 
 def parse_space(spec: str, dim: int):
-    """Space spec: hilbert | lp:P[:w1,w2,...] | schatten:P:N | sup."""
+    """Space spec: hilbert | lp:P[:w1,w2,...] | schatten:P:N | sup.
+
+    The model must act on vectors of length ``dim``, the matrix size.
+    """
     parts = spec.split(":")
     kind = parts[0].lower()
+    if kind not in ("hilbert", "lp", "schatten", "sup"):
+        raise IngestError(f"unknown space spec {spec!r}")
     try:
         if kind == "hilbert":
-            return Hilbert(dim)
-        if kind == "lp":
+            space = Hilbert(dim)
+        elif kind == "lp":
             p = float(parts[1])
             if len(parts) > 2:
                 w = tuple(float(v) for v in parts[2].split(","))
             else:
                 w = tuple(1.0 for _ in range(dim))
-            return LpWeighted(p, w)
-        if kind == "schatten":
-            return SchattenP(float(parts[1]), int(parts[2]))
-        if kind == "sup":
-            return SupSeq(dim)
+            space = LpWeighted(p, w)
+        elif kind == "schatten":
+            space = SchattenP(float(parts[1]), int(parts[2]))
+        else:
+            space = SupSeq(dim)
     except (IndexError, ValueError) as exc:
         raise IngestError(f"bad space spec {spec!r}: {exc}") from exc
-    raise IngestError(f"unknown space spec {spec!r}")
+    if space.dim != dim:
+        raise IngestError(f"space {spec!r} has dimension {space.dim}, "
+                          f"the matrix has size {dim}")
+    return space
 
 
 def parse_mesh(spec: str) -> stolz.MeshSpec:
@@ -152,13 +160,7 @@ def cmd_sqfun(args) -> int:
         result["sf_constant"] = sqfun.sf_constant(T, args.m, space, seed=args.seed,
                                                   cfg=cfg)
     else:
-        if args.x:
-            x = load_matrix(args.x)
-            x = x.reshape(-1) if not isinstance(space, SchattenP) else x
-        else:
-            x = np.ones(T.shape[0], dtype=complex)
-            if isinstance(space, SchattenP):
-                x = x.reshape(space.n, space.n)
+        x = load_matrix(args.x) if args.x else np.ones(T.shape[0], dtype=complex)
         rep = sqfun.square_function(T, x, space, cfg)
         result.update(rep.to_json_dict())
         if args.csv:

@@ -266,6 +266,15 @@ class CalcReport:
         return sanitize(d)
 
 
+def _cauchy_sum(contour: stolz.Contour, R: np.ndarray, phi: HolomorphicFn) -> np.ndarray:
+    """(1 / 2 pi i) sum_j w_j t_j phi(z_j) R_j, with R_j the resolvent at
+    the node z_j: the quadrature of the Cauchy integral of phi."""
+    vals = np.asarray(phi(contour.nodes), dtype=complex)
+    coeff = contour.weights * contour.tangents * vals / (2j * math.pi)
+    # fixed-order reduction over nodes
+    return np.tensordot(coeff, R, axes=(0, 0))
+
+
 def _check_separation(nodes: np.ndarray, eigs: np.ndarray, what: str) -> None:
     """Refuse a contour with a node inside the spectrum tolerance."""
     dist = np.abs(nodes[:, None] - eigs[None, :]).min(axis=1)
@@ -332,23 +341,16 @@ class ContourCalculus:
                 "1 lies in the spectrum: phi needs an h0 certificate with "
                 f"exponent s >= {MIN_CERT_S} (got {cert!r})")
 
-    def _quad(self, phi: HolomorphicFn, k: int) -> np.ndarray:
-        contour, R = self._level(k)
-        vals = np.asarray(phi(contour.nodes), dtype=complex)
-        coeff = contour.weights * contour.tangents * vals / (2j * math.pi)
-        # fixed-order reduction over nodes
-        return np.tensordot(coeff, R, axes=(0, 0))
-
     def apply(self, phi: HolomorphicFn) -> CalcReport:
         """phi(T) with a two-mesh (coarse vs refined) error estimate."""
         self._check_admissible(phi)
-        coarse = self._quad(phi, 0)
+        coarse = _cauchy_sum(*self._level(0), phi)
         best = coarse
         est = math.inf
         used = 0
         converged = False
         for k in range(1, self.refine_rounds + 1):
-            fine = self._quad(phi, k)
+            fine = _cauchy_sum(*self._level(k), phi)
             est = float(np.linalg.norm(fine - best, 2))
             best = fine
             used = k
@@ -401,14 +403,10 @@ def scaling_convergence(T, phi: HolomorphicFn,
 # sectorial transfer
 # ---------------------------------------------------------------------------
 
-def _sector_quad(A: np.ndarray, f: HolomorphicFn, nu: float, r_max: float,
-                 mesh: MeshSpec) -> np.ndarray:
-    contour = stolz.sector_contour(nu, r_max, mesh)
+def _sector_quad(A: np.ndarray, f: HolomorphicFn, contour: stolz.Contour) -> np.ndarray:
     R = _node_resolvents(A, contour.nodes, "sector")
     _check_separation(contour.nodes, numlin.eig(A).eigenvalues, "sector")
-    vals = np.asarray(f(contour.nodes), dtype=complex)
-    coeff = contour.weights * contour.tangents * vals / (2j * math.pi)
-    return np.tensordot(coeff, R, axes=(0, 0))
+    return _cauchy_sum(contour, R, f)
 
 
 def transfer_check(T, f: HolomorphicFn, nu: Optional[float] = None,
@@ -450,7 +448,7 @@ def transfer_check(T, f: HolomorphicFn, nu: Optional[float] = None,
         zr = r_max * cmath.exp(1j * nu)
         c_res = float(np.linalg.norm(zr * numlin.resolvents(A, [zr])[0], 2))
         tail = c * c_res * sc.tail_factor(s)
-        lhs = _sector_quad(A, f, nu, r_max, mesh)
+        lhs = _sector_quad(A, f, sc)
 
     phi = HolomorphicFn(evaluator=lambda z: f(1.0 - np.asarray(z, dtype=complex)),
                         kind="closure", h0_certificate=f.h0_certificate,

@@ -4,9 +4,9 @@ Everything downstream manipulates plain ``numpy`` arrays: operators are
 square complex matrices, vectors are 1-d arrays, and Schatten-class
 elements are square matrices that operators act on through their
 row-major vectorization.  The four norm structures (Euclidean, weighted
-sequence-p, Schatten-p, sup) are selected by a small tagged union of
-frozen dataclasses so reports can record exactly which geometry was
-used.
+sequence-p, Schatten-p, sup) are frozen dataclasses, so reports can
+record exactly which geometry was used, and each one owns its norms,
+its operator norms, its dual and its square sums.
 
 Operator p-norms for p != 2 are NP-hard in general; ``op_norm`` returns
 a certified lower bound (norm-ascent with restarts, witness attached)
@@ -37,8 +37,6 @@ __all__ = [
     "PowerOverflow",
     "as_matrix",
     "as_operator",
-    "dual",
-    "space_dim",
     "check_vector",
     "eig",
     "solve",
@@ -48,7 +46,6 @@ __all__ = [
     "vec_norm",
     "op_norm",
     "op_norms",
-    "is_exact_model",
     "mat_power_seq",
     "power_blocks",
     "increment_blocks",
@@ -59,6 +56,10 @@ SOLVE_TOL = 1e-10
 RCOND_MIN = 1e-14
 #: bytes of n x n complex matrices that :func:`resolvents` handles per block
 RESOLVENT_BLOCK_BYTES = 2 * 1024 * 1024
+#: random starts of the Boyd ascent, after the ones vector and the top
+#: right singular vector, and the Philox key of their stream
+ASCENT_RESTARTS = 8
+ASCENT_SEED = 0
 _EPS = np.finfo(float).eps
 
 
@@ -95,20 +96,58 @@ class PowerOverflow(OverflowError):
 # ---------------------------------------------------------------------------
 # space models
 # ---------------------------------------------------------------------------
+#
+# Every model answers the same questions: ``dim`` (the vector length its
+# operators act on), ``exact`` (whether ``op_norm`` is exact), ``dual()``,
+# ``norms(V)`` along the last axis of a stack of flat elements,
+# ``op_norms(stack)``, ``op_norm(M)``, and the two halves of the
+# square-function accumulator, ``square_term(y, side)`` and
+# ``square_norm(acc)``.  Inputs are checked by the public functions below.
+
+class _Pointwise:
+    """Sequence models: the square sum sits inside the norm, pointwise."""
+
+    def square_term(self, y: np.ndarray, side: str) -> np.ndarray:
+        return np.abs(y) ** 2
+
+    def square_norm(self, acc: np.ndarray) -> float:
+        return float(self.norms(np.sqrt(acc)))
+
 
 @dataclass(frozen=True)
 class Hilbert:
     """Euclidean model C^dim."""
 
     dim: int
+    exact = True
+
+    def dual(self) -> Hilbert:
+        return self
+
+    def norms(self, V: np.ndarray) -> np.ndarray:
+        # a single element keeps the BLAS dot of np.linalg.norm(x)
+        return np.linalg.norm(V, axis=None if V.ndim == 1 else -1)
+
+    def op_norms(self, A: np.ndarray) -> np.ndarray:
+        return _spectral_norms(A)
+
+    def op_norm(self, M: np.ndarray) -> OpNormResult:
+        return _spectral_op_norm(M)
+
+    def square_term(self, y: np.ndarray, side: str) -> float:
+        return float(np.vdot(y, y).real)
+
+    def square_norm(self, acc: float) -> float:
+        return math.sqrt(acc)
 
 
 @dataclass(frozen=True)
-class LpWeighted:
+class LpWeighted(_Pointwise):
     """Weighted sequence space: ||x|| = (sum_i w_i |x_i|^p)^(1/p), 1 < p < inf."""
 
     p: float
     weights: tuple = ()
+    exact = False
 
     def __post_init__(self):
         if not 1.0 < self.p < np.inf:
@@ -118,10 +157,51 @@ class LpWeighted:
             raise ValueError("weights must be a nonempty strictly positive tuple")
         object.__setattr__(self, "weights", tuple(float(v) for v in w))
 
+    @property
+    def dim(self) -> int:
+        return len(self.weights)
+
+    def dual(self) -> LpWeighted:
+        return LpWeighted(self.p / (self.p - 1.0), self.weights)
+
+    def norms(self, V: np.ndarray) -> np.ndarray:
+        w = np.asarray(self.weights)
+        return np.sum(w * np.abs(V) ** self.p, axis=-1) ** (1.0 / self.p)
+
+    def op_norms(self, A: np.ndarray) -> np.ndarray:
+        return _boyd_ascent(self._unweighted(A)[0], self)[0]
+
+    def op_norm(self, M: np.ndarray) -> OpNormResult:
+        p = self.p
+        A, D = self._unweighted(M)
+        values, witnesses = _boyd_ascent(A[None], self)
+        lower = float(values[0])
+        # Riesz-Thorin bracket between the (weighted) 1- and inf-norms
+        n1 = float(np.max(np.sum(np.abs(A), axis=0)))
+        ninf = float(np.max(np.sum(np.abs(A), axis=1)))
+        upper_rt = n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p)
+        upper_eq = self.dim ** abs(0.5 - 1.0 / p) * float(svd(A)[0])
+        upper = max(lower, min(upper_rt, upper_eq))
+        return OpNormResult(value=lower, upper=upper, exact=False, witness=witnesses[0] / D)
+
+    def _unweighted(self, M: np.ndarray):
+        """``(D M D^-1, D)`` with D = w^(1/p): the realization of M (one
+        matrix or a stack) on unweighted p, isometric to the weighted one."""
+        D = np.asarray(self.weights) ** (1.0 / self.p)
+        return (D[:, None] * M) / D[None, :], D
+
+    def _ascent_kernels(self):
+        # the ascent only runs on D A D^-1, so it takes the unweighted kernels
+        return (lambda V: _lp_norms(V, self.p)), _lp_dual_maps
+
 
 @dataclass(frozen=True)
 class SchattenP:
-    """Schatten class of n x n matrices: ||x|| = (sum_i sigma_i(x)^p)^(1/p)."""
+    """Schatten class of n x n matrices: ||x|| = (sum_i sigma_i(x)^p)^(1/p).
+
+    Elements are flat row-major vectors of length n^2 wherever a stack of
+    them is taken.
+    """
 
     p: float
     n: int
@@ -130,41 +210,85 @@ class SchattenP:
         if not 1.0 <= self.p < np.inf:
             raise ValueError(f"p must lie in [1, inf), got {self.p}")
 
+    @property
+    def dim(self) -> int:
+        return self.n * self.n
+
+    @property
+    def exact(self) -> bool:
+        return self.p == 2.0
+
+    def dual(self) -> SchattenP:
+        if self.p == 1.0:
+            raise ValueError("dual of Schatten-1 (operator norm) is not a SchattenP model")
+        return SchattenP(self.p / (self.p - 1.0), self.n)
+
+    def norms(self, V: np.ndarray) -> np.ndarray:
+        s = np.linalg.svd(V.reshape(V.shape[:-1] + (self.n, self.n)), compute_uv=False)
+        return np.sum(s ** self.p, axis=-1) ** (1.0 / self.p)
+
+    def op_norms(self, A: np.ndarray) -> np.ndarray:
+        return _spectral_norms(A) if self.exact else _boyd_ascent(A, self)[0]
+
+    def op_norm(self, M: np.ndarray) -> OpNormResult:
+        if self.exact:
+            return _spectral_op_norm(M)
+        values, witnesses = _boyd_ascent(M[None], self)
+        lower = float(values[0])
+        upper = max(lower, self.n ** abs(0.5 - 1.0 / self.p) * float(svd(M)[0]))
+        return OpNormResult(value=lower, upper=upper, exact=False,
+                            witness=witnesses[0].reshape(self.n, self.n))
+
+    def square_term(self, y: np.ndarray, side: str) -> np.ndarray:
+        """Column (y* y) or row (y y*) square of the element y."""
+        Y = y.reshape(self.n, self.n)
+        return Y.conj().T @ Y if side == "column" else Y @ Y.conj().T
+
+    def square_norm(self, acc: np.ndarray) -> float:
+        """Schatten-p norm of acc^(1/2) for a positive semidefinite acc."""
+        ev = np.clip(np.linalg.eigvalsh(0.5 * (acc + acc.conj().T)).real, 0.0, None)
+        return float(np.sum(ev ** (self.p / 2.0)) ** (1.0 / self.p))
+
+    def _ascent_kernels(self):
+        return self.norms, self._dual_maps
+
+    def _dual_maps(self, V: np.ndarray, p: float) -> np.ndarray:
+        """Duality maps of the Schatten-p norm, one stacked SVD for the stack V."""
+        U, s, Vh = np.linalg.svd(V.reshape(V.shape[:-1] + (self.n, self.n)))
+        if p == 1.0:
+            out = U @ Vh  # polar factor: a norming subgradient of the trace norm
+        elif p == np.inf:
+            out = U[..., :, :1] * Vh[..., :1, :]  # top singular dyad
+        else:
+            out = (U * (s[..., None, :] ** (p - 1.0))) @ Vh
+        return out.reshape(V.shape)
+
 
 @dataclass(frozen=True)
-class SupSeq:
+class SupSeq(_Pointwise):
     """Finite sup-norm sequence model: ||x|| = max_i |x_i|."""
 
     dim: int
+    exact = True
+
+    def dual(self):
+        raise ValueError(f"no dual model for {self!r}")
+
+    def norms(self, V: np.ndarray) -> np.ndarray:
+        return np.max(np.abs(V), axis=-1, initial=0.0)
+
+    def op_norms(self, A: np.ndarray) -> np.ndarray:
+        return np.abs(A).sum(axis=2).max(axis=1)
+
+    def op_norm(self, M: np.ndarray) -> OpNormResult:
+        rows = np.sum(np.abs(M), axis=1)
+        i = int(np.argmax(rows))
+        val = float(rows[i])
+        witness = np.where(np.abs(M[i]) > 0, np.conj(M[i]) / np.maximum(np.abs(M[i]), 1e-300), 1.0)
+        return OpNormResult(value=val, upper=val, exact=True, witness=witness)
 
 
 SpaceModel = Union[Hilbert, LpWeighted, SchattenP, SupSeq]
-
-
-def dual(space: SpaceModel) -> SpaceModel:
-    """Dual norm model: Hilbert is self-dual, p goes to p/(p-1)."""
-    if isinstance(space, Hilbert):
-        return space
-    if isinstance(space, LpWeighted):
-        return LpWeighted(space.p / (space.p - 1.0), space.weights)
-    if isinstance(space, SchattenP):
-        if space.p == 1.0:
-            raise ValueError("dual of Schatten-1 (operator norm) is not a SchattenP model")
-        return SchattenP(space.p / (space.p - 1.0), space.n)
-    raise ValueError(f"no dual model for {space!r}")
-
-
-def space_dim(space: SpaceModel) -> int:
-    """Ambient vector dimension operators act on (n^2 for Schatten)."""
-    if isinstance(space, Hilbert):
-        return space.dim
-    if isinstance(space, LpWeighted):
-        return len(space.weights)
-    if isinstance(space, SchattenP):
-        return space.n * space.n
-    if isinstance(space, SupSeq):
-        return space.dim
-    raise ValueError(f"unknown space model {space!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +312,7 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
 def as_operator(M, space: SpaceModel) -> np.ndarray:
     """Validate that M is a square operator on the given space."""
     M = as_matrix(M, square=True)
-    d = space_dim(space)
+    d = space.dim
     if M.shape[0] != d:
         raise ShapeError(f"operator of size {M.shape[0]} on space of dimension {d}")
     return M
@@ -205,8 +329,8 @@ def check_vector(x, space: SpaceModel) -> np.ndarray:
             raise ShapeError(f"Schatten element must be {n}x{n}, got {x.shape}")
         return x
     x = x.reshape(-1)
-    if x.size != space_dim(space):
-        raise ShapeError(f"vector of size {x.size} in space of dimension {space_dim(space)}")
+    if x.size != space.dim:
+        raise ShapeError(f"vector of size {x.size} in space of dimension {space.dim}")
     return x
 
 
@@ -400,18 +524,7 @@ def svd(M, factors: bool = False):
 
 def vec_norm(x, space: SpaceModel) -> float:
     """Norm of an element in the given space model."""
-    x = check_vector(x, space)
-    if isinstance(space, Hilbert):
-        return float(np.linalg.norm(x))
-    if isinstance(space, LpWeighted):
-        w = np.asarray(space.weights)
-        return float(np.sum(w * np.abs(x) ** space.p) ** (1.0 / space.p))
-    if isinstance(space, SchattenP):
-        s = svd(x)
-        return float(np.sum(s ** space.p) ** (1.0 / space.p))
-    if isinstance(space, SupSeq):
-        return float(np.max(np.abs(x))) if x.size else 0.0
-    raise ValueError(f"unknown space model {space!r}")
+    return float(space.norms(check_vector(x, space).reshape(-1)))
 
 
 @dataclass
@@ -444,24 +557,6 @@ def _lp_dual_maps(V: np.ndarray, p: float) -> np.ndarray:
         return np.where(a > 0, (a ** (p - 1.0)) * (V / a), 0.0)
 
 
-def _schatten_norms(V: np.ndarray, p: float, n: int) -> np.ndarray:
-    """Schatten-p norms of the row-major n x n matrices along the last axis."""
-    s = np.linalg.svd(V.reshape(V.shape[:-1] + (n, n)), compute_uv=False)
-    return np.sum(s ** p, axis=-1) ** (1.0 / p)
-
-
-def _schatten_dual_maps(V: np.ndarray, p: float, n: int) -> np.ndarray:
-    """Duality maps of the Schatten-p norm, one stacked SVD for the stack V."""
-    U, s, Vh = np.linalg.svd(V.reshape(V.shape[:-1] + (n, n)))
-    if p == 1.0:
-        out = U @ Vh  # polar factor: a norming subgradient of the trace norm
-    elif p == np.inf:
-        out = U[..., :, :1] * Vh[..., :1, :]  # top singular dyad
-    else:
-        out = (U * (s[..., None, :] ** (p - 1.0))) @ Vh
-    return out.reshape(V.shape)
-
-
 def _top_right_singular(A: np.ndarray) -> np.ndarray:
     """Top right singular vector of each matrix of the stack A, zero where
     the SVD fails (a zero start is skipped by the ascent)."""
@@ -475,19 +570,20 @@ def _top_right_singular(A: np.ndarray) -> np.ndarray:
         return out
 
 
-def _boyd_ascent(A: np.ndarray, space: SpaceModel, restarts: int = 8, seed: int = 0):
+def _boyd_ascent(A: np.ndarray, space: SpaceModel):
     """Boyd's norm ascent on every start of every matrix of the stack A.
 
-    ``space`` is unweighted p (an LpWeighted with unit weights) or
-    Schatten-p.  Each matrix gets the same starts: the ones vector, its
-    top right singular vector (one stacked SVD) and ``restarts``
-    Philox(``seed``) random vectors.  The starts sit in the rows of an
-    (m, S, d) array, so an iteration is one batched product with the
-    stack and elementwise or stacked-SVD dual maps for every start that
-    has not stopped.  A start stops when its value no longer rises by
-    1e-13 relative, reaches 0, or after 200 products.  Every matrix is
-    computed with the same shapes whatever its neighbours, so its value
-    does not depend on the stack it sits in.
+    ``space`` is an LpWeighted, whose kernels are the unweighted p-norm
+    ones (A is already D A D^-1), or a Schatten-p model.  Each matrix
+    gets the same starts: the ones vector, its top right singular vector
+    (one stacked SVD) and ``ASCENT_RESTARTS`` Philox(``ASCENT_SEED``)
+    random vectors.  The starts sit in the rows of an (m, S, d) array, so
+    an iteration is one batched product with the stack and elementwise or
+    stacked-SVD dual maps for every start that has not stopped.  A start
+    stops when its value no longer rises by 1e-13 relative, reaches 0, or
+    after 200 products.  Every matrix is computed with the same shapes
+    whatever its neighbours, so its value does not depend on the stack it
+    sits in.
 
     Returns ``(values, witnesses)``: the largest value of each matrix
     and the first iterate that attained it (the unnormalized ones vector
@@ -495,25 +591,17 @@ def _boyd_ascent(A: np.ndarray, space: SpaceModel, restarts: int = 8, seed: int 
     """
     p = space.p
     q = np.inf if p == 1.0 else p / (p - 1.0)
-    if isinstance(space, SchattenP):
-        n = space.n
-        norms = lambda V: _schatten_norms(V, p, n)
-        dual_p = lambda V: _schatten_dual_maps(V, p, n)
-        dual_q = lambda V: _schatten_dual_maps(V, q, n)
-    else:
-        norms = lambda V: _lp_norms(V, p)
-        dual_p = lambda V: _lp_dual_maps(V, p)
-        dual_q = lambda V: _lp_dual_maps(V, q)
+    norms, dual_map = space._ascent_kernels()
     m, d, _ = A.shape
     AT = np.ascontiguousarray(A.transpose(0, 2, 1))  # rows: x @ A^T = (A x)^T
     AC = A.conj()                                    # rows: g @ conj(A) = (A^* g)^T
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    X = np.empty((m, 2 + restarts, d), dtype=complex)
+    rng = np.random.Generator(np.random.Philox(key=ASCENT_SEED))
+    X = np.empty((m, 2 + ASCENT_RESTARTS, d), dtype=complex)
     ones = np.ones(d, dtype=complex)
     X[:, 0] = ones
     X[:, 1] = _top_right_singular(A)
-    for r in range(restarts):
+    for r in range(ASCENT_RESTARTS):
         X[:, 2 + r] = rng.normal(size=d) + 1j * rng.normal(size=d)
 
     def normalized(V, nv, keep):
@@ -541,7 +629,7 @@ def _boyd_ascent(A: np.ndarray, space: SpaceModel, restarts: int = 8, seed: int 
             wit[rows[j], s] = Xa[j, s]
         go = lv & ~((val <= prev[rows] * (1.0 + 1e-13)) | (val == 0.0))
         prev[rows] = val
-        Xn = dual_q(dual_p(Y) @ AC[rows])
+        Xn = dual_map(dual_map(Y, p) @ AC[rows], q)
         nx = norms(Xn)
         go &= nx > 0
         X[rows] = normalized(Xn, nx, go)
@@ -553,7 +641,18 @@ def _boyd_ascent(A: np.ndarray, space: SpaceModel, restarts: int = 8, seed: int 
     return values, witnesses
 
 
-def op_norm(M, space: SpaceModel, restarts: int = 8, seed: int = 0) -> OpNormResult:
+def _spectral_norms(A: np.ndarray) -> np.ndarray:
+    """Largest singular value of every matrix of the stack A."""
+    return np.linalg.svd(A, compute_uv=False)[:, 0]
+
+
+def _spectral_op_norm(M: np.ndarray) -> OpNormResult:
+    s, _, Vh = svd(M, factors=True)
+    val = float(s[0])
+    return OpNormResult(value=val, upper=val, exact=True, witness=Vh[0].conj())
+
+
+def op_norm(M, space: SpaceModel) -> OpNormResult:
     """Operator norm of M acting on the space.
 
     Hilbert and Schatten-2: exact (largest singular value).  Sup model:
@@ -561,48 +660,7 @@ def op_norm(M, space: SpaceModel, restarts: int = 8, seed: int = 0) -> OpNormRes
     (p != 2): ascent lower bound with witness plus an interpolation /
     norm-equivalence upper bound, flagged approximate.
     """
-    M = as_operator(M, space)
-    if isinstance(space, SupSeq):
-        rows = np.sum(np.abs(M), axis=1)
-        i = int(np.argmax(rows))
-        val = float(rows[i])
-        witness = np.where(np.abs(M[i]) > 0, np.conj(M[i]) / np.maximum(np.abs(M[i]), 1e-300), 1.0)
-        return OpNormResult(value=val, upper=val, exact=True, witness=witness)
-    if is_exact_model(space):
-        s = svd(M, factors=True)
-        val = float(s[0][0])
-        witness = s[2][0].conj()
-        return OpNormResult(value=val, upper=val, exact=True, witness=witness)
-    if isinstance(space, LpWeighted):
-        p = space.p
-        A, D, unweighted = _unweighted_lp(M, space)
-        values, witnesses = _boyd_ascent(A[None], unweighted, restarts, seed)
-        lower, xw = float(values[0]), witnesses[0]
-        # Riesz-Thorin bracket between the (weighted) 1- and inf-norms
-        n1 = float(np.max(np.sum(np.abs(A), axis=0)))
-        ninf = float(np.max(np.sum(np.abs(A), axis=1)))
-        upper_rt = n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p)
-        d = A.shape[0]
-        upper_eq = d ** abs(0.5 - 1.0 / p) * float(svd(A)[0])
-        upper = max(lower, min(upper_rt, upper_eq))
-        return OpNormResult(value=lower, upper=upper, exact=False, witness=xw / D)
-    if isinstance(space, SchattenP):
-        p = space.p
-        values, witnesses = _boyd_ascent(M[None], space, restarts, seed)
-        lower, xw = float(values[0]), witnesses[0]
-        upper_eq = space.n ** abs(0.5 - 1.0 / p) * float(svd(M)[0])
-        upper = max(lower, upper_eq)
-        return OpNormResult(value=lower, upper=upper, exact=False,
-                            witness=xw.reshape(space.n, space.n))
-    raise ValueError(f"unknown space model {space!r}")
-
-
-def _unweighted_lp(M: np.ndarray, space: LpWeighted):
-    """``(D M D^-1, D, unweighted)`` with D = w^(1/p): the realization of M
-    (one matrix or a stack) on unweighted p, isometric to the weighted one."""
-    D = np.asarray(space.weights) ** (1.0 / space.p)
-    A = (D[:, None] * M) / D[None, :]
-    return A, D, LpWeighted(space.p, (1.0,) * len(D))
+    return space.op_norm(as_operator(M, space))
 
 
 def op_norms(stack, space: SpaceModel) -> np.ndarray:
@@ -614,29 +672,12 @@ def op_norms(stack, space: SpaceModel) -> np.ndarray:
     gives each matrix the value that :func:`op_norm` gives it alone.
     """
     A = np.asarray(stack, dtype=complex)
-    d = space_dim(space)
+    d = space.dim
     if A.ndim != 3 or A.shape[1:] != (d, d):
         raise ShapeError(f"expected a stack of {d}x{d} operators, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
-    if isinstance(space, SupSeq):
-        return np.abs(A).sum(axis=2).max(axis=1)
-    if is_exact_model(space):
-        return np.linalg.svd(A, compute_uv=False)[:, 0]
-    if isinstance(space, LpWeighted):
-        A, _, space = _unweighted_lp(A, space)
-    return _boyd_ascent(A, space)[0]
-
-
-def is_exact_model(space: SpaceModel) -> bool:
-    """Whether :func:`op_norm` computes the norm exactly on this model.
-
-    Hilbert and Schatten-2 take the largest singular value, the sup
-    model the largest absolute row sum; every other model gets a
-    lower bound with an upper bracket.
-    """
-    return isinstance(space, (Hilbert, SupSeq)) or (
-        isinstance(space, SchattenP) and space.p == 2.0)
+    return space.op_norms(A)
 
 
 def mat_power_seq(T, N: int) -> list:

@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import numlin, stolz
-from .numlin import (Hilbert, SpaceModel, as_matrix, increment_blocks, is_exact_model,
-                     op_norms, overflow_first, power_blocks)
+from .numlin import (Hilbert, SpaceModel, as_matrix, increment_blocks, op_norms,
+                     overflow_first, power_blocks)
 from .stolz import NOT_STOLZ
 
 __all__ = [
@@ -291,7 +291,7 @@ def ritt_verdict(T, space: Optional[SpaceModel] = None,
             power_bound=decay_N[0], increment_bound=decay_N[1],
             type_alpha=alpha, resolvent_sup={}, decay=decay_N,
             verdict=verdict, reasons=reasons, N_used=decay_n, space=space,
-            norms_exact=is_exact_model(space),
+            norms_exact=space.exact,
         )
 
     try:
@@ -301,7 +301,7 @@ def ritt_verdict(T, space: Optional[SpaceModel] = None,
             power_bound=math.inf, increment_bound=math.inf, type_alpha=alpha,
             resolvent_sup={}, decay=(math.inf,) * 4,
             verdict="inconclusive", reasons=[str(exc)], N_used=cfg.N,
-            space=space, norms_exact=is_exact_model(space),
+            space=space, norms_exact=space.exact,
         )
 
     names = ("S0", "S1", "S2", "S3")
@@ -333,5 +333,5 @@ def ritt_verdict(T, space: Optional[SpaceModel] = None,
         power_bound=sup_2N[0], increment_bound=sup_2N[1], type_alpha=alpha,
         resolvent_sup=res, decay=tuple(sup_2N), verdict=verdict,
         reasons=reasons, N_used=cfg.N, space=space,
-        norms_exact=is_exact_model(space),
+        norms_exact=space.exact,
     )

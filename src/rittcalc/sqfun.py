@@ -21,6 +21,7 @@ with one seed reproduce bit-identically.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -29,8 +30,8 @@ import numpy as np
 import scipy.linalg
 
 from . import funcalc, numlin, ritt
-from .numlin import (Hilbert, LpWeighted, SchattenP, SpaceModel, SupSeq,
-                     as_matrix, check_vector, vec_norm)
+from .numlin import (Hilbert, LpWeighted, SchattenP, SpaceModel, as_matrix,
+                     check_vector, vec_norm)
 
 __all__ = [
     "SFConfig",
@@ -72,7 +73,6 @@ class SFConfig:
     n_max: int = 20000
     tail_tol: float = 1e-10
     side: str = "column"  # Schatten models: column (y*y) or row (yy*)
-    truncation: str = "geometric-tail"
 
     def __post_init__(self):
         if self.m < 1:
@@ -157,30 +157,15 @@ def square_function(T, x, space: SpaceModel, cfg: Optional[SFConfig] = None) -> 
     """
     cfg = cfg or SFConfig()
     T = as_matrix(T, square=True)
-    x = check_vector(x, space)
+    y = check_vector(x, space).reshape(-1)
     m = cfg.m
     rho = _effective_radius(T)
 
-    n = T.shape[0] if not isinstance(space, SchattenP) else space.n
-    I = np.eye(T.shape[0], dtype=complex)
-    A = I - T
-
-    if isinstance(space, SchattenP):
-        xv = x.reshape(-1)
-    else:
-        xv = x
-    y = xv.copy()
+    A = np.eye(T.shape[0], dtype=complex) - T
     for _ in range(m):
         y = A @ y
 
-    # per-model accumulator
-    if isinstance(space, Hilbert):
-        acc = 0.0
-    elif isinstance(space, (LpWeighted, SupSeq)):
-        acc = np.zeros(xv.size, dtype=float)
-    else:
-        acc = np.zeros((n, n), dtype=complex)
-
+    acc = 0.0  # sum of w * space.square_term(y); the first term sets its shape
     per_k = []
     a_prev = None
     grow_run = 0
@@ -190,15 +175,9 @@ def square_function(T, x, space: SpaceModel, cfg: Optional[SFConfig] = None) -> 
     while k < cfg.n_max:
         k += 1
         w = k ** (2 * m - 1)
-        a_k = k ** (m - 0.5) * vec_norm(y, space)
+        a_k = k ** (m - 0.5) * float(space.norms(y))
         per_k.append(a_k)
-        if isinstance(space, Hilbert):
-            acc += w * float(np.vdot(y, y).real)
-        elif isinstance(space, (LpWeighted, SupSeq)):
-            acc += w * np.abs(y) ** 2
-        else:
-            Y = y.reshape(n, n)
-            acc += w * (Y.conj().T @ Y if cfg.side == "column" else Y @ Y.conj().T)
+        acc += w * space.square_term(y, cfg.side)
 
         if a_prev is not None and a_k > a_prev * (1.0 + 1e-12) and a_k > 1e-290:
             grow_run += 1
@@ -221,16 +200,8 @@ def square_function(T, x, space: SpaceModel, cfg: Optional[SFConfig] = None) -> 
             break
         y = T @ y
 
-    if isinstance(space, Hilbert):
-        value = math.sqrt(acc)
-    elif isinstance(space, LpWeighted):
-        value = vec_norm(np.sqrt(acc), space)
-    elif isinstance(space, SupSeq):
-        value = float(np.sqrt(np.max(acc))) if acc.size else 0.0
-    else:
-        ev = np.clip(np.linalg.eigvalsh(0.5 * (acc + acc.conj().T)).real, 0.0, None)
-        value = float(np.sum(ev ** (space.p / 2.0)) ** (1.0 / space.p))
-    return SFReport(value=value, tail_bound=float(tail if np.isfinite(tail) else per_k[-1]),
+    return SFReport(value=space.square_norm(acc),
+                    tail_bound=float(tail if np.isfinite(tail) else per_k[-1]),
                     n_terms=k, truncated=truncated, per_k=np.array(per_k))
 
 
@@ -356,8 +327,7 @@ def sf_constant(T, m: int, space: SpaceModel,
     T = as_matrix(T, square=True)
     cfg = cfg or SFConfig(m=m)
     if cfg.m != m:
-        cfg = SFConfig(m=m, n_max=cfg.n_max, tail_tol=cfg.tail_tol,
-                       side=cfg.side, truncation=cfg.truncation)
+        cfg = dataclasses.replace(cfg, m=m)
     if isinstance(space, Hilbert):
         if method in ("auto", "gram"):
             G = gram_operator(T, m=m)
@@ -391,11 +361,10 @@ def sf_constant(T, m: int, space: SpaceModel,
             best = max(best, max(lam, 0.0))
         return math.sqrt(best)
 
-    d = numlin.space_dim(space)
+    d = space.dim
     rng = np.random.Generator(np.random.Philox(key=seed))
 
-    def ratio(v):
-        x = v.reshape(space.n, space.n) if isinstance(space, SchattenP) else v
+    def ratio(x):
         nx = vec_norm(x, space)
         if nx == 0:
             return 0.0
@@ -419,22 +388,6 @@ def sf_constant(T, m: int, space: SpaceModel,
 def _stack(xs: Sequence, space: SpaceModel) -> np.ndarray:
     rows = [check_vector(x, space).reshape(-1) for x in xs]
     return np.array(rows, dtype=complex)
-
-
-def _batch_norms(Y: np.ndarray, space: SpaceModel) -> np.ndarray:
-    """Norms of the rows of Y (each row one element of the space)."""
-    if isinstance(space, Hilbert):
-        return np.linalg.norm(Y, axis=1)
-    if isinstance(space, LpWeighted):
-        w = np.asarray(space.weights)
-        return np.sum(w[None, :] * np.abs(Y) ** space.p, axis=1) ** (1.0 / space.p)
-    if isinstance(space, SupSeq):
-        return np.max(np.abs(Y), axis=1)
-    if isinstance(space, SchattenP):
-        n = space.n
-        s = np.linalg.svd(Y.reshape(-1, n, n), compute_uv=False)
-        return np.sum(s ** space.p, axis=1) ** (1.0 / space.p)
-    raise ValueError(f"unknown space model {space!r}")
 
 
 def sign_patterns(K: int) -> np.ndarray:
@@ -464,13 +417,13 @@ def rad_norm(xs: Sequence, space: SpaceModel, mode: str = "exact",
     if K == 0:
         return RadEstimate(value=0.0, mode="exact-enumeration")
     if K == 1:
-        return RadEstimate(value=float(_batch_norms(X, space)[0]),
+        return RadEstimate(value=float(space.norms(X)[0]),
                            mode="exact-enumeration")
     if mode == "exact":
         if K > EXACT_ENUM_MAX:
             raise ValueError(f"exact enumeration limited to {EXACT_ENUM_MAX} summands, got {K}")
         S = sign_patterns(K)
-        norms = _batch_norms(S @ X, space)
+        norms = space.norms(S @ X)
         return RadEstimate(value=float(np.sqrt(np.mean(norms**2))),
                            mode="exact-enumeration")
     if mode == "monte-carlo":
@@ -478,7 +431,7 @@ def rad_norm(xs: Sequence, space: SpaceModel, mode: str = "exact",
             raise ValueError("monte-carlo mode requires a seed")
         rng = np.random.Generator(np.random.Philox(key=seed))
         S = rng.integers(0, 2, size=(samples, K)) * 2.0 - 1.0
-        sq = _batch_norms(S @ X, space) ** 2
+        sq = space.norms(S @ X) ** 2
         mean = float(np.mean(sq))
         se_sq = float(np.std(sq, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
         value = math.sqrt(mean)
@@ -506,7 +459,7 @@ def rad_rad_norm(x_grid: Sequence[Sequence], space: SpaceModel) -> RadEstimate:
     for si in Si:
         for sj in Sj:
             Y = np.tensordot(si, np.tensordot(sj, X, axes=(0, 1)), axes=(0, 0))
-            vals.append(_batch_norms(Y[None, :], space)[0] ** 2)
+            vals.append(space.norms(Y[None, :])[0] ** 2)
     return RadEstimate(value=float(np.sqrt(np.mean(vals))), mode="exact-enumeration")
 
 
@@ -540,17 +493,10 @@ def nc_khintchine_report(xs: Sequence, space: SchattenP) -> dict:
     """
     if not isinstance(space, SchattenP):
         raise ValueError("nc_khintchine_report needs a SchattenP model")
-    n = space.n
-    mats = [check_vector(x, space) for x in xs]
-    col = sum(x.conj().T @ x for x in mats)
-    row = sum(x @ x.conj().T for x in mats)
-
-    def sqrt_norm(Q):
-        ev = np.clip(np.linalg.eigvalsh(0.5 * (Q + Q.conj().T)).real, 0.0, None)
-        return float(np.sum(ev ** (space.p / 2.0)) ** (1.0 / space.p))
-
-    col_term, row_term = sqrt_norm(col), sqrt_norm(row)
-    rad = rad_norm(mats, space).value
+    flat = [check_vector(x, space).reshape(-1) for x in xs]
+    col_term, row_term = (space.square_norm(sum(space.square_term(x, side) for x in flat))
+                          for side in ("column", "row"))
+    rad = rad_norm(flat, space).value
     out = {
         "rad": rad,
         "column_term": col_term,
@@ -586,17 +532,14 @@ def r_bound_lower(Ts: Sequence, space: SpaceModel, trials: int = 200,
     K = len(ops)
     if K == 0:
         return 0.0
-    d = numlin.space_dim(space)
+    d = space.dim
     rng = np.random.Generator(np.random.Philox(key=seed))
 
-    def shape(v):
-        return v.reshape(space.n, space.n) if isinstance(space, SchattenP) else v
-
     def ratio(tup):
-        den = rad_norm([shape(v) for v in tup], space).value
+        den = rad_norm(tup, space).value
         if den == 0:
             return 0.0
-        num = rad_norm([shape(ops[k] @ tup[k]) for k in range(K)], space).value
+        num = rad_norm([ops[k] @ tup[k] for k in range(K)], space).value
         return num / den
 
     best = 0.0
@@ -657,10 +600,7 @@ def quadratic_calc_ratio(T, phi_list: Sequence, x, space: SpaceModel,
     x = check_vector(x, space)
     xv = x.reshape(-1)
     mats = _apply_family(T, phi_list, gamma)
-    ys = [M @ xv for M in mats]
-    if isinstance(space, SchattenP):
-        ys = [y.reshape(space.n, space.n) for y in ys]
-    num = rad_norm(ys, space).value
+    num = rad_norm([M @ xv for M in mats], space).value
     den = vec_norm(x, space) * funcalc.hinf_vector_norm(phi_list, gamma)
     if den == 0.0:
         return math.inf if num > 0 else 0.0

@@ -27,8 +27,7 @@ import numpy as np
 __all__ = [
     "NOT_STOLZ",
     "MeshSpec",
-    "StolzContour",
-    "SectorContour",
+    "Contour",
     "tangent_points",
     "boundary_length",
     "contains",
@@ -189,19 +188,20 @@ def min_angle(z: complex, tol: float = 1e-12) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StolzContour:
-    """Quadrature discretization of the Stolz boundary, counterclockwise.
+class Contour:
+    """Quadrature discretization of a counterclockwise contour.
 
     ``weights`` carry the arclength element, so ``sum(w_j f(z_j))``
     approximates the |dz| integral and ``sum(w_j f(z_j) t_j)`` (unit
-    tangents ``t_j``) the dz integral.
+    tangents ``t_j``) the dz integral.  A truncated sector boundary covers
+    its rays on (0, r_max] and records ``r_max`` so callers can attach a
+    decay-based truncation estimate; a closed contour has r_max = inf.
     """
 
     nodes: np.ndarray
     tangents: np.ndarray
     weights: np.ndarray
-    beta: float
-    mesh: MeshSpec
+    r_max: float = math.inf
 
     @property
     def length(self) -> float:
@@ -209,30 +209,6 @@ class StolzContour:
 
     def integrate_dz(self, values: np.ndarray) -> complex:
         """Contour integral of node values against dz."""
-        return complex(np.sum(values * self.weights * self.tangents))
-
-
-@dataclass(frozen=True)
-class SectorContour:
-    """Truncated sector boundary |Arg z| = nu, counterclockwise.
-
-    Rays are covered on (0, r_max] with geometric grading toward the
-    tip; the omitted outer part is recorded through ``r_max`` so
-    callers can attach a decay-based truncation estimate.
-    """
-
-    nodes: np.ndarray
-    tangents: np.ndarray
-    weights: np.ndarray
-    nu: float
-    r_max: float
-    mesh: MeshSpec
-
-    @property
-    def length(self) -> float:
-        return float(np.sum(self.weights))
-
-    def integrate_dz(self, values: np.ndarray) -> complex:
         return complex(np.sum(values * self.weights * self.tangents))
 
     def tail_factor(self, s: float) -> float:
@@ -246,7 +222,7 @@ class SectorContour:
         return self.r_max ** (-s) / (math.pi * s)
 
 
-def boundary_contour(beta: float, mesh: Optional[MeshSpec] = None) -> StolzContour:
+def boundary_contour(beta: float, mesh: Optional[MeshSpec] = None) -> Contour:
     """Counterclockwise Gauss-Legendre discretization of the Stolz boundary.
 
     Traversal order: vertex 1 -> upper tangent point -> far arc -> lower
@@ -289,17 +265,15 @@ def boundary_contour(beta: float, mesh: Optional[MeshSpec] = None) -> StolzConto
     add_segment(tm, 1.0 + 0j, grade_at_start=False)
 
     assert seg_len > 0
-    return StolzContour(
+    return Contour(
         nodes=np.array(nodes, dtype=complex),
         tangents=np.array(tangents, dtype=complex),
         weights=np.array(weights, dtype=float),
-        beta=beta,
-        mesh=mesh,
     )
 
 
 def sector_contour(nu: float, r_max: float = 50.0,
-                   mesh: Optional[MeshSpec] = None) -> SectorContour:
+                   mesh: Optional[MeshSpec] = None) -> Contour:
     """Truncated counterclockwise sector boundary: two rays r e^(+-i nu).
 
     The lower ray is traversed outward (0 -> r_max), the upper ray
@@ -329,13 +303,11 @@ def sector_contour(nu: float, r_max: float = 50.0,
         tangents.extend([-hi_dir] * len(x))
         weights.extend(w[::-1])
 
-    return SectorContour(
+    return Contour(
         nodes=np.array(nodes, dtype=complex),
         tangents=np.array(tangents, dtype=complex),
         weights=np.array(weights, dtype=float),
-        nu=nu,
         r_max=r_max,
-        mesh=mesh,
     )
 
 

@@ -184,3 +184,14 @@ def test_analyze_refused_resolvent_node_is_inconclusive(tmp_path):
     res = load(out)["result"]
     assert res["verdict"] == "inconclusive"
     assert any("refused" in r and "rcond=" in r for r in res["reasons"])
+
+
+@pytest.mark.parametrize("command", ["analyze", "sqfun"])
+@pytest.mark.parametrize("spec", ["schatten:3:3", "lp:3:1,2", "schatten:2:1"])
+def test_space_of_the_wrong_size_is_an_ingestion_error(tmp_path, capsys, command, spec):
+    import scipy.io
+
+    scipy.io.mmwrite(str(tmp_path / "T.mtx"), 0.5 * np.eye(4))
+    assert run([command, tmp_path / "T.mtx", "--space", spec]) == 3
+    err = capsys.readouterr().err
+    assert "ingestion error" in err and spec in err and "size 4" in err

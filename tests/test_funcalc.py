@@ -143,6 +143,15 @@ def test_transfer_check_scalar_closed_form():
     assert out["diff"] <= 1e-6
 
 
+def test_transfer_check_builds_its_sector_contour_once(monkeypatch):
+    calls = []
+    build = stolz.sector_contour
+    monkeypatch.setattr(stolz, "sector_contour", lambda *a: calls.append(a) or build(*a))
+    f = funcalc.from_callable(lambda z: z / (1 + z) ** 2, certificate=(1.0, 1.0))
+    transfer_check(np.diag([0.5]), f)
+    assert len(calls) == 1
+
+
 def test_transfer_check_polynomial_route():
     f = poly([0, 0.5, -0.25], label="z(2-z)/4")
     out = transfer_check(np.diag([0.5]), f)
@@ -297,10 +306,11 @@ def test_contour_near_singular_node_is_loud():
 
 def test_sector_node_on_eigenvalue_is_loud():
     mesh = stolz.MeshSpec(segment_panels=4, arc_panels=1, points_per_panel=4)
-    node = complex(stolz.sector_contour(1.0, 10.0, mesh).nodes[5])
+    contour = stolz.sector_contour(1.0, 10.0, mesh)
+    node = complex(contour.nodes[5])
     A = np.diag([node, 2.0])
     f = funcalc.from_callable(lambda z: z / (1 + z) ** 2, certificate=(1.0, 1.0))
     with pytest.raises(funcalc.ContourSpectrumError, match="rcond") as exc:
-        funcalc._sector_quad(A, f, 1.0, 10.0, mesh)
+        funcalc._sector_quad(A, f, contour)
     assert exc.value.node == node
     assert exc.value.rcond < numlin.RCOND_MIN

@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from rittcalc import numlin, ritt
 from rittcalc.numlin import (Hilbert, LpWeighted, SchattenP, SpaceModel, SupSeq,
-                             check_vector, dual, eig, mat_power_seq, op_norm, solve,
-                             svd, vec_norm)
+                             check_vector, eig, mat_power_seq, op_norm, solve, svd,
+                             vec_norm)
 
 
 def test_eig_diagonal():
@@ -156,24 +158,24 @@ def test_power_blocks_bit_identical_to_mat_power_seq(monkeypatch, block_len):
 def test_is_exact_model():
     exact = [Hilbert(2), SupSeq(2), SchattenP(2.0, 2)]
     approx = [LpWeighted(3.0, (1.0, 1.0)), SchattenP(3.0, 2), SchattenP(1.0, 2)]
-    assert all(numlin.is_exact_model(s) for s in exact)
-    assert not any(numlin.is_exact_model(s) for s in approx)
+    assert all(s.exact for s in exact)
+    assert not any(s.exact for s in approx)
     M = np.array([[0.5, 0.2], [0.1, 0.3]])
     for s in exact + approx:
-        dim = numlin.space_dim(s)
+        dim = s.dim
         A = np.kron(M, np.eye(dim // 2)) if dim != 2 else M
-        assert op_norm(A, s).exact == numlin.is_exact_model(s)
+        assert op_norm(A, s).exact == s.exact
 
 
 def test_dual_models():
-    assert dual(Hilbert(3)) == Hilbert(3)
-    d = dual(LpWeighted(3.0, (1.0, 2.0)))
+    assert Hilbert(3).dual() == Hilbert(3)
+    d = LpWeighted(3.0, (1.0, 2.0)).dual()
     assert d.p == pytest.approx(1.5) and d.weights == (1.0, 2.0)
-    assert dual(SchattenP(4.0, 2)).p == pytest.approx(4.0 / 3.0)
+    assert SchattenP(4.0, 2).dual().p == pytest.approx(4.0 / 3.0)
     with pytest.raises(ValueError):
-        dual(SupSeq(2))
+        SupSeq(2).dual()
     with pytest.raises(ValueError):
-        dual(SchattenP(1.0, 2))
+        SchattenP(1.0, 2).dual()
 
 
 def test_space_validation():
@@ -538,3 +540,74 @@ def test_stacked_ascent_lies_in_the_bracket(seed, m, d, schatten, scale):
     for M, v in zip(stack, got):
         first = _attained(M, ones, space)  # the first start's ratio
         assert first * (1 - 1e-12) <= v <= _bracket(M, space) * (1 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the space-model protocol
+# ---------------------------------------------------------------------------
+
+PROTOCOL_SPACES = [Hilbert(4), LpWeighted(3.0, (0.3, 1.0, 4.0, 1.2)), SchattenP(3.0, 2),
+                   SchattenP(2.0, 2), SupSeq(4)]
+
+
+@pytest.mark.parametrize("space", PROTOCOL_SPACES, ids=repr)
+def test_vec_norm_is_the_model_norm_of_the_flat_element(space):
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        x = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        x = check_vector(x, space)  # n x n for Schatten
+        assert vec_norm(x, space) == float(space.norms(x.reshape(-1)))
+    assert space.norms(np.zeros((3, space.dim), dtype=complex)).tolist() == [0.0] * 3
+
+
+def test_space_model_reprs_and_fields_unchanged():
+    reprs = {Hilbert(3): "Hilbert(dim=3)",
+             LpWeighted(3.0, (1.0, 2.0)): "LpWeighted(p=3.0, weights=(1.0, 2.0))",
+             SchattenP(3.0, 2): "SchattenP(p=3.0, n=2)",
+             SupSeq(2): "SupSeq(dim=2)"}
+    fields = {Hilbert: ["dim"], LpWeighted: ["p", "weights"], SchattenP: ["p", "n"],
+              SupSeq: ["dim"]}
+    for s, r in reprs.items():
+        assert repr(s) == r
+        assert [f.name for f in dataclasses.fields(s)] == fields[type(s)]
+        assert s == type(s)(*(getattr(s, f) for f in fields[type(s)]))
+        assert hash(s) == hash(type(s)(*(getattr(s, f) for f in fields[type(s)])))
+    assert (Hilbert(3).dim, LpWeighted(3.0, (1.0, 2.0)).dim, SchattenP(3.0, 2).dim,
+            SupSeq(2).dim) == (3, 2, 4, 2)
+
+
+def _holder_dual_pair(space, x):
+    """(pairing, y) with y the element of the dual model that norms x:
+    |<x, y>| = ||x|| ||y||_dual."""
+    p = space.p
+    if isinstance(space, SchattenP):
+        U, s, Vh = scipy.linalg.svd(x.reshape(space.n, space.n))
+        y = np.conj((U * s ** (p - 1.0)) @ Vh).reshape(-1)
+        return lambda a, b: abs(np.sum(a * b)), y  # tr(a b^T)
+    w = np.asarray(space.weights)
+    y = np.conj(x) * np.abs(x) ** (p - 2.0)
+    return lambda a, b: abs(np.sum(w * a * b)), y
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.floats(1.05, 8.0), d=st.integers(1, 4),
+       schatten=st.booleans())
+def test_dual_models_satisfy_holder(seed, p, d, schatten):
+    rng = np.random.default_rng(seed)
+    if schatten:
+        space = SchattenP(p, d)
+    else:
+        space = LpWeighted(p, tuple(rng.uniform(0.2, 5.0, size=d)))
+    dual = space.dual()
+    assert type(dual) is type(space) and dual.dim == space.dim
+    x, y = rng.normal(size=(2, space.dim)) + 1j * rng.normal(size=(2, space.dim))
+    pairing, y_star = _holder_dual_pair(space, x)
+    nx = vec_norm(x, space)
+    assert pairing(x, y) <= nx * vec_norm(y, dual) * (1 + 1e-12)
+    assert pairing(x, y_star) == pytest.approx(nx * vec_norm(y_star, dual), rel=1e-9)
+    # p -> p/(p-1) twice returns p only up to rounding (exactly for p = 1.5, 2, 3)
+    back = dual.dual()
+    assert back == dataclasses.replace(space, p=back.p)
+    assert back.p == pytest.approx(space.p, rel=8 * np.finfo(float).eps)
+    for q in (1.5, 2.0, 3.0):
+        assert dataclasses.replace(space, p=q).dual().dual() == dataclasses.replace(space, p=q)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rittcalc import funcalc, sqfun
-from rittcalc.numlin import Hilbert, LpWeighted, SchattenP, SupSeq, dual
+from rittcalc.numlin import (Hilbert, LpWeighted, SchattenP, SupSeq, check_vector, svd,
+                             vec_norm)
 from rittcalc.sqfun import (SFConfig, c512_check, gram_operator,
                             khintchine_ratio, matrix_calc_ratio,
                             nc_khintchine_report, quadratic_calc_ratio,
@@ -112,12 +113,12 @@ def test_sf_constant_gram_vs_maximize():
 
 def test_sf_constant_duality_pair():
     T = ritt_instance(4)
-    a = sf_constant(T.T, 1, dual(Hilbert(4)))
+    a = sf_constant(T.T, 1, Hilbert(4).dual())
     b = sf_constant(T.conj().T, 1, Hilbert(4))
     assert a == pytest.approx(b, rel=1e-10)
     # dual-model path on a weighted model just needs to be exercised
     Tlp = np.diag([0.5, 0.8])
-    v = sf_constant(Tlp.T, 1, dual(LpWeighted(3.0, (1.0, 2.0))), trials=50, seed=0)
+    v = sf_constant(Tlp.T, 1, LpWeighted(3.0, (1.0, 2.0)).dual(), trials=50, seed=0)
     assert v > 0
 
 
@@ -316,3 +317,151 @@ def test_square_function_weighted_diagonal_oracle():
     expected = float(np.sum(np.array(w) * g ** 3.0) ** (1.0 / 3.0))
     rep = square_function(T, x, LpWeighted(3.0, w), SFConfig(tail_tol=1e-13))
     assert rep.value == pytest.approx(expected, abs=1e-10)
+
+
+# -- the space-model protocol against the per-model ladders it replaced ------
+
+def _ladder_vec_norm(x, space):
+    """vec_norm as one isinstance ladder, verbatim."""
+    x = check_vector(x, space)
+    if isinstance(space, Hilbert):
+        return float(np.linalg.norm(x))
+    if isinstance(space, LpWeighted):
+        w = np.asarray(space.weights)
+        return float(np.sum(w * np.abs(x) ** space.p) ** (1.0 / space.p))
+    if isinstance(space, SchattenP):
+        s = svd(x)
+        return float(np.sum(s ** space.p) ** (1.0 / space.p))
+    if isinstance(space, SupSeq):
+        return float(np.max(np.abs(x))) if x.size else 0.0
+    raise ValueError(f"unknown space model {space!r}")
+
+
+def _ladder_batch_norms(Y, space):
+    """Norms of the rows of Y as one isinstance ladder, verbatim."""
+    if isinstance(space, Hilbert):
+        return np.linalg.norm(Y, axis=1)
+    if isinstance(space, LpWeighted):
+        w = np.asarray(space.weights)
+        return np.sum(w[None, :] * np.abs(Y) ** space.p, axis=1) ** (1.0 / space.p)
+    if isinstance(space, SupSeq):
+        return np.max(np.abs(Y), axis=1)
+    if isinstance(space, SchattenP):
+        n = space.n
+        s = np.linalg.svd(Y.reshape(-1, n, n), compute_uv=False)
+        return np.sum(s ** space.p, axis=1) ** (1.0 / space.p)
+    raise ValueError(f"unknown space model {space!r}")
+
+
+def _ladder_square_function(T, x, space, cfg):
+    """square_function with its per-model accumulator ladder, verbatim."""
+    T = np.asarray(T, dtype=complex)
+    x = check_vector(x, space)
+    m = cfg.m
+    rho = sqfun._effective_radius(T)
+
+    n = T.shape[0] if not isinstance(space, SchattenP) else space.n
+    I = np.eye(T.shape[0], dtype=complex)
+    A = I - T
+
+    if isinstance(space, SchattenP):
+        xv = x.reshape(-1)
+    else:
+        xv = x
+    y = xv.copy()
+    for _ in range(m):
+        y = A @ y
+
+    # per-model accumulator
+    if isinstance(space, Hilbert):
+        acc = 0.0
+    elif isinstance(space, (LpWeighted, SupSeq)):
+        acc = np.zeros(xv.size, dtype=float)
+    else:
+        acc = np.zeros((n, n), dtype=complex)
+
+    per_k = []
+    a_prev = None
+    grow_run = 0
+    k = 0
+    tail = math.inf
+    truncated = True
+    while k < cfg.n_max:
+        k += 1
+        w = k ** (2 * m - 1)
+        a_k = k ** (m - 0.5) * _ladder_vec_norm(y, space)
+        per_k.append(a_k)
+        if isinstance(space, Hilbert):
+            acc += w * float(np.vdot(y, y).real)
+        elif isinstance(space, (LpWeighted, SupSeq)):
+            acc += w * np.abs(y) ** 2
+        else:
+            Y = y.reshape(n, n)
+            acc += w * (Y.conj().T @ Y if cfg.side == "column" else Y @ Y.conj().T)
+
+        if a_prev is not None and a_k > a_prev * (1.0 + 1e-12) and a_k > 1e-290:
+            grow_run += 1
+            if grow_run >= 32 and a_k > 1e6 * max(per_k[0], 1e-290):
+                raise sqfun.DivergenceError(k)
+        else:
+            grow_run = 0
+        a_prev = a_k
+
+        if rho < 1.0 - 1e-12:
+            rho_t = rho * math.exp((m - 0.5) / max(k, 1))
+            if rho_t < 1.0:
+                tail = a_k * rho_t / (1.0 - rho_t)
+                if tail <= cfg.tail_tol:
+                    truncated = False
+                    break
+        if a_k == 0.0:
+            tail = 0.0
+            truncated = False
+            break
+        y = T @ y
+
+    if isinstance(space, Hilbert):
+        value = math.sqrt(acc)
+    elif isinstance(space, LpWeighted):
+        value = _ladder_vec_norm(np.sqrt(acc), space)
+    elif isinstance(space, SupSeq):
+        value = float(np.sqrt(np.max(acc))) if acc.size else 0.0
+    else:
+        ev = np.clip(np.linalg.eigvalsh(0.5 * (acc + acc.conj().T)).real, 0.0, None)
+        value = float(np.sum(ev ** (space.p / 2.0)) ** (1.0 / space.p))
+    return value, float(tail if np.isfinite(tail) else per_k[-1]), k, truncated, per_k
+
+
+PROTOCOL_SPACES = [Hilbert(4), LpWeighted(3.0, (0.3, 1.0, 4.0, 1.2)), SchattenP(3.0, 2),
+                   SchattenP(2.0, 2), SupSeq(4)]
+
+
+@pytest.mark.parametrize("side", ["column", "row"])
+@pytest.mark.parametrize("space", PROTOCOL_SPACES, ids=repr)
+def test_square_function_matches_the_accumulator_ladder(space, side):
+    rng = np.random.default_rng(17)
+    for seed, m in ((0, 1), (1, 2), (2, 1)):
+        T = ritt_instance(seed)
+        x = rng.normal(size=4) + 1j * rng.normal(size=4)
+        cfg = SFConfig(m=m, side=side, tail_tol=1e-12)
+        rep = square_function(T, x, space, cfg)
+        value, tail, n_terms, truncated, per_k = _ladder_square_function(T, x, space, cfg)
+        assert rep.value == value and rep.tail_bound == tail
+        assert rep.n_terms == n_terms and rep.truncated == truncated
+        assert np.array_equal(rep.per_k, per_k)
+        assert _ladder_vec_norm(x, space) == vec_norm(x, space)
+
+
+@pytest.mark.parametrize("space", PROTOCOL_SPACES, ids=repr)
+def test_rad_norm_matches_the_batch_norm_ladder(space):
+    rng = np.random.default_rng(18)
+    X = rng.normal(size=(7, 4)) + 1j * rng.normal(size=(7, 4))
+    xs = list(X)
+    S = sqfun.sign_patterns(len(xs))
+    assert np.array_equal(space.norms(S @ X), _ladder_batch_norms(S @ X, space))
+    exact = float(np.sqrt(np.mean(_ladder_batch_norms(S @ X, space) ** 2)))
+    assert rad_norm(xs, space).value == exact
+    assert rad_norm(xs[:1], space).value == float(_ladder_batch_norms(X[:1], space)[0])
+    mc = rad_norm(xs, space, mode="monte-carlo", samples=256, seed=5)
+    Smc = np.random.Generator(np.random.Philox(key=5)).integers(0, 2, size=(256, 7)) * 2.0 - 1.0
+    assert mc.value == math.sqrt(float(np.mean(_ladder_batch_norms(Smc @ X, space) ** 2)))

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -141,3 +142,12 @@ def test_contour_csv_roundtrip():
     assert len(lines) == 1 + len(c.nodes)
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == pytest.approx(c.nodes[0].real)
+
+
+def test_one_contour_type():
+    c, sc = boundary_contour(math.pi / 4), sector_contour(1.0, 50.0)
+    assert type(c) is type(sc) is stolz.Contour
+    assert [f.name for f in dataclasses.fields(stolz.Contour)] == [
+        "nodes", "tangents", "weights", "r_max"]
+    assert c.r_max == math.inf and c.tail_factor(1.0) == 0.0
+    assert sc.r_max == 50.0

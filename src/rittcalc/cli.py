@@ -22,7 +22,7 @@ import numpy as np
 
 from . import funcalc, lab, ritt, sqfun, stolz, verify
 from .jsonutil import matrix_from_json, sanitize
-from .numlin import Hilbert, LpWeighted, SchattenP, SupSeq
+from .numlin import Hilbert, LpWeighted, SchattenP, ShapeError, SupSeq, check_vector
 
 SCHEMA = "ritt-calc/1"
 
@@ -161,6 +161,10 @@ def cmd_sqfun(args) -> int:
                                                   cfg=cfg)
     else:
         x = load_matrix(args.x) if args.x else np.ones(T.shape[0], dtype=complex)
+        try:  # a row or column holds the flat element
+            x = check_vector(x.reshape(-1) if 1 in x.shape else x, space)
+        except ShapeError as exc:
+            raise IngestError(f"--x {args.x}: {exc}") from exc
         rep = sqfun.square_function(T, x, space, cfg)
         result.update(rep.to_json_dict())
         if args.csv:

@@ -113,9 +113,11 @@ class HolomorphicFn:
 
 
 def _horner(coeffs: np.ndarray):
+    """Horner evaluator of ascending coefficients (D,), or (D, F, 1) for F
+    polynomials at once (see _poly_stack)."""
     def ev(z):
         z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
+        out = np.zeros(coeffs.shape[1:], dtype=complex)  # broadcast by the first step
         for c in coeffs[::-1]:
             out = out * z + c
         return out if out.shape else complex(out)
@@ -205,15 +207,19 @@ def named_function(spec: str) -> HolomorphicFn:
 # direct routes
 # ---------------------------------------------------------------------------
 
-def eval_poly(T, phi) -> np.ndarray:
-    """Horner evaluation of a polynomial at a matrix."""
-    T = as_matrix(T, square=True)
+def _poly_coeffs(phi) -> np.ndarray:
+    """Ascending coefficients of a polynomial HolomorphicFn or sequence."""
     if isinstance(phi, HolomorphicFn):
         if phi.kind != "polynomial":
             raise ValueError("eval_poly needs a polynomial")
-        coeffs = phi.coeffs
-    else:
-        coeffs = np.asarray(list(phi), dtype=complex)
+        return phi.coeffs
+    return np.asarray(list(phi), dtype=complex)
+
+
+def eval_poly(T, phi) -> np.ndarray:
+    """Horner evaluation of a polynomial at a matrix."""
+    T = as_matrix(T, square=True)
+    coeffs = _poly_coeffs(phi)
     n = T.shape[0]
     out = np.zeros((n, n), dtype=complex)
     I = np.eye(n, dtype=complex)
@@ -469,92 +475,101 @@ def transfer_check(T, f: HolomorphicFn, nu: Optional[float] = None,
 # sup norms on the domain boundary
 # ---------------------------------------------------------------------------
 
-def _golden_max(fun, lo: float, hi: float, rounds: int = 60):
-    phi_ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi_ratio * (b - a)
-    d = a + phi_ratio * (b - a)
-    fc, fd = fun(c), fun(d)
+def _golden_max(fun, a: np.ndarray, b: np.ndarray, rounds: int = 60) -> np.ndarray:
+    """Golden-section maximum search on each row's bracket [a, b], the F
+    rows in lockstep: each round evaluates ``fun`` once, at (F, 1) points."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = fun(np.stack([c, d], axis=1)).T
     for _ in range(rounds):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + phi_ratio * (b - a)
-            fd = fun(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - phi_ratio * (b - a)
-            fc = fun(c)
-    return max(fc, fd)
+        up = fc < fd  # keep [c, b] and probe right of d, else [a, d] left of c
+        a, b = np.where(up, c, a), np.where(up, b, d)
+        w = r * (b - a)
+        x = np.where(up, a + w, b - w)
+        fx = fun(x[:, None])[:, 0]
+        c, d = np.where(up, d, x), np.where(up, x, c)
+        fc, fd = np.where(up, fd, fx), np.where(up, fx, fc)
+    return np.maximum(fc, fd)
 
 
-def _boundary_sup(scalar_fun, gamma: float, per_piece: int) -> float:
-    """sup of a nonnegative function over the Stolz boundary.
+def _boundary_sup(fun, gamma: float, per_piece: int) -> np.ndarray:
+    """Row-wise sup of F nonnegative functions over the Stolz boundary.
 
-    Maximum modulus makes the boundary sup equal the domain sup for
-    |phi| and its vector/matrix variants.  Dense sampling per piece plus
-    golden-section polish around the best sample.
+    ``fun`` maps (F, m) points, or a (1, m) row shared by all F, to the
+    (F, m) values.  Maximum modulus makes the boundary sup equal the
+    domain sup for |phi| and its vector/matrix variants.  Each piece is
+    evaluated on its whole grid, then polished about each row's argmax.
     """
-    if gamma >= math.pi / 2:  # degenerate case: the unit disc
-        fun = lambda t: scalar_fun(cmath.exp(1j * t))
-        ts = np.linspace(0.0, 2 * math.pi, 4 * per_piece, endpoint=False)
-        vals = [fun(t) for t in ts]
-        i = int(np.argmax(vals))
-        lo, hi = ts[i] - 2 * math.pi / (4 * per_piece), ts[i] + 2 * math.pi / (4 * per_piece)
-        return max(max(vals), _golden_max(fun, lo, hi))
+    best = []
+    for grid, point, wraps in stolz.boundary_param(gamma, per_piece):
+        on_piece = lambda t, point=point: fun(point(t))
+        vals = on_piece(grid[None, :])
+        i = np.argmax(vals, axis=1)
+        if wraps:  # an angle: one step either side
+            lo, hi = grid[i] - 2 * math.pi / grid.size, grid[i] + 2 * math.pi / grid.size
+        else:  # the grid neighbours, clipped at the ends
+            lo, hi = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, grid.size - 1)]
+        best.append(np.maximum(vals.max(axis=1), _golden_max(on_piece, lo, hi)))
+    return np.max(best, axis=0)
 
-    tp, tm = stolz.tangent_points(gamma)
-    best = 0.0
-    pieces = [
-        lambda s: 1.0 + s * (tp - 1.0),
-        lambda s: 1.0 + s * (tm - 1.0),
-    ]
-    # cluster parameters toward the vertex (s = 0)
-    s_grid = np.unique(np.concatenate([
-        np.linspace(0.0, 1.0, per_piece),
-        np.geomspace(1e-12, 1.0, per_piece // 2),
-    ]))
-    for param in pieces:
-        fun = lambda s: scalar_fun(param(s))
-        vals = [fun(s) for s in s_grid]
-        i = int(np.argmax(vals))
-        lo = s_grid[max(i - 1, 0)]
-        hi = s_grid[min(i + 1, len(s_grid) - 1)]
-        best = max(best, max(vals), _golden_max(fun, lo, hi))
-    r = math.sin(gamma)
-    th = np.linspace(math.pi / 2 - gamma, 3 * math.pi / 2 + gamma, 2 * per_piece)
-    fun = lambda t: scalar_fun(r * cmath.exp(1j * t))
-    vals = [fun(t) for t in th]
-    i = int(np.argmax(vals))
-    lo = th[max(i - 1, 0)]
-    hi = th[min(i + 1, len(th) - 1)]
-    best = max(best, max(vals), _golden_max(fun, lo, hi))
-    return best
+
+def _modulus(fn, z: np.ndarray) -> np.ndarray:
+    """|fn(z)|, rounded as Python's abs(complex); a constant fills z's shape."""
+    y = np.asarray(fn(z), dtype=complex)
+    if y.ndim < z.ndim:
+        y = np.broadcast_to(y, z.shape)
+    return np.hypot(y.real, y.imag)
+
+
+def _poly_stack(polys: Sequence):
+    """One Horner over F polynomials' coefficients, zero-padded at the high
+    end: maps (F, m) or (1, m) points to the (F, m) values."""
+    rows = [_poly_coeffs(phi) for phi in polys]
+    C = np.zeros((max(map(len, rows), default=1), len(rows), 1), dtype=complex)
+    for f, c in enumerate(rows):
+        C[:len(c), f, 0] = c
+    return _horner(C)
+
+
+def _stack(fns: Sequence):
+    """Evaluator of F functions at shared points: (1, m) to (F, m)."""
+    if all(getattr(f, "kind", None) == "polynomial" for f in fns):
+        return _poly_stack(fns)
+    return lambda z: np.concatenate([np.broadcast_to(f(z), z.shape) for f in fns])
 
 
 def hinf_norm(phi, gamma: float, per_piece: int = 512) -> float:
     """sup of |phi| over B(gamma) (gamma = pi/2 means the unit disc)."""
     fn = phi if callable(phi) else _horner(np.asarray(phi, dtype=complex))
-    return _boundary_sup(lambda z: abs(complex(fn(z))), gamma, per_piece)
+    return float(_boundary_sup(lambda z: _modulus(fn, z), gamma, per_piece)[0])
 
 
 def hinf_vector_norm(phis: Sequence, gamma: float, per_piece: int = 512) -> float:
     """sup over the boundary of the l2 norm of (phi_1(z), ..., phi_n(z))."""
-    def fun(z):
-        return math.sqrt(sum(abs(complex(p(z))) ** 2 for p in phis))
+    ev = _stack(phis)
 
-    return _boundary_sup(fun, gamma, per_piece)
+    def fun(z):
+        acc = 0.0
+        for v in _modulus(ev, z):  # the squares added in the order of phis
+            acc = acc + v ** 2
+        return np.sqrt(acc)[None]
+
+    return float(_boundary_sup(fun, gamma, per_piece)[0])
 
 
 def hinf_matrix_norm(phi_matrix, gamma: float, per_piece: int = 256) -> float:
-    """sup over the boundary of the spectral norm of [phi_lj(z)]."""
-    rows = len(phi_matrix)
+    """sup over the boundary of the spectral norm of the n x n [phi_lj(z)]."""
+    n = len(phi_matrix)
+    if n == 0 or any(len(row) != n for row in phi_matrix):
+        raise ValueError(f"phi_matrix must be square, got {n} rows of lengths "
+                         f"{[len(row) for row in phi_matrix]}")
+    ev = _stack([phi for row in phi_matrix for phi in row])
 
     def fun(z):
-        F = np.array([[complex(phi_matrix[l][j](z)) for j in range(rows)]
-                      for l in range(rows)])
-        return float(np.linalg.norm(F, 2))
+        F = np.moveaxis(ev(z).reshape(n, n, -1), -1, 0)  # (m, n, n)
+        return np.linalg.svd(F, compute_uv=False).max(axis=-1)[None]
 
-    return _boundary_sup(fun, gamma, per_piece)
+    return float(_boundary_sup(fun, gamma, per_piece)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -595,13 +610,13 @@ def calculus_constant(T, gamma: float, space: SpaceModel,
     """
     T = as_matrix(T, square=True)
     fam = family if family is not None else default_test_family(seed)
+    fun = _poly_stack(fam)
     best = 0.0
-    for phi in fam:
-        denom = hinf_norm(phi, gamma, per_piece=256)
+    for phi, denom in zip(fam, _boundary_sup(lambda z: _modulus(fun, z), gamma, 256)):
         if denom <= 0:
             continue
         num = numlin.op_norm(eval_poly(T, phi), space).value
-        best = max(best, num / denom)
+        best = max(best, num / float(denom))
     return best
 
 
@@ -634,8 +649,7 @@ def nevanlinna_diag(T, phi: HolomorphicFn, space: SpaceModel, N: int,
             j = int(np.argmax(v))
             if v[j] > sup:
                 sup, arg = float(v[j]), int(k[j])
-    alpha = ritt.spectral_type(T)
-    g = gamma if gamma is not None else 0.5 * (alpha + math.pi / 2)
+    g = gamma if gamma is not None else 0.5 * (ritt.spectral_type(T) + math.pi / 2)
     denom = hinf_norm(phi, g, per_piece=256)
     return {
         "sup": sup,

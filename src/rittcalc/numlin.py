@@ -326,7 +326,7 @@ def check_vector(x, space: SpaceModel) -> np.ndarray:
         if x.shape == (n * n,):
             x = x.reshape(n, n)
         if x.shape != (n, n):
-            raise ShapeError(f"Schatten element must be {n}x{n}, got {x.shape}")
+            raise ShapeError(f"Schatten element must be {n}x{n} ({n * n} entries), got {x.shape}")
         return x
     x = x.reshape(-1)
     if x.size != space.dim:

@@ -611,11 +611,14 @@ def matrix_calc_ratio(T, phi_matrix: Sequence[Sequence], xs: Sequence,
                       space: SpaceModel, gamma: float) -> float:
     """Measured constant of the matricial calculus.
 
-    rad({sum_j phi_lj(T) x_j}_l) divided by
-    sup_boundary ||[phi_lj(z)]||_{M_n} * rad({x_j}).
+    rad({sum_j phi_lj(T) x_j}_l) divided by sup_boundary ||[phi_lj(z)]||_{M_n}
+    * rad({x_j}), for a square n x n ``phi_matrix`` and n vectors ``xs``.
     """
     T = as_matrix(T, square=True)
     n = len(phi_matrix)
+    if len(xs) != n:
+        raise ValueError(f"{len(xs)} vectors for a {n}-row phi_matrix")
+    hinf = funcalc.hinf_matrix_norm(phi_matrix, gamma)  # checks that it is square
     xs = [check_vector(x, space) for x in xs]
     flat = [phi for row in phi_matrix for phi in row]
     mats = _apply_family(T, flat, gamma)
@@ -626,7 +629,7 @@ def matrix_calc_ratio(T, phi_matrix: Sequence[Sequence], xs: Sequence,
             acc = acc + mats[l * n + j] @ xs[j].reshape(-1)
         ys.append(acc.reshape(xs[0].shape))
     num = rad_norm(ys, space).value
-    den = funcalc.hinf_matrix_norm(phi_matrix, gamma) * rad_norm(xs, space).value
+    den = hinf * rad_norm(xs, space).value
     if den == 0.0:
         return math.inf if num > 0 else 0.0
     return num / den

@@ -38,6 +38,7 @@ __all__ = [
     "contour_moment",
     "winding_number",
     "contour_to_csv",
+    "boundary_param",
     "boundary_samples",
 ]
 
@@ -83,11 +84,13 @@ def _gauss_legendre(n: int):
     return x, w
 
 
-def _panel_nodes(a: float, b: float, npts: int):
-    """Gauss-Legendre nodes/weights on the parameter interval [a, b]."""
+def _panel_nodes(brks, npts: int):
+    """Gauss-Legendre nodes/weights on the panels between consecutive
+    breakpoints, panel after panel."""
     x, w = _gauss_legendre(npts)
+    a, b = np.asarray(brks[:-1])[:, None], np.asarray(brks[1:])[:, None]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 def _graded_breakpoints(length: float, panels: int, ratio: float, min_panel: float):
@@ -232,44 +235,26 @@ def boundary_contour(beta: float, mesh: Optional[MeshSpec] = None) -> Contour:
     mesh = mesh or MeshSpec()
     tp, tm = tangent_points(beta)
     npts = mesh.points_per_panel
-    seg_len = math.cos(beta)
 
-    nodes, tangents, weights = [], [], []
-
-    def add_segment(start: complex, end: complex, grade_at_start: bool):
-        direction = (end - start) / abs(end - start)
-        brks = _graded_breakpoints(abs(end - start), mesh.segment_panels,
+    def segment(start: complex, end: complex, grade_at_start: bool):
+        length = abs(end - start)
+        brks = _graded_breakpoints(length, mesh.segment_panels,
                                    mesh.grading_ratio, mesh.min_panel)
         if not grade_at_start:  # grading refers to distance from `end`
-            brks = [abs(end - start) - b for b in brks[::-1]]
-        for a, b in zip(brks[:-1], brks[1:]):
-            x, w = _panel_nodes(a, b, npts)
-            nodes.extend(start + direction * xi for xi in x)
-            tangents.extend([direction] * len(x))
-            weights.extend(w)
+            brks = [length - b for b in brks[::-1]]
+        x, w = _panel_nodes(brks, npts)
+        direction = (end - start) / length
+        return start + direction * x, np.full(x.size, direction), w
 
-    # upper tangent segment, leaving the vertex
-    add_segment(1.0 + 0j, tp, grade_at_start=True)
     # far arc, angle increasing from pi/2 - beta to 3 pi/2 + beta
     r = math.sin(beta)
-    th0, th1 = math.pi / 2 - beta, 3 * math.pi / 2 + beta
-    arc_brks = np.linspace(th0, th1, mesh.arc_panels + 1)
-    for a, b in zip(arc_brks[:-1], arc_brks[1:]):
-        x, w = _panel_nodes(a, b, npts)
-        for th, wi in zip(x, w):
-            z = r * cmath.exp(1j * th)
-            nodes.append(z)
-            tangents.append(1j * cmath.exp(1j * th))
-            weights.append(wi * r)
-    # lower tangent segment, back into the vertex
-    add_segment(tm, 1.0 + 0j, grade_at_start=False)
-
-    assert seg_len > 0
-    return Contour(
-        nodes=np.array(nodes, dtype=complex),
-        tangents=np.array(tangents, dtype=complex),
-        weights=np.array(weights, dtype=float),
-    )
+    th, w = _panel_nodes(np.linspace(math.pi / 2 - beta, 3 * math.pi / 2 + beta,
+                                     mesh.arc_panels + 1), npts)
+    e = np.exp(1j * th)
+    # upper tangent segment leaving the vertex, the arc, the lower one back in
+    pieces = (segment(1.0 + 0j, tp, True), (r * e, 1j * e, w * r),
+              segment(tm, 1.0 + 0j, False))
+    return Contour(*(np.concatenate(parts) for parts in zip(*pieces)))
 
 
 def sector_contour(nu: float, r_max: float = 50.0,
@@ -285,28 +270,15 @@ def sector_contour(nu: float, r_max: float = 50.0,
     if r_max <= 0:
         raise ValueError("r_max must be positive")
     mesh = mesh or MeshSpec()
-    npts = mesh.points_per_panel
     brks = _graded_breakpoints(r_max, mesh.segment_panels,
                                mesh.grading_ratio, mesh.min_panel * r_max)
-
-    nodes, tangents, weights = [], [], []
-    lo_dir = cmath.exp(-1j * nu)
-    hi_dir = cmath.exp(1j * nu)
-    for a, b in zip(brks[:-1], brks[1:]):  # lower ray, outward
-        x, w = _panel_nodes(a, b, npts)
-        nodes.extend(lo_dir * xi for xi in x)
-        tangents.extend([lo_dir] * len(x))
-        weights.extend(w)
-    for a, b in zip(brks[:-1][::-1], brks[1:][::-1]):  # upper ray, inward
-        x, w = _panel_nodes(a, b, npts)
-        nodes.extend(hi_dir * xi for xi in x[::-1])
-        tangents.extend([-hi_dir] * len(x))
-        weights.extend(w[::-1])
-
+    x, w = _panel_nodes(brks, mesh.points_per_panel)
+    lo_dir, hi_dir = cmath.exp(-1j * nu), cmath.exp(1j * nu)
+    # the lower ray outward, then the upper ray inward
     return Contour(
-        nodes=np.array(nodes, dtype=complex),
-        tangents=np.array(tangents, dtype=complex),
-        weights=np.array(weights, dtype=float),
+        nodes=np.concatenate([lo_dir * x, hi_dir * x[::-1]]),
+        tangents=np.concatenate([np.full(x.size, lo_dir), np.full(x.size, -hi_dir)]),
+        weights=np.concatenate([w, w[::-1]]),
         r_max=r_max,
     )
 
@@ -338,23 +310,30 @@ def contour_to_csv(contour) -> str:
     return "\n".join(lines) + "\n"
 
 
-def boundary_samples(gamma: float, per_piece: int = 512) -> np.ndarray:
-    """Dense point sample of the Stolz boundary (for sup-norm estimation).
+def boundary_param(gamma: float, per_piece: int = 512) -> tuple:
+    """The Stolz boundary as sampled pieces (grid, point, wraps): ``point``
+    maps parameter arrays to boundary points, shape for shape.
 
-    Includes the vertex, both tangent points, and a grading toward the
-    vertex on the segments.  For gamma = pi/2 the domain degenerates to
-    the unit disc and the sample is the unit circle.
+    The segments run over s in [0, 1] from the vertex (uniform plus a
+    geometric cluster down to 1e-12), the far arc over its angle.  For
+    gamma = pi/2 it is one piece, the unit circle, whose angle wraps.
     """
     if gamma >= math.pi / 2:
         th = np.linspace(0.0, 2 * math.pi, 4 * per_piece, endpoint=False)
-        return np.exp(1j * th)
+        return ((th, lambda t: np.exp(1j * t), True),)
     tp, tm = tangent_points(gamma)
-    # uniform plus geometric cluster at the vertex end
-    u = np.linspace(0.0, 1.0, per_piece)
-    g = np.geomspace(1e-14, 1.0, per_piece // 2)
-    s = np.unique(np.concatenate([u, g]))
-    seg_up = 1.0 + s * (tp - 1.0)
-    seg_dn = 1.0 + s * (tm - 1.0)
+    s = np.unique(np.concatenate([
+        np.linspace(0.0, 1.0, per_piece),
+        np.geomspace(1e-12, 1.0, per_piece // 2),
+    ]))
+    r = math.sin(gamma)
     th = np.linspace(math.pi / 2 - gamma, 3 * math.pi / 2 + gamma, 2 * per_piece)
-    arc = math.sin(gamma) * np.exp(1j * th)
-    return np.concatenate([seg_up, seg_dn, arc])
+    return ((s, lambda u: 1.0 + u * (tp - 1.0), False),
+            (s, lambda u: 1.0 + u * (tm - 1.0), False),
+            (th, lambda t: r * np.exp(1j * t), False))
+
+
+def boundary_samples(gamma: float, per_piece: int = 512) -> np.ndarray:
+    """Dense point sample of the Stolz boundary, :func:`boundary_param`'s
+    pieces in turn (the unit circle for gamma = pi/2)."""
+    return np.concatenate([point(grid) for grid, point, _ in boundary_param(gamma, per_piece)])

@@ -195,3 +195,35 @@ def test_space_of_the_wrong_size_is_an_ingestion_error(tmp_path, capsys, command
     assert run([command, tmp_path / "T.mtx", "--space", spec]) == 3
     err = capsys.readouterr().err
     assert "ingestion error" in err and spec in err and "size 4" in err
+
+
+@pytest.mark.parametrize("space, x, sizes", [
+    ("hilbert", np.ones((3, 1)), ("size 3", "dimension 4")),
+    ("lp:3", np.ones((1, 5)), ("size 5", "dimension 4")),
+    ("schatten:3:2", np.ones((3, 3)), ("2x2", "(3, 3)")),
+    ("schatten:3:2", np.ones((9, 1)), ("2x2", "(9,)")),
+])
+def test_sqfun_x_of_the_wrong_size_is_an_ingestion_error(tmp_path, capsys, space, x, sizes):
+    import scipy.io
+
+    scipy.io.mmwrite(str(tmp_path / "T.mtx"), 0.5 * np.eye(4))
+    scipy.io.mmwrite(str(tmp_path / "X.mtx"), x)
+    assert run(["sqfun", tmp_path / "T.mtx", "--space", space, "--x", tmp_path / "X.mtx"]) == 3
+    err = capsys.readouterr().err
+    assert "ingestion error" in err and all(s in err for s in sizes)
+
+
+@pytest.mark.parametrize("shape", [(4, 1), (1, 4)])
+def test_sqfun_reads_a_row_or_column_as_the_flat_schatten_element(tdir, shape):
+    import scipy.io
+
+    scipy.io.mmwrite(str(tdir / "S.mtx"), np.diag([0.5, 0.5, 0.5, 0.5]))
+    scipy.io.mmwrite(str(tdir / "X.mtx"), np.eye(2))
+    scipy.io.mmwrite(str(tdir / "F.mtx"), np.eye(2).reshape(shape))
+    values = []
+    for x in ("X.mtx", "F.mtx"):
+        out = tdir / "rep.json"
+        assert run(["sqfun", tdir / "S.mtx", "--space", "schatten:3:2", "--x", tdir / x,
+                    "--out", out, "--no-timestamp"]) == 0
+        values.append(load(out)["result"]["value"])
+    assert values[0] == values[1] == pytest.approx((2.0 / 3.0) * 2.0 ** (1.0 / 3.0), abs=1e-8)

@@ -1,9 +1,11 @@
+import cmath
 import math
+import time
 
 import numpy as np
 import pytest
 
-from rittcalc import funcalc, numlin, ritt, stolz
+from rittcalc import funcalc, numlin, ritt, stolz, verify
 from rittcalc.funcalc import (ContourCalculus, calculus_constant, eval_contour,
                               eval_poly, evenodd_split, frac_power,
                               frac_power_eig, frac_power_fn, hinf_norm,
@@ -314,3 +316,221 @@ def test_sector_node_on_eigenvalue_is_loud():
         funcalc._sector_quad(A, f, contour)
     assert exc.value.node == node
     assert exc.value.rcond < numlin.RCOND_MIN
+
+
+# ---------------------------------------------------------------------------
+# boundary sup-norms against the scalar reference
+#
+# A verbatim copy of the per-point boundary sup-norm this module replaced:
+# one scalar closure call per boundary point, three pieces each with their
+# own grid and golden-section polish, a separate unit-disc case.  Only the
+# names carry a _ref_ prefix.  Polynomials go in as _ref_horner closures so
+# the reference shares no evaluator with the code under test.
+# ---------------------------------------------------------------------------
+
+
+def _ref_horner(coeffs: np.ndarray):
+    def ev(z):
+        z = np.asarray(z, dtype=complex)
+        out = np.zeros_like(z)
+        for c in coeffs[::-1]:
+            out = out * z + c
+        return out if out.shape else complex(out)
+
+    return ev
+
+
+def _ref_golden_max(fun, lo: float, hi: float, rounds: int = 60):
+    phi_ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - phi_ratio * (b - a)
+    d = a + phi_ratio * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(rounds):
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + phi_ratio * (b - a)
+            fd = fun(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - phi_ratio * (b - a)
+            fc = fun(c)
+    return max(fc, fd)
+
+
+def _ref_boundary_sup(scalar_fun, gamma: float, per_piece: int) -> float:
+    if gamma >= math.pi / 2:  # degenerate case: the unit disc
+        fun = lambda t: scalar_fun(cmath.exp(1j * t))
+        ts = np.linspace(0.0, 2 * math.pi, 4 * per_piece, endpoint=False)
+        vals = [fun(t) for t in ts]
+        i = int(np.argmax(vals))
+        lo, hi = ts[i] - 2 * math.pi / (4 * per_piece), ts[i] + 2 * math.pi / (4 * per_piece)
+        return max(max(vals), _ref_golden_max(fun, lo, hi))
+
+    tp, tm = stolz.tangent_points(gamma)
+    best = 0.0
+    pieces = [
+        lambda s: 1.0 + s * (tp - 1.0),
+        lambda s: 1.0 + s * (tm - 1.0),
+    ]
+    # cluster parameters toward the vertex (s = 0)
+    s_grid = np.unique(np.concatenate([
+        np.linspace(0.0, 1.0, per_piece),
+        np.geomspace(1e-12, 1.0, per_piece // 2),
+    ]))
+    for param in pieces:
+        fun = lambda s: scalar_fun(param(s))
+        vals = [fun(s) for s in s_grid]
+        i = int(np.argmax(vals))
+        lo = s_grid[max(i - 1, 0)]
+        hi = s_grid[min(i + 1, len(s_grid) - 1)]
+        best = max(best, max(vals), _ref_golden_max(fun, lo, hi))
+    r = math.sin(gamma)
+    th = np.linspace(math.pi / 2 - gamma, 3 * math.pi / 2 + gamma, 2 * per_piece)
+    fun = lambda t: scalar_fun(r * cmath.exp(1j * t))
+    vals = [fun(t) for t in th]
+    i = int(np.argmax(vals))
+    lo = th[max(i - 1, 0)]
+    hi = th[min(i + 1, len(th) - 1)]
+    best = max(best, max(vals), _ref_golden_max(fun, lo, hi))
+    return best
+
+
+def _ref_hinf_norm(phi, gamma: float, per_piece: int = 512) -> float:
+    fn = phi if callable(phi) else _ref_horner(np.asarray(phi, dtype=complex))
+    return _ref_boundary_sup(lambda z: abs(complex(fn(z))), gamma, per_piece)
+
+
+def _ref_hinf_vector_norm(phis, gamma: float, per_piece: int = 512) -> float:
+    def fun(z):
+        return math.sqrt(sum(abs(complex(p(z))) ** 2 for p in phis))
+
+    return _ref_boundary_sup(fun, gamma, per_piece)
+
+
+def _ref_hinf_matrix_norm(phi_matrix, gamma: float, per_piece: int = 256) -> float:
+    rows = len(phi_matrix)
+
+    def fun(z):
+        F = np.array([[complex(phi_matrix[l][j](z)) for j in range(rows)]
+                      for l in range(rows)])
+        return float(np.linalg.norm(F, 2))
+
+    return _ref_boundary_sup(fun, gamma, per_piece)
+
+
+def _ref_fn(phi):
+    """phi as the reference evaluates it: polynomials by _ref_horner."""
+    return _ref_horner(phi.coeffs) if phi.kind == "polynomial" else phi
+
+
+GAMMAS = (math.pi / 4, math.pi / 3, 0.9, 1.2, math.pi / 2)
+SMALL_FAMILY = funcalc.default_test_family(seed=0, max_k=4, max_j=2, n_random=4,
+                                           random_deg=8, n_fejer=2)[::2]
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_hinf_norm_and_calculus_constant_match_the_scalar_reference(gamma):
+    fam = SMALL_FAMILY + [poly([0.0]), poly([2.5 - 1j]), [0.3, -1.0, 0.0, 0.7j]]
+    ref = [_ref_hinf_norm(_ref_fn(p) if callable(p) else p, gamma, per_piece=256)
+           for p in fam]
+    assert [hinf_norm(p, gamma, per_piece=256) for p in fam] == ref
+    T = ritt_instance(11, dim=3)
+    ref_K = 0.0
+    for phi, denom in zip(fam, ref):
+        if denom > 0:
+            ref_K = max(ref_K, numlin.op_norm(eval_poly(T, phi), Hilbert(3)).value / denom)
+    assert calculus_constant(T, gamma, Hilbert(3), family=fam) == ref_K
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_closures_and_vector_and_matrix_norms_match_the_scalar_reference(gamma):
+    def close(a, b):
+        assert abs(a - b) <= 1e-12 * abs(b)
+
+    for phi in (funcalc.rational([1.0, 0.5j], [2.0, -0.3]),
+                funcalc.rational([0.0, 1.0, -1.0], [1.0, 0.4 + 0.1j]),
+                frac_power_fn(0.5), frac_power_fn(1.7)):
+        close(hinf_norm(phi, gamma, per_piece=64), _ref_hinf_norm(phi, gamma, per_piece=64))
+    rng = np.random.default_rng(8)
+    phis = [poly(rng.normal(size=4) + 1j * rng.normal(size=4)) for _ in range(3)]
+    mixed = phis[:2] + [frac_power_fn(0.5)]
+    for fam in (phis, mixed):
+        close(funcalc.hinf_vector_norm(fam, gamma, per_piece=64),
+              _ref_hinf_vector_norm([_ref_fn(p) for p in fam], gamma, per_piece=64))
+    for mat in ([[phis[0], phis[1]], [phis[2], poly([1.0])]], [[mixed[2]]],
+                [[mixed[0], mixed[2]], [mixed[1], mixed[0]]]):
+        close(funcalc.hinf_matrix_norm(mat, gamma, per_piece=64),
+              _ref_hinf_matrix_norm([[_ref_fn(p) for p in row] for row in mat], gamma,
+                                    per_piece=64))
+
+
+@pytest.mark.parametrize("gamma", (math.pi / 3, math.pi / 2))
+def test_family_sup_is_batch_invariant(gamma):
+    # a polynomial gets the same bits alone as inside any family
+    fam = funcalc.default_test_family(seed=3, max_k=8, max_j=2, n_random=12,
+                                      random_deg=20, n_fejer=4)
+    alone = np.array([hinf_norm(p, gamma, per_piece=64) for p in fam])
+
+    def family_sup(members):
+        ev = funcalc._poly_stack(members)
+        return funcalc._boundary_sup(lambda z: funcalc._modulus(ev, z), gamma, 64)
+
+    assert np.array_equal(family_sup(fam), alone)
+    order = np.random.default_rng(0).permutation(len(fam))
+    assert np.array_equal(family_sup([fam[i] for i in order]), alone[order])
+    for lo, hi in ((0, 1), (5, 9), (len(fam) - 3, len(fam))):
+        assert np.array_equal(family_sup(fam[lo:hi]), alone[lo:hi])
+
+
+def test_samplers_are_built_from_boundary_param(monkeypatch):
+    for gamma in (0.4, math.pi / 2):
+        pieces = stolz.boundary_param(gamma, 16)
+        assert np.array_equal(stolz.boundary_samples(gamma, 16),
+                              np.concatenate([point(grid) for grid, point, _ in pieces]))
+        assert [wraps for _, _, wraps in pieces] == ([True] if gamma == math.pi / 2
+                                                     else [False] * 3)
+    s = stolz.boundary_param(0.4, 16)[0][0]
+    assert s[0] == 0.0 and s[1] == 1e-12 and s[-1] == 1.0  # the vertex cluster kept
+    calls = []
+    orig = stolz.boundary_param
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(stolz, "boundary_param", counted)
+    ritt.resolvent_sample_points(np.diag([0.5]), 0.4, per_piece=8)
+    assert calls == [(0.4, 8)]
+    hinf_norm(poly([1.0, -1.0]), 0.4, per_piece=8)
+    calculus_constant(np.diag([0.5]), 0.4, Hilbert(1), family=SMALL_FAMILY)
+    assert calls == [(0.4, 8), (0.4, 8), (0.4, 256)]
+
+
+def test_calculus_constant_default_family_runtime_budget():
+    T = verify.random_ritt(np.random.default_rng(3), 8)
+    t0 = time.perf_counter()
+    K = calculus_constant(T, math.pi / 3, Hilbert(8))
+    elapsed = time.perf_counter() - t0
+    assert K >= max(1.0, np.linalg.norm(T, 2)) * (1 - 1e-12)
+    assert elapsed < 3.0, f"calculus_constant took {elapsed:.2f}s (budget 3s)"
+
+
+def test_matrix_norm_rejects_a_non_square_phi_matrix():
+    one, zero, big = poly([1.0]), poly([0.0]), poly([100.0])
+    with pytest.raises(ValueError, match="square"):
+        funcalc.hinf_matrix_norm([[one, zero, big], [zero, one, big]], 1.2)
+    with pytest.raises(ValueError, match="square"):
+        funcalc.hinf_matrix_norm([[one, zero], [one]], 1.2)
+    with pytest.raises(ValueError, match="square"):
+        funcalc.hinf_matrix_norm([], 1.2)
+
+
+def test_nevanlinna_diag_skips_the_spectral_type_when_gamma_is_given(monkeypatch):
+    calls = []
+    orig = ritt.spectral_type
+    monkeypatch.setattr(ritt, "spectral_type", lambda T: calls.append(1) or orig(T))
+    out = nevanlinna_diag(np.diag([0.5]), poly([1, -1]), Hilbert(1), N=8, gamma=1.1)
+    assert calls == [] and out["gamma"] == 1.1
+    nevanlinna_diag(np.diag([0.5]), poly([1, -1]), Hilbert(1), N=8)
+    assert calls == [1]

@@ -275,6 +275,18 @@ def test_matrix_ratio_reductions():
     assert a == pytest.approx(b, rel=1e-9)
 
 
+def test_matrix_ratio_rejects_a_non_square_phi_matrix_or_wrong_vector_count():
+    T = np.diag([0.5, 0.9])
+    one, zero, big = funcalc.poly([1.0]), funcalc.poly([0.0]), funcalc.poly([100.0])
+    xs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    with pytest.raises(ValueError, match="square"):  # a 2x3 matrix
+        matrix_calc_ratio(T, [[one, zero, big], [zero, one, big]], xs, Hilbert(2), gamma=1.2)
+    with pytest.raises(ValueError, match="square"):  # ragged
+        matrix_calc_ratio(T, [[one, zero], [one]], xs, Hilbert(2), gamma=1.2)
+    with pytest.raises(ValueError, match="1 vectors for a 2-row"):
+        matrix_calc_ratio(T, [[one, zero], [zero, one]], xs[:1], Hilbert(2), gamma=1.2)
+
+
 def test_matrix_ratio_sampling_stability():
     rng = np.random.default_rng(16)
     T = np.diag([0.5, 0.9])

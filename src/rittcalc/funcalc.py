@@ -501,9 +501,13 @@ def _boundary_sup(fun, gamma: float, per_piece: int) -> np.ndarray:
     evaluated on its whole grid, then polished about each row's argmax.
     """
     best = []
-    for grid, point, wraps in stolz.boundary_param(gamma, per_piece):
+    for k, (grid, point, wraps) in enumerate(stolz.boundary_param(gamma, per_piece)):
         on_piece = lambda t, point=point: fun(point(t))
         vals = on_piece(grid[None, :])
+        if np.isnan(vals).any():  # argmax and max would pass a nan on
+            f, j = np.argwhere(np.isnan(vals))[0]
+            raise ValueError(f"function {f} is nan on boundary piece {k} "
+                             f"at z = {complex(point(grid[j]))}")
         i = np.argmax(vals, axis=1)
         if wraps:  # an angle: one step either side
             lo, hi = grid[i] - 2 * math.pi / grid.size, grid[i] + 2 * math.pi / grid.size
@@ -533,8 +537,6 @@ def _poly_stack(polys: Sequence):
 
 def _stack(fns: Sequence):
     """Evaluator of F functions at shared points: (1, m) to (F, m)."""
-    if all(getattr(f, "kind", None) == "polynomial" for f in fns):
-        return _poly_stack(fns)
     return lambda z: np.concatenate([np.broadcast_to(f(z), z.shape) for f in fns])
 
 

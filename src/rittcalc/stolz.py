@@ -84,13 +84,11 @@ def _gauss_legendre(n: int):
     return x, w
 
 
-def _panel_nodes(brks, npts: int):
-    """Gauss-Legendre nodes/weights on the panels between consecutive
-    breakpoints, panel after panel."""
+def _panel_nodes(a: float, b: float, npts: int):
+    """Gauss-Legendre nodes/weights on the parameter interval [a, b]."""
     x, w = _gauss_legendre(npts)
-    a, b = np.asarray(brks[:-1])[:, None], np.asarray(brks[1:])[:, None]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return (mid + half * x).ravel(), (half * w).ravel()
+    return mid + half * x, half * w
 
 
 def _graded_breakpoints(length: float, panels: int, ratio: float, min_panel: float):
@@ -235,26 +233,44 @@ def boundary_contour(beta: float, mesh: Optional[MeshSpec] = None) -> Contour:
     mesh = mesh or MeshSpec()
     tp, tm = tangent_points(beta)
     npts = mesh.points_per_panel
+    seg_len = math.cos(beta)
 
-    def segment(start: complex, end: complex, grade_at_start: bool):
-        length = abs(end - start)
-        brks = _graded_breakpoints(length, mesh.segment_panels,
+    nodes, tangents, weights = [], [], []
+
+    def add_segment(start: complex, end: complex, grade_at_start: bool):
+        direction = (end - start) / abs(end - start)
+        brks = _graded_breakpoints(abs(end - start), mesh.segment_panels,
                                    mesh.grading_ratio, mesh.min_panel)
         if not grade_at_start:  # grading refers to distance from `end`
-            brks = [length - b for b in brks[::-1]]
-        x, w = _panel_nodes(brks, npts)
-        direction = (end - start) / length
-        return start + direction * x, np.full(x.size, direction), w
+            brks = [abs(end - start) - b for b in brks[::-1]]
+        for a, b in zip(brks[:-1], brks[1:]):
+            x, w = _panel_nodes(a, b, npts)
+            nodes.extend(start + direction * xi for xi in x)
+            tangents.extend([direction] * len(x))
+            weights.extend(w)
 
+    # upper tangent segment, leaving the vertex
+    add_segment(1.0 + 0j, tp, grade_at_start=True)
     # far arc, angle increasing from pi/2 - beta to 3 pi/2 + beta
     r = math.sin(beta)
-    th, w = _panel_nodes(np.linspace(math.pi / 2 - beta, 3 * math.pi / 2 + beta,
-                                     mesh.arc_panels + 1), npts)
-    e = np.exp(1j * th)
-    # upper tangent segment leaving the vertex, the arc, the lower one back in
-    pieces = (segment(1.0 + 0j, tp, True), (r * e, 1j * e, w * r),
-              segment(tm, 1.0 + 0j, False))
-    return Contour(*(np.concatenate(parts) for parts in zip(*pieces)))
+    th0, th1 = math.pi / 2 - beta, 3 * math.pi / 2 + beta
+    arc_brks = np.linspace(th0, th1, mesh.arc_panels + 1)
+    for a, b in zip(arc_brks[:-1], arc_brks[1:]):
+        x, w = _panel_nodes(a, b, npts)
+        for th, wi in zip(x, w):
+            z = r * cmath.exp(1j * th)
+            nodes.append(z)
+            tangents.append(1j * cmath.exp(1j * th))
+            weights.append(wi * r)
+    # lower tangent segment, back into the vertex
+    add_segment(tm, 1.0 + 0j, grade_at_start=False)
+
+    assert seg_len > 0
+    return Contour(
+        nodes=np.array(nodes, dtype=complex),
+        tangents=np.array(tangents, dtype=complex),
+        weights=np.array(weights, dtype=float),
+    )
 
 
 def sector_contour(nu: float, r_max: float = 50.0,
@@ -270,15 +286,28 @@ def sector_contour(nu: float, r_max: float = 50.0,
     if r_max <= 0:
         raise ValueError("r_max must be positive")
     mesh = mesh or MeshSpec()
+    npts = mesh.points_per_panel
     brks = _graded_breakpoints(r_max, mesh.segment_panels,
                                mesh.grading_ratio, mesh.min_panel * r_max)
-    x, w = _panel_nodes(brks, mesh.points_per_panel)
-    lo_dir, hi_dir = cmath.exp(-1j * nu), cmath.exp(1j * nu)
-    # the lower ray outward, then the upper ray inward
+
+    nodes, tangents, weights = [], [], []
+    lo_dir = cmath.exp(-1j * nu)
+    hi_dir = cmath.exp(1j * nu)
+    for a, b in zip(brks[:-1], brks[1:]):  # lower ray, outward
+        x, w = _panel_nodes(a, b, npts)
+        nodes.extend(lo_dir * xi for xi in x)
+        tangents.extend([lo_dir] * len(x))
+        weights.extend(w)
+    for a, b in zip(brks[:-1][::-1], brks[1:][::-1]):  # upper ray, inward
+        x, w = _panel_nodes(a, b, npts)
+        nodes.extend(hi_dir * xi for xi in x[::-1])
+        tangents.extend([-hi_dir] * len(x))
+        weights.extend(w[::-1])
+
     return Contour(
-        nodes=np.concatenate([lo_dir * x, hi_dir * x[::-1]]),
-        tangents=np.concatenate([np.full(x.size, lo_dir), np.full(x.size, -hi_dir)]),
-        weights=np.concatenate([w, w[::-1]]),
+        nodes=np.array(nodes, dtype=complex),
+        tangents=np.array(tangents, dtype=complex),
+        weights=np.array(weights, dtype=float),
         r_max=r_max,
     )
 

@@ -526,6 +526,15 @@ def test_matrix_norm_rejects_a_non_square_phi_matrix():
         funcalc.hinf_matrix_norm([], 1.2)
 
 
+def test_a_nan_on_the_boundary_raises():
+    # (z - z^2) / (1 - z) is 0/0 at the vertex z = 1, which every Stolz grid holds
+    phi = funcalc.rational([0.0, 1.0, -1.0], [1.0, -1.0])
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="nan"):
+        hinf_norm(phi, math.pi / 3)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="nan"):
+        funcalc.hinf_vector_norm([poly([1.0]), phi], math.pi / 3, per_piece=64)
+
+
 def test_nevanlinna_diag_skips_the_spectral_type_when_gamma_is_given(monkeypatch):
     calls = []
     orig = ritt.spectral_type

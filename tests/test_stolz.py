@@ -151,84 +151,3 @@ def test_one_contour_type():
         "nodes", "tangents", "weights", "r_max"]
     assert c.r_max == math.inf and c.tail_factor(1.0) == 0.0
     assert sc.r_max == 50.0
-
-
-# The per-node loops that built the contours before they were built from
-# arrays, kept verbatim (names aside) as the reference.
-
-def _ref_panel_nodes(a: float, b: float, npts: int):
-    x, w = stolz._gauss_legendre(npts)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
-
-
-def _ref_boundary_contour(beta: float, mesh=None):
-    mesh = mesh or MeshSpec()
-    tp, tm = tangent_points(beta)
-    npts = mesh.points_per_panel
-    nodes, tangents, weights = [], [], []
-
-    def add_segment(start: complex, end: complex, grade_at_start: bool):
-        direction = (end - start) / abs(end - start)
-        brks = stolz._graded_breakpoints(abs(end - start), mesh.segment_panels,
-                                         mesh.grading_ratio, mesh.min_panel)
-        if not grade_at_start:  # grading refers to distance from `end`
-            brks = [abs(end - start) - b for b in brks[::-1]]
-        for a, b in zip(brks[:-1], brks[1:]):
-            x, w = _ref_panel_nodes(a, b, npts)
-            nodes.extend(start + direction * xi for xi in x)
-            tangents.extend([direction] * len(x))
-            weights.extend(w)
-
-    add_segment(1.0 + 0j, tp, grade_at_start=True)
-    r = math.sin(beta)
-    th0, th1 = math.pi / 2 - beta, 3 * math.pi / 2 + beta
-    arc_brks = np.linspace(th0, th1, mesh.arc_panels + 1)
-    for a, b in zip(arc_brks[:-1], arc_brks[1:]):
-        x, w = _ref_panel_nodes(a, b, npts)
-        for th, wi in zip(x, w):
-            z = r * cmath.exp(1j * th)
-            nodes.append(z)
-            tangents.append(1j * cmath.exp(1j * th))
-            weights.append(wi * r)
-    add_segment(tm, 1.0 + 0j, grade_at_start=False)
-    return np.array(nodes, dtype=complex), np.array(tangents, dtype=complex), \
-        np.array(weights, dtype=float)
-
-
-def _ref_sector_contour(nu: float, r_max: float, mesh=None):
-    mesh = mesh or MeshSpec()
-    npts = mesh.points_per_panel
-    brks = stolz._graded_breakpoints(r_max, mesh.segment_panels,
-                                     mesh.grading_ratio, mesh.min_panel * r_max)
-    nodes, tangents, weights = [], [], []
-    lo_dir = cmath.exp(-1j * nu)
-    hi_dir = cmath.exp(1j * nu)
-    for a, b in zip(brks[:-1], brks[1:]):  # lower ray, outward
-        x, w = _ref_panel_nodes(a, b, npts)
-        nodes.extend(lo_dir * xi for xi in x)
-        tangents.extend([lo_dir] * len(x))
-        weights.extend(w)
-    for a, b in zip(brks[:-1][::-1], brks[1:][::-1]):  # upper ray, inward
-        x, w = _ref_panel_nodes(a, b, npts)
-        nodes.extend(hi_dir * xi for xi in x[::-1])
-        tangents.extend([-hi_dir] * len(x))
-        weights.extend(w[::-1])
-    return np.array(nodes, dtype=complex), np.array(tangents, dtype=complex), \
-        np.array(weights, dtype=float)
-
-
-@pytest.mark.parametrize("mesh", [None, MeshSpec().refined().refined(),
-                                  MeshSpec(segment_panels=90, arc_panels=1, min_panel=1e-14),
-                                  MeshSpec(3, 2, 4, 0.3, 1e-3), MeshSpec(1, 1, 1)])
-def test_contours_match_the_per_node_reference(mesh):
-    for angle in np.linspace(0.01, math.pi / 2 - 0.01, 9):
-        c = boundary_contour(angle, mesh)
-        for got, ref in zip((c.nodes, c.tangents, c.weights),
-                            _ref_boundary_contour(angle, mesh)):
-            assert got.dtype == ref.dtype and np.array_equal(got, ref)
-        for r_max in (50.0, 1e7):
-            c = sector_contour(1.9 * angle, r_max, mesh)
-            for got, ref in zip((c.nodes, c.tangents, c.weights),
-                                _ref_sector_contour(1.9 * angle, r_max, mesh)):
-                assert got.dtype == ref.dtype and np.array_equal(got, ref)

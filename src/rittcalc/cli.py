@@ -97,6 +97,29 @@ def parse_mesh(spec: str) -> stolz.MeshSpec:
         raise IngestError(f"bad mesh spec {spec!r}: {exc}") from exc
 
 
+def _arg_type(parse, keep_text: bool = False):
+    """argparse type from ``parse``: a value it rejects with ValueError is
+    a usage error (exit 2).  ``keep_text`` keeps the text it accepts."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+        return text if keep_text else value
+    return convert
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
+
+
+def _float_list(text: str) -> list:
+    return [float(v) for v in text.split(",")]
+
+
 def _strip_timing(obj):
     if isinstance(obj, dict):
         return {k: _strip_timing(v) for k, v in obj.items()
@@ -212,7 +235,7 @@ def cmd_gallery(args) -> int:
         return 0
     elif args.kind == "conditional-basis":
         if args.kappa_grid:
-            grid = [float(v) for v in args.kappa_grid.split(",")]
+            grid = _float_list(args.kappa_grid)
             out = {"grid": [lab.conditional_basis_demo(args.n, k) for k in grid]}
         else:
             out = lab.conditional_basis_demo(args.n, args.kappa)
@@ -309,13 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("analyze", help="Ritt diagnostics -> RittReport JSON")
     sp.add_argument("matrix", help="operator file (.mtx or .json)")
     sp.add_argument("--space", default="hilbert")
-    sp.add_argument("--N", type=int, default=512)
+    sp.add_argument("--N", type=_arg_type(_positive_int), default=512)
     common(sp)
     sp.set_defaults(fn=cmd_analyze)
 
     sp = sub.add_parser("funcalc", help="contour functional calculus -> CalcReport JSON")
     sp.add_argument("matrix")
     sp.add_argument("--phi", required=True,
+                    type=_arg_type(funcalc.named_function, keep_text=True),
                     help="function spec: poly:c0,c1,... | frac:delta | builtin name")
     sp.add_argument("--gamma", type=float, default=None)
     sp.add_argument("--beta", type=float, default=None)
@@ -326,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sqfun", help="square function / constant -> SFReport JSON")
     sp.add_argument("matrix")
-    sp.add_argument("--m", type=int, default=1)
+    sp.add_argument("--m", type=_arg_type(_positive_int), default=1)
     sp.add_argument("--space", default="hilbert")
     sp.add_argument("--tail-tol", type=float, default=1e-10)
     sp.add_argument("--constant", action="store_true",
@@ -346,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "conditional-basis"])
     sp.add_argument("--n", type=int, default=4)
     sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--N", type=int, default=128)
+    sp.add_argument("--N", type=_arg_type(_positive_int), default=128)
     sp.add_argument("--t", help="Schur symbol matrix file (real entries in [-1,1])")
     sp.add_argument("--delta", type=float, default=0.1,
                     help="random Schur symbols drawn from [-1+delta, 1]")
@@ -354,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="markov: the two-point flip witness instead of random")
     sp.add_argument("--kappa", type=float, default=1e3,
                     help="conditional-basis: target basis condition number")
-    sp.add_argument("--kappa-grid",
+    sp.add_argument("--kappa-grid", type=_arg_type(_float_list, keep_text=True),
                     help="conditional-basis: comma list of kappas; emits a "
                          "trend series instead of a single instance")
     common(sp)

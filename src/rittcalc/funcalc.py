@@ -643,14 +643,9 @@ def nevanlinna_diag(T, phi: HolomorphicFn, space: SpaceModel, N: int,
         phiT = eval_poly(T, phi)
     else:
         phiT = eval_contour(T, phi, gamma=gamma).value
-    sup = 0.0
-    arg = 0
-    with numlin.overflow_first(numlin.increment_blocks(T, N)) as blocks:
-        for k, D in blocks:
-            v = k * numlin.op_norms(phiT @ D, space)
-            j = int(np.argmax(v))
-            if v[j] > sup:
-                sup, arg = float(v[j]), int(k[j])
+    row = ritt.decay_profiles(T, space, N, orders=(1,), left=phiT)[0]
+    sup = float(row.max())
+    arg = 1 + int(np.argmax(row)) if sup > 0 else 0
     g = gamma if gamma is not None else 0.5 * (ritt.spectral_type(T) + math.pi / 2)
     denom = hinf_norm(phi, g, per_piece=256)
     return {

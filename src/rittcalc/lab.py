@@ -210,18 +210,13 @@ def pairing_bound_check(T, phi, x, y, N: int = 400,
         raise ValueError("pairing bound is run on polynomial phi")
     if abs(complex(np.sum(phi.coeffs))) > 1e-12 * (1 + float(np.sum(np.abs(phi.coeffs)))):
         raise ValueError("phi must vanish at 1")
-    n = T.shape[0]
-    space = Hilbert(n)
+    space = Hilbert(T.shape[0])
     phiT = funcalc.eval_poly(T, phi)
     lhs = abs(complex(np.vdot(y, phiT @ x)))
 
-    A = np.eye(n, dtype=complex) - T
-    f1 = 0.0
-    # T^(k-1) for k = 1..N
-    with numlin.overflow_first(numlin.power_blocks(T, N - 1)) as blocks:
-        for s, P in blocks:
-            k = np.arange(s + 1, s + len(P) + 1)
-            f1 = max(f1, float(np.max((k + 1) * numlin.op_norms(phiT @ P @ A, space))))
+    row = ritt.decay_profiles(T, space, N, orders=(1,), left=phiT)[0]
+    k = np.arange(1, N + 1)
+    f1 = float(np.max((k + 1) / k * row))
     cfg = sqfun.SFConfig(m=1, tail_tol=tail_tol)
     sf_x = sqfun.square_function(T, x, space, cfg)
     psi = funcalc.poly(np.convolve(np.convolve([1, 1, 1], [1, 1, 1]), [1, 1, 1]) / 2.0,

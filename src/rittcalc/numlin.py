@@ -48,8 +48,6 @@ __all__ = [
     "op_norms",
     "mat_power_seq",
     "power_blocks",
-    "increment_blocks",
-    "overflow_first",
 ]
 
 SOLVE_TOL = 1e-10
@@ -723,38 +721,3 @@ def power_blocks(T, N: int):
         if not finite.all():
             raise PowerOverflow(s + int(np.argmin(finite)))
         yield s, P
-
-
-def increment_blocks(T, N: int):
-    """Yield ``(n, D)`` with D the stack T^n - T^(n-1) for the n in the
-    integer array ``n``, block by block over :func:`power_blocks`, until
-    n = N.  Each difference is the one the power list gives, bit for bit.
-    """
-    prev = None
-    for s, P in power_blocks(T, N):
-        D = np.empty_like(P)
-        D[1:] = P[1:] - P[:-1]
-        if prev is not None:
-            D[0] = P[0] - prev
-        prev = P[-1]
-        lo = 1 if s == 0 else 0  # T^0 has no increment
-        if lo < len(P):
-            yield np.arange(s + lo, s + len(P)), D[lo:]
-
-
-@contextlib.contextmanager
-def overflow_first(blocks):
-    """Run a walk over power blocks; a power overflow outranks a product's.
-
-    A product of finite powers, such as T^n (I-T)^3, can overflow a few
-    powers before the powers do, and its norm then raises ValueError.
-    A walk over the whole power list meets the :class:`PowerOverflow`
-    first, so on a ValueError the rest of ``blocks`` is run and its
-    overflow, if any, is raised instead.
-    """
-    try:
-        yield blocks
-    except ValueError:
-        for _ in blocks:
-            pass
-        raise

@@ -4,7 +4,7 @@ A matrix is certified "ritt" when its spectrum sits in the closure of a
 Stolz domain with angle strictly below pi/2 (eigenvalue 1 allowed) and
 the four decay suprema
 
-    S0 = sup ||T^n||,          S1 = sup n   ||T^(n-1)(I-T)||,
+    S0 = sup ||T^n||,          S1 = sup n   ||T^n - T^(n-1)||,
     S2 = sup n^2 ||T^(n-1)(I-T)^2||,   S3 = sup n^3 ||T^(n-1)(I-T)^3||
 
 are stable under doubling of the truncation N.  The Ritt property is
@@ -23,13 +23,13 @@ from typing import Optional
 import numpy as np
 
 from . import numlin, stolz
-from .numlin import (Hilbert, SpaceModel, as_matrix, increment_blocks, op_norms,
-                     overflow_first, power_blocks)
+from .numlin import Hilbert, ShapeError, SpaceModel, as_matrix, op_norms, power_blocks
 from .stolz import NOT_STOLZ
 
 __all__ = [
     "RittConfig",
     "RittReport",
+    "decay_profiles",
     "power_bound",
     "increment_profile",
     "increment_bound",
@@ -52,16 +52,71 @@ def eigenvalue_one_tolerance(T: np.ndarray) -> float:
     return 1e-10 * (1.0 + float(np.linalg.norm(T, 2)))
 
 
+def decay_profiles(T, space: SpaceModel, N: int, orders=(0, 1, 2, 3),
+                   left=None) -> tuple:
+    """Per-n rows of the decay sequences along the powers of T, one per order.
+
+    With L = ``left`` (the identity when None), order 0 gives ||L T^n||
+    for n = 0..N, order 1 gives n ||L (T^n - T^(n-1))|| from the
+    difference of consecutive powers, and orders j = 2, 3 give
+    n^j ||L T^(n-1) (I-T)^j|| for n = 1..N, in the order of ``orders``.
+
+    One pass over :func:`rittcalc.numlin.power_blocks` holds one block of
+    powers.  A product of finite powers can overflow a few powers before
+    the powers do, and its norm then raises ValueError; the walk then
+    runs on, so that the powers' own ``PowerOverflow``, if any, is
+    raised instead.
+    """
+    T = as_matrix(T, square=True)
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if not set(orders) <= {0, 1, 2, 3}:
+        raise ValueError(f"orders must lie in 0..3, got {tuple(orders)}")
+    if left is not None and np.shape(left) != T.shape:
+        raise ShapeError(f"left has shape {np.shape(left)}, T has {T.shape}")
+
+    def norms(M):
+        return op_norms(M if left is None else left @ M, space)
+
+    A = np.eye(T.shape[0], dtype=complex) - T
+    factor = {2: A @ A, 3: A @ A @ A}
+    rows = {j: np.empty(N + 1 if j == 0 else N) for j in orders}
+    blocks = power_blocks(T, N)
+    prev = None  # the last power of the previous block
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s, P in blocks:
+                end = s + len(P)
+                if 0 in rows:
+                    rows[0][s:end] = norms(P)
+                if 1 in rows:  # T^n - T^(n-1) for n = s .. end-1
+                    D = P.copy()
+                    D[1:] -= P[:-1]
+                    if prev is not None:
+                        D[0] -= prev
+                    lo = int(prev is None)  # T^0 has no increment
+                    prev = P[-1].copy()
+                    rows[1][s + lo - 1:end - 1] = (
+                        np.arange(s + lo, end, dtype=float) * norms(D[lo:]))
+                    del D
+                n = np.arange(s + 1, min(end, N) + 1, dtype=float)  # T^(n-1) = P[n-1-s]
+                for j in orders:
+                    if j > 1:
+                        rows[j][s:s + len(n)] = n**j * norms(P[:len(n)] @ factor[j])
+    except ValueError:
+        for _ in blocks:  # a power overflow outranks a product's
+            pass
+        raise
+    return tuple(rows[j] for j in orders)
+
+
 def power_bound(T, space: SpaceModel, N: int) -> float:
     """max over 0 <= n <= N of the operator norm of T^n.
 
     Lower-bound flavor on the non-exact norm models, like everything
     built on :func:`rittcalc.numlin.op_norm`.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return max(float(op_norms(P, space).max())
-               for _, P in power_blocks(as_matrix(T, square=True), N))
+    return float(decay_profiles(T, space, N, orders=(0,))[0].max())
 
 
 def increment_profile(T, space: SpaceModel, N: int) -> np.ndarray:
@@ -70,13 +125,7 @@ def increment_profile(T, space: SpaceModel, N: int) -> np.ndarray:
     The profile at N is a prefix of the profile at any larger N, so a
     doubling test computes it once, at the larger N.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    out = np.empty(N)
-    with overflow_first(increment_blocks(as_matrix(T, square=True), N)) as blocks:
-        for n, D in blocks:
-            out[n - 1] = n * op_norms(D, space)
-    return out
+    return decay_profiles(T, space, N, orders=(1,))[0]
 
 
 def increment_bound(T, space: SpaceModel, N: int) -> float:
@@ -154,37 +203,9 @@ def resolvent_sup(T, beta: float, space: SpaceModel, per_piece: int = 48) -> flo
     return best
 
 
-def _decay_profiles(T: np.ndarray, space: SpaceModel, N: int):
-    """Per-n values of the four decay sequences, n = 0..N (S0) / 1..N (S1-3).
-
-    One pass over the powers, a block at a time: S0 takes the norms of
-    the block, S1..S3 those of its products with (I-T)^j.
-    """
-    A = np.eye(T.shape[0], dtype=complex) - T
-    A2, A3 = A @ A, A @ A @ A
-    s0 = np.empty(N + 1)
-    s1, s2, s3 = np.empty(N), np.empty(N), np.empty(N)
-    with (overflow_first(power_blocks(T, N)) as blocks,
-          np.errstate(over="ignore", invalid="ignore")):
-        for s, P in blocks:
-            s0[s:s + len(P)] = op_norms(P, space)
-            Q = P[:N - s]  # T^(n-1) for n = s+1 .. min(s+m, N)
-            if not len(Q):
-                continue
-            n = np.arange(s + 1, s + len(Q) + 1, dtype=float)
-            cut = slice(s, s + len(Q))
-            s1[cut] = n * op_norms(Q @ A, space)
-            s2[cut] = n**2 * op_norms(Q @ A2, space)
-            s3[cut] = n**3 * op_norms(Q @ A3, space)
-    return s0, s1, s2, s3
-
-
 def decay_sequences(T, space: SpaceModel, N: int):
     """Suprema (S0, S1, S2, S3) of the four decay sequences up to N."""
-    T = as_matrix(T, square=True)
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return tuple(float(np.max(s)) for s in _decay_profiles(T, space, N))
+    return tuple(float(np.max(s)) for s in decay_profiles(T, space, N))
 
 
 def mean_ergodic_projection(T) -> np.ndarray:
@@ -227,6 +248,10 @@ class RittConfig:
     stability_rel: float = 0.05
     beta_fracs: tuple = (0.25, 0.5, 0.75)
     resolvent_per_piece: int = 24
+
+    def __post_init__(self):
+        if self.N < 1:
+            raise ValueError("N must be >= 1")
 
 
 @dataclass
@@ -275,42 +300,36 @@ def ritt_verdict(T, space: Optional[SpaceModel] = None,
     cfg = config or RittConfig()
     alpha = spectral_type(T)
     reasons: list = []
-
-    if alpha == NOT_STOLZ or alpha >= math.pi / 2 - cfg.type_margin:
+    not_ritt = alpha == NOT_STOLZ or alpha >= math.pi / 2 - cfg.type_margin
+    if not_ritt:
         reasons.append("spectrum not contained in any Stolz closure with margin"
                        if alpha != NOT_STOLZ else
                        "spectrum leaves the closed unit disc or touches its boundary off 1")
-        verdict = "not-ritt"
-        decay_n = min(cfg.N, 64)
-        try:
-            decay_N = decay_sequences(T, space, decay_n)
-        except numlin.PowerOverflow as exc:
-            reasons.append(str(exc))
-            decay_N = (math.inf,) * 4
+    # with the spectrum ruling T out there is no doubling test, only the
+    # suprema up to min(N, 64)
+    n_used = min(cfg.N, 64) if not_ritt else cfg.N
+
+    def report(decay, verdict, res=None):
         return RittReport(
-            power_bound=decay_N[0], increment_bound=decay_N[1],
-            type_alpha=alpha, resolvent_sup={}, decay=decay_N,
-            verdict=verdict, reasons=reasons, N_used=decay_n, space=space,
-            norms_exact=space.exact,
+            power_bound=decay[0], increment_bound=decay[1], type_alpha=alpha,
+            resolvent_sup=res or {}, decay=tuple(decay), verdict=verdict,
+            reasons=reasons, N_used=n_used, space=space, norms_exact=space.exact,
         )
 
     try:
-        profiles = _decay_profiles(T, space, 2 * cfg.N)
+        profiles = decay_profiles(T, space, n_used if not_ritt else 2 * n_used)
     except numlin.PowerOverflow as exc:
-        return RittReport(
-            power_bound=math.inf, increment_bound=math.inf, type_alpha=alpha,
-            resolvent_sup={}, decay=(math.inf,) * 4,
-            verdict="inconclusive", reasons=[str(exc)], N_used=cfg.N,
-            space=space, norms_exact=space.exact,
-        )
+        reasons.append(str(exc))
+        return report((math.inf,) * 4, "not-ritt" if not_ritt else "inconclusive")
+    if not_ritt:
+        return report([float(np.max(p)) for p in profiles], "not-ritt")
 
     names = ("S0", "S1", "S2", "S3")
-    sup_N, sup_2N = [], []
+    sup_2N = []
     stable = True
     for name, prof in zip(names, profiles):
         cut = cfg.N + 1 if name == "S0" else cfg.N
         a, b = float(np.max(prof[:cut])), float(np.max(prof))
-        sup_N.append(a)
         sup_2N.append(b)
         if not np.isfinite(b) or b > (1.0 + cfg.stability_rel) * max(a, 1e-300):
             stable = False
@@ -328,10 +347,4 @@ def ritt_verdict(T, space: Optional[SpaceModel] = None,
             stable = False
             reasons.append(f"resolvent_sup at beta={beta:.6g} refused: {exc}")
 
-    verdict = "ritt" if stable else "inconclusive"
-    return RittReport(
-        power_bound=sup_2N[0], increment_bound=sup_2N[1], type_alpha=alpha,
-        resolvent_sup=res, decay=tuple(sup_2N), verdict=verdict,
-        reasons=reasons, N_used=cfg.N, space=space,
-        norms_exact=space.exact,
-    )
+    return report(sup_2N, "ritt" if stable else "inconclusive", res)

@@ -77,6 +77,8 @@ class SFConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
+        if self.n_max < 1:
+            raise ValueError("n_max must be >= 1")
         if self.tail_tol <= 0:
             raise ValueError("tail_tol must be positive")
         if self.side not in ("column", "row"):
@@ -447,8 +449,11 @@ def rad_rad_norm(x_grid: Sequence[Sequence], space: SpaceModel) -> RadEstimate:
     The (i, j) grid is flattened to rank-one sign products; the total
     pattern count 2^(rows + cols - 1) must stay enumerable.
     """
-    rows = len(x_grid)
-    cols = len(x_grid[0])
+    lens = [len(row) for row in x_grid]
+    if not lens or min(lens) == 0 or len(set(lens)) > 1:
+        raise ValueError(f"x_grid must be a non-empty rectangular grid, "
+                         f"got {len(lens)} rows of lengths {lens}")
+    rows, cols = len(lens), lens[0]
     if rows + cols - 1 > EXACT_ENUM_MAX:
         raise ValueError("pattern count too large for exact double enumeration")
     X = np.array([[check_vector(x, space).reshape(-1) for x in row] for row in x_grid],

@@ -130,6 +130,25 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["funcalc", "T.json", "--phi", "bogus"],
+     "argument --phi: 'bogus': unknown function spec 'bogus'"),
+    (["funcalc", "T.json", "--phi", "frac:-1"],
+     "argument --phi: 'frac:-1': delta must be positive"),
+    (["sqfun", "T.json", "--m", "0"], "argument --m: '0': must be >= 1"),
+    (["analyze", "T.json", "--N", "0"], "argument --N: '0': must be >= 1"),
+    (["gallery", "conditional-basis", "--kappa-grid", "1,x"],
+     "argument --kappa-grid: '1,x': could not convert string to float: 'x'"),
+], ids=["phi-unknown", "phi-frac-negative", "sqfun-m-0", "analyze-N-0", "kappa-grid-1,x"])
+def test_option_values_the_library_rejects_are_usage_errors(tdir, capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        run([tdir / a if a == "T.json" else a for a in args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(f"error: {message}")
+
+
 def test_sqfun_schatten_space_with_x(tdir):
     import scipy.io
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -201,6 +202,21 @@ def test_rad_rad_two_variable_khintchine():
     v = rad_rad_norm(grid, LpWeighted(2.0, (1.0, 1.0, 1.0))).value
     ident = math.sqrt(sum(np.linalg.norm(x) ** 2 for row in grid for x in row))
     assert abs(v - ident) <= 1e-12
+
+
+@pytest.mark.parametrize("grid, shape", [
+    ([], "0 rows of lengths []"),
+    ([[]], "1 rows of lengths [0]"),
+    ([[np.ones(2)], [np.ones(2), np.ones(2)]], "2 rows of lengths [1, 2]"),
+], ids=["empty", "empty-row", "ragged"])
+def test_rad_rad_norm_names_a_bad_grid_shape(grid, shape):
+    with pytest.raises(ValueError, match=re.escape(shape)):
+        rad_rad_norm(grid, Hilbert(2))
+
+
+def test_sfconfig_rejects_n_max_below_one():
+    with pytest.raises(ValueError, match="n_max"):
+        SFConfig(n_max=0)
 
 
 def test_nc_khintchine_report():

@@ -120,6 +120,14 @@ def _float_list(text: str) -> list:
     return [float(v) for v in text.split(",")]
 
 
+def _schatten_p(text: str) -> float:
+    return SchattenP(float(text), 1).p
+
+
+def _tail_tol(text: str) -> float:
+    return sqfun.SFConfig(tail_tol=float(text)).tail_tol
+
+
 def _strip_timing(obj):
     if isinstance(obj, dict):
         return {k: _strip_timing(v) for k, v in obj.items()
@@ -216,6 +224,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gallery(args) -> int:
+    if args.n < 2 and (args.kind == "conditional-basis"
+                       or args.kind == "markov" and not args.flip):
+        args.usage_error(f"argument --n: '{args.n}': {args.kind} needs n >= 2")
+    if args.n > 12 and args.kind == "c0-witness":
+        args.usage_error(f"argument --n: '{args.n}': c0-witness needs n <= 12")
     if args.kind == "schur":
         if args.t:
             t = load_matrix(args.t).real
@@ -352,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("matrix")
     sp.add_argument("--m", type=_arg_type(_positive_int), default=1)
     sp.add_argument("--space", default="hilbert")
-    sp.add_argument("--tail-tol", type=float, default=1e-10)
+    sp.add_argument("--tail-tol", type=_arg_type(_tail_tol), default=1e-10)
     sp.add_argument("--constant", action="store_true",
                     help="compute the square-function constant instead")
     sp.add_argument("--x", help="vector file (defaults to the ones vector)")
@@ -368,8 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gallery", help="construct a gallery instance + analysis")
     sp.add_argument("kind", choices=["schur", "markov", "c0-witness",
                                      "conditional-basis"])
-    sp.add_argument("--n", type=int, default=4)
-    sp.add_argument("--p", type=float, default=2.0)
+    sp.add_argument("--n", type=_arg_type(_positive_int), default=4,
+                    help="size: n >= 2 for markov and conditional-basis, "
+                         "n <= 12 for c0-witness")
+    sp.add_argument("--p", type=_arg_type(_schatten_p), default=2.0,
+                    help="Schatten exponent of schur and markov, in [1, inf)")
     sp.add_argument("--N", type=_arg_type(_positive_int), default=128)
     sp.add_argument("--t", help="Schur symbol matrix file (real entries in [-1,1])")
     sp.add_argument("--delta", type=float, default=0.1,
@@ -382,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="conditional-basis: comma list of kappas; emits a "
                          "trend series instead of a single instance")
     common(sp)
-    sp.set_defaults(fn=cmd_gallery)
+    sp.set_defaults(fn=cmd_gallery, usage_error=sp.error)
 
     sp = sub.add_parser("plotdata", help="extract CSV series from a report JSON")
     sp.add_argument("report")

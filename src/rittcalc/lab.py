@@ -422,7 +422,7 @@ def c0_growth_witness(n: int, m_cover: int = 2000, seed: int = 0) -> dict:
     if n > 12:
         raise ValueError("exact sign enumeration capped at n = 12")
     # family: standard basis + one representative per antipodal sign pair
-    signs = sqfun.sign_patterns(n) if n > 1 else np.ones((1, 1))
+    signs = sqfun.sign_patterns(n)
     Y = np.concatenate([np.eye(n), signs / math.sqrt(n)], axis=0)  # rows y_j
     m = Y.shape[0]
 

@@ -392,17 +392,55 @@ def _stack(xs: Sequence, space: SpaceModel) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _sign_blocks(K: int, height: int):
+    """The 2^(K-1) sign patterns with eps_1 = +1, in blocks of ``height`` rows.
+
+    Row i carries eps_(j+1) = -1 exactly where bit j-1 of i is set, so
+    the blocks come in index order and concatenate to :func:`sign_patterns`.
+    ``height`` must divide 2^(K-1).
+    """
+    shifts = np.arange(K - 1)
+    for start in range(0, 1 << (K - 1), height):
+        block = np.ones((height, K))
+        block[:, 1:] = 1 - 2 * ((np.arange(start, start + height)[:, None] >> shifts) & 1)
+        yield block
+
+
+def _block_height(patterns: int, row_bytes: int) -> int:
+    """Rows per block of sign patterns within ``numlin.RESOLVENT_BLOCK_BYTES``.
+
+    A power of two, so it divides the pattern count and leaves no short
+    tail, and at least 2: a 1-row product takes numpy's GEMV path, which
+    rounds differently from the GEMM of a taller block.
+    """
+    height = 2
+    while height < patterns and 2 * height * row_bytes <= numlin.RESOLVENT_BLOCK_BYTES:
+        height *= 2
+    return min(height, patterns)
+
+
+def _enumerated_rad(X: np.ndarray, K: int, space: SpaceModel, coefficients=None) -> float:
+    """(mean ||c X||^2)^(1/2) over the 2^(K-1) sign patterns of length K.
+
+    ``coefficients`` maps a block of patterns to its rows c of
+    coefficients on the rows of X (default: the patterns themselves).
+    The patterns are generated per block and only the squared norms are
+    kept, in one array of 2^(K-1) floats with one mean over it, so the
+    value does not depend on the block height.
+    """
+    coefficients = coefficients or (lambda E: E)
+    Xf = X.view(float)  # the coefficients are real: one real GEMM, no complex cast
+    sq = np.empty(1 << (K - 1))
+    # a block row: its K signs, its coefficients (float) and its image (complex)
+    height = _block_height(sq.size, 8 * (K + X.shape[0]) + 16 * X.shape[1])
+    for start, E in zip(range(0, sq.size, height), _sign_blocks(K, height)):
+        sq[start:start + height] = space.norms((coefficients(E) @ Xf).view(complex)) ** 2
+    return float(np.sqrt(np.mean(sq)))
+
+
 def sign_patterns(K: int) -> np.ndarray:
     """All sign patterns with eps_1 = +1 (the rest follow by symmetry)."""
-    P = 1 << (K - 1)
-    out = np.ones((P, K))
-    for j in range(1, K):
-        period = 1 << (j - 1)
-        col = np.ones(P)
-        idx = (np.arange(P) // period) % 2 == 1
-        col[idx] = -1.0
-        out[:, j] = col
-    return out
+    return next(_sign_blocks(K, 1 << (K - 1)))
 
 
 def rad_norm(xs: Sequence, space: SpaceModel, mode: str = "exact",
@@ -424,9 +462,7 @@ def rad_norm(xs: Sequence, space: SpaceModel, mode: str = "exact",
     if mode == "exact":
         if K > EXACT_ENUM_MAX:
             raise ValueError(f"exact enumeration limited to {EXACT_ENUM_MAX} summands, got {K}")
-        S = sign_patterns(K)
-        norms = space.norms(S @ X)
-        return RadEstimate(value=float(np.sqrt(np.mean(norms**2))),
+        return RadEstimate(value=_enumerated_rad(X, K, space),
                            mode="exact-enumeration")
     if mode == "monte-carlo":
         if seed is None:
@@ -458,14 +494,15 @@ def rad_rad_norm(x_grid: Sequence[Sequence], space: SpaceModel) -> RadEstimate:
         raise ValueError("pattern count too large for exact double enumeration")
     X = np.array([[check_vector(x, space).reshape(-1) for x in row] for row in x_grid],
                  dtype=complex)
-    Si = sign_patterns(rows) if rows > 1 else np.ones((1, 1))
-    Sj = sign_patterns(cols) if cols > 1 else np.ones((1, 1))
-    vals = []
-    for si in Si:
-        for sj in Sj:
-            Y = np.tensordot(si, np.tensordot(sj, X, axes=(0, 1)), axes=(0, 0))
-            vals.append(space.norms(Y[None, :])[0] ** 2)
-    return RadEstimate(value=float(np.sqrt(np.mean(vals))), mode="exact-enumeration")
+
+    def rank_one(E):
+        # pattern bits: eps_j in the first cols columns, eps_i (i >= 2) after them
+        si = np.ones((E.shape[0], rows))
+        si[:, 1:] = E[:, cols:]
+        return (si[:, :, None] * E[:, None, :cols]).reshape(E.shape[0], rows * cols)
+
+    value = _enumerated_rad(X.reshape(rows * cols, -1), rows + cols - 1, space, rank_one)
+    return RadEstimate(value=value, mode="exact-enumeration")
 
 
 def khintchine_ratio(xs: Sequence, space: SpaceModel) -> float:

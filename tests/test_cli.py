@@ -139,7 +139,15 @@ def test_usage_error_exit_2():
     (["analyze", "T.json", "--N", "0"], "argument --N: '0': must be >= 1"),
     (["gallery", "conditional-basis", "--kappa-grid", "1,x"],
      "argument --kappa-grid: '1,x': could not convert string to float: 'x'"),
-], ids=["phi-unknown", "phi-frac-negative", "sqfun-m-0", "analyze-N-0", "kappa-grid-1,x"])
+    (["gallery", "conditional-basis", "--n", "1"],
+     "argument --n: '1': conditional-basis needs n >= 2"),
+    (["gallery", "c0-witness", "--n", "13"], "argument --n: '13': c0-witness needs n <= 12"),
+    (["gallery", "schur", "--n", "0"], "argument --n: '0': must be >= 1"),
+    (["gallery", "schur", "--p", "0.5", "--N", "4"],
+     "argument --p: '0.5': p must lie in [1, inf), got 0.5"),
+    (["sqfun", "T.json", "--tail-tol", "0"], "argument --tail-tol: '0': tail_tol must be positive"),
+], ids=["phi-unknown", "phi-frac-negative", "sqfun-m-0", "analyze-N-0", "kappa-grid-1,x",
+        "conditional-basis-n-1", "c0-witness-n-13", "schur-n-0", "schur-p-0.5", "sqfun-tail-tol-0"])
 def test_option_values_the_library_rejects_are_usage_errors(tdir, capsys, args, message):
     with pytest.raises(SystemExit) as exc:
         run([tdir / a if a == "T.json" else a for a in args])

@@ -7,7 +7,7 @@ import pytest
 from rittcalc import funcalc, sqfun
 from rittcalc.numlin import (Hilbert, LpWeighted, SchattenP, SupSeq, check_vector, svd,
                              vec_norm)
-from rittcalc.sqfun import (SFConfig, c512_check, gram_operator,
+from rittcalc.sqfun import (EXACT_ENUM_MAX, SFConfig, c512_check, gram_operator,
                             khintchine_ratio, matrix_calc_ratio,
                             nc_khintchine_report, quadratic_calc_ratio,
                             r_bound_lower, rad_norm, rad_rad_norm, sf_constant,
@@ -493,3 +493,121 @@ def test_rad_norm_matches_the_batch_norm_ladder(space):
     mc = rad_norm(xs, space, mode="monte-carlo", samples=256, seed=5)
     Smc = np.random.Generator(np.random.Philox(key=5)).integers(0, 2, size=(256, 7)) * 2.0 - 1.0
     assert mc.value == math.sqrt(float(np.mean(_ladder_batch_norms(Smc @ X, space) ** 2)))
+
+
+# -- streamed sign enumeration -------------------------------------------------
+
+def _full_sign_patterns(K):
+    """Every sign pattern at once, as the enumeration built them before streaming."""
+    P = 1 << (K - 1)
+    out = np.ones((P, K))
+    for j in range(1, K):
+        period = 1 << (j - 1)
+        col = np.ones(P)
+        idx = (np.arange(P) // period) % 2 == 1
+        col[idx] = -1.0
+        out[:, j] = col
+    return out
+
+
+def _full_product_rad_norm(X, space):
+    S = _full_sign_patterns(X.shape[0])
+    norms = space.norms(S @ X)
+    return float(np.sqrt(np.mean(norms**2)))
+
+
+def _pairwise_rad_rad_norm(x_grid, space):
+    """The doubly indexed average as one space.norms call per pattern pair."""
+    lens = [len(row) for row in x_grid]
+    rows, cols = len(lens), lens[0]
+    X = np.array([[check_vector(x, space).reshape(-1) for x in row] for row in x_grid],
+                 dtype=complex)
+    Si = _full_sign_patterns(rows) if rows > 1 else np.ones((1, 1))
+    Sj = _full_sign_patterns(cols) if cols > 1 else np.ones((1, 1))
+    vals = []
+    for si in Si:
+        for sj in Sj:
+            Y = np.tensordot(si, np.tensordot(sj, X, axes=(0, 1)), axes=(0, 0))
+            vals.append(space.norms(Y[None, :])[0] ** 2)
+    return float(np.sqrt(np.mean(vals)))
+
+
+def _record_block_heights(monkeypatch):
+    heights = []
+    blocks = sqfun._sign_blocks
+
+    def recording(K, height):
+        for block in blocks(K, height):
+            heights.append(block.shape[0])
+            yield block
+
+    monkeypatch.setattr(sqfun, "_sign_blocks", recording)
+    return heights
+
+
+# blocks of 2 and 4 rows take 2^(K-2) and 2^(K-3) passes, so they stop at K = 17
+@pytest.mark.parametrize("K, rows_per_block",
+                         [(K, None) for K in (2, 3, 9, 13, 17, 20)]
+                         + [(K, h) for h in (2, 4) for K in (2, 3, 9, 13, 17)])
+@pytest.mark.parametrize("space", PROTOCOL_SPACES, ids=repr)
+def test_streamed_rad_norm_is_bit_identical_to_the_full_product(monkeypatch, space, K,
+                                                                rows_per_block):
+    rng = np.random.default_rng(100 + K)
+    X = rng.normal(size=(K, 4)) + 1j * rng.normal(size=(K, 4))
+    if rows_per_block:
+        # a block row holds K signs, K coefficients and a complex image of length 4
+        monkeypatch.setattr(sqfun.numlin, "RESOLVENT_BLOCK_BYTES",
+                            rows_per_block * (8 * (K + K) + 16 * 4))
+    heights = _record_block_heights(monkeypatch)
+    assert rad_norm(list(X), space).value == _full_product_rad_norm(X, space)
+    assert sum(heights) == 1 << (K - 1) and min(heights) >= 2
+    if rows_per_block:
+        assert set(heights) == {min(rows_per_block, 1 << (K - 1))}
+
+
+@pytest.mark.parametrize("K", range(1, 14))
+def test_sign_patterns_are_the_concatenated_blocks(K):
+    full = _full_sign_patterns(K)
+    assert np.array_equal(sqfun.sign_patterns(K), full)
+    P = 1 << (K - 1)
+    for height in (h for h in (2, 4, 64, P) if h <= P):
+        blocks = list(sqfun._sign_blocks(K, height))
+        assert all(b.shape == (height, K) for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), full)
+
+
+@pytest.mark.parametrize("row_bytes", [1, 224, 10**9])
+def test_block_height_is_a_power_of_two_of_at_least_two_rows(row_bytes):
+    for K in range(2, EXACT_ENUM_MAX + 1):
+        P = 1 << (K - 1)
+        h = sqfun._block_height(P, row_bytes)
+        assert 2 <= h <= P and P % h == 0 and h & (h - 1) == 0
+        assert h == 2 or h * row_bytes <= sqfun.numlin.RESOLVENT_BLOCK_BYTES
+
+
+def test_rad_norm_holds_one_block_of_patterns():
+    import tracemalloc
+
+    rng = np.random.default_rng(21)
+    xs = list(rng.normal(size=(20, 4)) + 1j * rng.normal(size=(20, 4)))
+    space = LpWeighted(3.0, (0.3, 1.0, 4.0, 1.2))
+    tracemalloc.start()
+    try:
+        rad_norm(xs, space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # all 2^19 patterns at once, their complex cast and S @ X took 272 MB
+    assert peak < 10e6
+
+
+@pytest.mark.parametrize("space, shape",
+                         [(space, shape) for space in PROTOCOL_SPACES
+                          for shape in ((1, 1), (1, 5), (5, 1), (2, 2), (3, 4), (4, 3))]
+                         + [(PROTOCOL_SPACES[1], (9, 8))], ids=repr)
+def test_stacked_rad_rad_norm_matches_the_pairwise_loop(space, shape):
+    rng = np.random.default_rng(sum(shape))
+    grid = [[rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(shape[1])]
+            for _ in range(shape[0])]
+    ref = _pairwise_rad_rad_norm(grid, space)
+    assert rad_rad_norm(grid, space).value == pytest.approx(ref, rel=1e-14, abs=0.0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -100,7 +100,8 @@ class PowerOverflow(OverflowError):
 # ``norms(V)`` along the last axis of a stack of flat elements,
 # ``op_norms(stack)``, ``op_norm(M)``, and the two halves of the
 # square-function accumulator, ``square_term(y, side)`` and
-# ``square_norm(acc)``.  Inputs are checked by the public functions below.
+# ``square_norm(acc)``, which take one element or a stack of them.
+# Inputs are checked by the public functions below.
 
 class _Pointwise:
     """Sequence models: the square sum sits inside the norm, pointwise."""
@@ -108,8 +109,8 @@ class _Pointwise:
     def square_term(self, y: np.ndarray, side: str) -> np.ndarray:
         return np.abs(y) ** 2
 
-    def square_norm(self, acc: np.ndarray) -> float:
-        return float(self.norms(np.sqrt(acc)))
+    def square_norm(self, acc: np.ndarray) -> np.ndarray:
+        return self.norms(np.sqrt(acc))
 
 
 @dataclass(frozen=True)
@@ -132,11 +133,14 @@ class Hilbert:
     def op_norm(self, M: np.ndarray) -> OpNormResult:
         return _spectral_op_norm(M)
 
-    def square_term(self, y: np.ndarray, side: str) -> float:
-        return float(np.vdot(y, y).real)
+    def square_term(self, y: np.ndarray, side: str) -> np.ndarray:
+        # a single element keeps the BLAS dot of np.vdot
+        if y.ndim == 1:
+            return np.vdot(y, y).real
+        return np.sum(y.real ** 2 + y.imag ** 2, axis=-1)
 
-    def square_norm(self, acc: float) -> float:
-        return math.sqrt(acc)
+    def square_norm(self, acc: np.ndarray) -> np.ndarray:
+        return np.sqrt(acc)
 
 
 @dataclass(frozen=True)
@@ -145,6 +149,8 @@ class LpWeighted(_Pointwise):
 
     p: float
     weights: tuple = ()
+    #: set on a model made by dual(): the exponent it is the dual of
+    _conjugate_p = None
     exact = False
 
     def __post_init__(self):
@@ -160,7 +166,7 @@ class LpWeighted(_Pointwise):
         return len(self.weights)
 
     def dual(self) -> LpWeighted:
-        return LpWeighted(self.p / (self.p - 1.0), self.weights)
+        return _dual_model(self)
 
     def norms(self, V: np.ndarray) -> np.ndarray:
         w = np.asarray(self.weights)
@@ -203,6 +209,8 @@ class SchattenP:
 
     p: float
     n: int
+    #: set on a model made by dual(): the exponent it is the dual of
+    _conjugate_p = None
 
     def __post_init__(self):
         if not 1.0 <= self.p < np.inf:
@@ -219,7 +227,7 @@ class SchattenP:
     def dual(self) -> SchattenP:
         if self.p == 1.0:
             raise ValueError("dual of Schatten-1 (operator norm) is not a SchattenP model")
-        return SchattenP(self.p / (self.p - 1.0), self.n)
+        return _dual_model(self)
 
     def norms(self, V: np.ndarray) -> np.ndarray:
         s = np.linalg.svd(V.reshape(V.shape[:-1] + (self.n, self.n)), compute_uv=False)
@@ -238,14 +246,16 @@ class SchattenP:
                             witness=witnesses[0].reshape(self.n, self.n))
 
     def square_term(self, y: np.ndarray, side: str) -> np.ndarray:
-        """Column (y* y) or row (y y*) square of the element y."""
-        Y = y.reshape(self.n, self.n)
-        return Y.conj().T @ Y if side == "column" else Y @ Y.conj().T
+        """Column (y* y) or row (y y*) square of the element(s) y."""
+        Y = y.reshape(y.shape[:-1] + (self.n, self.n))
+        YH = np.swapaxes(Y.conj(), -1, -2)
+        return YH @ Y if side == "column" else Y @ YH
 
-    def square_norm(self, acc: np.ndarray) -> float:
-        """Schatten-p norm of acc^(1/2) for a positive semidefinite acc."""
-        ev = np.clip(np.linalg.eigvalsh(0.5 * (acc + acc.conj().T)).real, 0.0, None)
-        return float(np.sum(ev ** (self.p / 2.0)) ** (1.0 / self.p))
+    def square_norm(self, acc: np.ndarray) -> np.ndarray:
+        """Schatten-p norm of acc^(1/2) for positive semidefinite acc (or a stack)."""
+        H = 0.5 * (acc + np.swapaxes(acc.conj(), -1, -2))
+        ev = np.clip(np.linalg.eigvalsh(H).real, 0.0, None)
+        return np.sum(ev ** (self.p / 2.0), axis=-1) ** (1.0 / self.p)
 
     def _ascent_kernels(self):
         return self.norms, self._dual_maps
@@ -260,6 +270,20 @@ class SchattenP:
         else:
             out = (U * (s[..., None, :] ** (p - 1.0))) @ Vh
         return out.reshape(V.shape)
+
+
+def _dual_model(space):
+    """``space`` at the conjugate exponent, carrying ``space.p`` so that its
+    own dual is ``space`` exactly.
+
+    The exponent is an instance attribute, not a dataclass field, so ``==``,
+    ``hash``, ``repr``, ``dataclasses.fields`` and ``dataclasses.replace``
+    do not see it (a replaced copy computes p / (p - 1) afresh).
+    """
+    q = space.p / (space.p - 1.0) if space._conjugate_p is None else space._conjugate_p
+    dual = replace(space, p=q)
+    object.__setattr__(dual, "_conjugate_p", space.p)
+    return dual
 
 
 @dataclass(frozen=True)

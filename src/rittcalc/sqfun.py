@@ -159,52 +159,94 @@ def square_function(T, x, space: SpaceModel, cfg: Optional[SFConfig] = None) -> 
     """
     cfg = cfg or SFConfig()
     T = as_matrix(T, square=True)
-    y = check_vector(x, space).reshape(-1)
-    m = cfg.m
-    rho = _effective_radius(T)
+    y = check_vector(x, space).reshape(1, -1)
+    return _square_sums(T, y, space, cfg, _effective_radius(T))[0]
 
+
+def _each(f, Y: np.ndarray, *args):
+    """f on the stack Y.  A lone row goes in as one element, so it keeps the
+    single-element kernels (a BLAS dot); its result, a scalar or one
+    element's, broadcasts like a one-row stack's."""
+    return f(Y[0], *args) if len(Y) == 1 else f(Y, *args)
+
+
+def _any(flags) -> bool:
+    # a lone row's flags are numpy scalars: their truth value skips a reduction
+    return bool(flags.any() if flags.ndim else flags)
+
+
+def _square_sums(T: np.ndarray, Y: np.ndarray, space: SpaceModel, cfg: SFConfig,
+                 rho: float) -> list:
+    """The :func:`square_function` report of every row of the stack Y.
+
+    One loop over k serves the whole stack: every row keeps its own
+    growth, tail and zero tests, and leaves the stack when it stops.  A
+    row whose terms grow raises DivergenceError at the first bad k of the
+    stack.  Products are taken as ``Y @ T.T``, which for a lone row is the
+    GEMV of ``T @ y``, so a one-row stack is bit-identical to the
+    one-vector loop; rows of a taller stack agree with it to rounding.
+    Only a one-row stack reports its terms (``per_k``), so a stack holds
+    no history.
+    """
+    m = cfg.m
     A = np.eye(T.shape[0], dtype=complex) - T
     for _ in range(m):
-        y = A @ y
+        Y = Y @ A.T
+    TT = T.T
 
-    acc = 0.0  # sum of w * space.square_term(y); the first term sets its shape
+    r = len(Y)
+    rows = np.arange(r)  # the report each row of the stack belongs to
+    tail_out = np.empty(r)
+    n_terms = np.full(r, cfg.n_max)
+    truncated = np.ones(r, dtype=bool)
     per_k = []
-    a_prev = None
-    grow_run = 0
+    acc, prev, grow, tail = 0.0, math.inf, 0, np.full(r, math.inf)
     k = 0
-    tail = math.inf
-    truncated = True
-    while k < cfg.n_max:
+    while True:
         k += 1
-        w = k ** (2 * m - 1)
-        a_k = k ** (m - 0.5) * float(space.norms(y))
-        per_k.append(a_k)
-        acc += w * space.square_term(y, cfg.side)
+        a_k = k ** (m - 0.5) * _each(space.norms, Y)
+        acc = acc + k ** (2 * m - 1) * _each(space.square_term, Y, cfg.side)
+        if k == 1:
+            elem = np.shape(acc)[r > 1:]  # the shape of one row's accumulator
+            acc_out = np.empty((r,) + elem, dtype=acc.dtype)
+            big = 1e6 * np.maximum(a_k, 1e-290)
+        if r == 1:
+            per_k.append(a_k)
 
-        if a_prev is not None and a_k > a_prev * (1.0 + 1e-12) and a_k > 1e-290:
-            grow_run += 1
-            if grow_run >= 32 and a_k > 1e6 * max(per_k[0], 1e-290):
-                raise DivergenceError(k)
+        # 32 growing terms in a row, the last 1e6 above the first
+        grow = (grow + 1) * ((a_k > prev * (1.0 + 1e-12)) & (a_k > 1e-290))
+        if k > 32 and _any((grow >= 32) & (a_k > big)):
+            raise DivergenceError(k)
+        prev = a_k
+
+        rho_t = rho * math.exp((m - 0.5) / max(k, 1))
+        if rho < 1.0 - 1e-12 and rho_t < 1.0:
+            tail = a_k * rho_t / (1.0 - rho_t)
+            stop = tail <= cfg.tail_tol  # a zero term has a zero tail
         else:
-            grow_run = 0
-        a_prev = a_k
+            stop = a_k == 0.0
+        last = k >= cfg.n_max
+        if last or _any(stop):
+            a, t, st = (np.broadcast_to(v, rows.shape) for v in (a_k, tail, stop))
+            done = np.ones(len(rows), dtype=bool) if last else st
+            out = rows[done]
+            acc_out[out] = np.reshape(acc, (len(rows),) + elem)[done]
+            tail_out[out] = np.where(a[done] == 0.0, 0.0,
+                                     np.where(np.isfinite(t[done]), t[done], a[done]))
+            n_terms[out] = k
+            truncated[out] = ~st[done]
+            if last or st.all():
+                break
+            keep = ~st
+            Y, acc, prev, grow, tail, big, rows = (
+                v[keep] for v in (Y, acc, prev, grow, tail, big, rows))
+        Y = Y @ TT
 
-        if rho < 1.0 - 1e-12:
-            rho_t = rho * math.exp((m - 0.5) / max(k, 1))
-            if rho_t < 1.0:
-                tail = a_k * rho_t / (1.0 - rho_t)
-                if tail <= cfg.tail_tol:
-                    truncated = False
-                    break
-        if a_k == 0.0:
-            tail = 0.0
-            truncated = False
-            break
-        y = T @ y
-
-    return SFReport(value=space.square_norm(acc),
-                    tail_bound=float(tail if np.isfinite(tail) else per_k[-1]),
-                    n_terms=k, truncated=truncated, per_k=np.array(per_k))
+    values = np.atleast_1d(_each(space.square_norm, acc_out))
+    return [SFReport(value=float(values[i]), tail_bound=float(tail_out[i]),
+                     n_terms=int(n_terms[i]), truncated=bool(truncated[i]),
+                     per_k=np.array(per_k) if r == 1 else None)
+            for i in range(r)]
 
 
 def _deflate(T: np.ndarray):
@@ -296,22 +338,56 @@ def _polish_ratio(fun, x0: np.ndarray, rounds: int = 60, seed: int = 1):
     return best, best_x
 
 
-def _apply_gram_series(T: np.ndarray, m: int, x: np.ndarray,
-                       n_terms: int) -> np.ndarray:
-    """G x through the series, without assembling G (for power iteration)."""
-    A = np.eye(T.shape[0], dtype=complex) - T
-    Am = np.linalg.matrix_power(A, m)
-    z = Am @ x
-    zs = []
-    for _ in range(n_terms):
-        zs.append(z)
-        z = T @ z
-    AHm = Am.conj().T
-    TH = T.conj().T
-    u = np.zeros_like(x)
-    for k in range(len(zs), 0, -1):  # Horner in T^H
-        u = TH @ u + k ** (2 * m - 1) * (AHm @ zs[k - 1])
-    return u
+def _unit_starts(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
+    """``count`` random unit vectors in the rows, drawn as the one-at-a-time
+    loop drew them: real part, then imaginary part, one start after another."""
+    Z = rng.normal(size=(count, 2, d))
+    X = Z[:, 0] + 1j * Z[:, 1]
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+def _series_gram(T: np.ndarray, m: int, n_terms: int) -> np.ndarray:
+    """sum_k k^(2m-1) (A^m)^H (T^H)^(k-1) T^(k-1) A^m over k <= n_terms, A = I - T.
+
+    One walk of :func:`numlin.power_blocks`: a block of powers becomes the
+    products B_k = T^(k-1) A^m, and adds its weighted sum of B_k^H B_k as
+    one GEMM of their stacked rows.  A^m goes in before the sum, so a
+    fixed vector of T never enters it (the sum of k^(2m-1) over its
+    undecayed powers would be cancelled only to rounding afterwards).
+    """
+    d = T.shape[0]
+    Am = np.linalg.matrix_power(np.eye(d, dtype=complex) - T, m)
+    G = np.zeros((d, d), dtype=complex)
+    for s, P in numlin.power_blocks(T, n_terms - 1):
+        B = P @ Am
+        w = np.arange(s + 1, s + 1 + len(P), dtype=float) ** (2 * m - 1)
+        G += B.reshape(-1, d).conj().T @ (w[:, None, None] * B).reshape(-1, d)
+    return G
+
+
+def _top_rayleigh(G: np.ndarray, X: np.ndarray) -> float:
+    """Largest Rayleigh quotient of G reached by power iteration from the
+    columns of X, all in one block.
+
+    A column stops when its quotient moves by at most 1e-15 max(lam, 1),
+    when G maps it to zero, or after 1000 products, and is frozen then.
+    """
+    lam = np.zeros(X.shape[1])
+    lam_prev = np.full(X.shape[1], -1.0)
+    live = np.arange(X.shape[1])
+    for _ in range(1000):
+        Xl = X[:, live]
+        Y = G @ Xl
+        lam[live] = np.sum(Xl.conj() * Y, axis=0).real
+        ny = np.linalg.norm(Y, axis=0)
+        moved = ny > 0
+        X[:, live[moved]] = Y[:, moved] / ny[moved]
+        done = ~moved | (np.abs(lam[live] - lam_prev[live]) <= 1e-15 * np.maximum(lam[live], 1.0))
+        lam_prev[live] = lam[live]
+        live = live[~done]
+        if not live.size:
+            break
+    return float(np.max(np.maximum(lam, 0.0)))
 
 
 def sf_constant(T, m: int, space: SpaceModel,
@@ -321,50 +397,39 @@ def sf_constant(T, m: int, space: SpaceModel,
     """Smallest C with ||x||_{T,m} <= C ||x||.
 
     Euclidean model: exact, the square root of the top Gram eigenvalue
-    (method "gram"); method "maximize" cross-checks it by random starts
-    plus power-iteration ascent on the series-applied Gram form.  Other
-    models: maximization over random unit vectors plus a hill climb, a
-    lower bound (flagged by construction, not by value).
+    (method "gram").  Method "maximize" cross-checks it without the Stein
+    route: it builds the series Gram form over a geometric-tail length in
+    one walk over the powers, and runs power iteration from
+    max(trials // 50, 4) random starts at once, the columns of one block.
+    Other models: ``trials`` random unit vectors, evaluated in one stacked
+    square-function loop and scanned in draw order, then a hill climb from
+    the best; a lower bound (flagged by construction, not by value).
+    ``trials`` must be at least 1 wherever random starts are drawn.
     """
     T = as_matrix(T, square=True)
     cfg = cfg or SFConfig(m=m)
     if cfg.m != m:
         cfg = dataclasses.replace(cfg, m=m)
-    if isinstance(space, Hilbert):
-        if method in ("auto", "gram"):
-            G = gram_operator(T, m=m)
-            lam = float(np.max(np.clip(np.linalg.eigvalsh(G).real, 0.0, None))) if G.size else 0.0
-            return math.sqrt(lam)
-        if method != "maximize":
-            raise ValueError(f"unknown sf_constant method {method!r}")
-        rho = _effective_radius(T)
+    euclidean = isinstance(space, Hilbert)
+    if euclidean and method in ("auto", "gram"):
+        G = gram_operator(T, m=m)
+        lam = float(np.max(np.clip(np.linalg.eigvalsh(G).real, 0.0, None))) if G.size else 0.0
+        return math.sqrt(lam)
+    if euclidean and method != "maximize":
+        raise ValueError(f"unknown sf_constant method {method!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    rho = _effective_radius(T)
+
+    if euclidean:
         if rho >= 1.0 - 1e-12:
             raise DivergenceError(0, "spectral radius off the fixed space not < 1")
         # series length: geometric tail below 1e-16 relative
         n_terms = min(int(max(64, (40 + (2 * m - 1) * math.log(max(2, 64))) /
                               max(1e-12, -math.log(max(rho, 1e-12))))), 100000)
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        d = T.shape[0]
-        best = 0.0
-        for _ in range(max(trials // 50, 4)):
-            x = rng.normal(size=d) + 1j * rng.normal(size=d)
-            x /= np.linalg.norm(x)
-            lam_prev = -1.0
-            for _ in range(1000):
-                y = _apply_gram_series(T, m, x, n_terms)
-                lam = float(np.vdot(x, y).real)
-                ny = np.linalg.norm(y)
-                if ny == 0:
-                    break
-                x = y / ny
-                if abs(lam - lam_prev) <= 1e-15 * max(lam, 1.0):
-                    break
-                lam_prev = lam
-            best = max(best, max(lam, 0.0))
-        return math.sqrt(best)
-
-    d = space.dim
-    rng = np.random.Generator(np.random.Philox(key=seed))
+        X = _unit_starts(rng, max(trials // 50, 4), T.shape[0]).T
+        return math.sqrt(_top_rayleigh(_series_gram(T, m, n_terms), X))
 
     def ratio(x):
         nx = vec_norm(x, space)
@@ -372,15 +437,17 @@ def sf_constant(T, m: int, space: SpaceModel,
             return 0.0
         return square_function(T, x, space, cfg).value / nx
 
+    U = _unit_starts(rng, trials, space.dim)
+    nx = space.norms(U)
+    sf = [rep.value for rep in _square_sums(T, U, space, cfg, rho)]
     best, best_x = 0.0, None
-    for _ in range(trials):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        r = ratio(v / np.linalg.norm(v))
+    for i in range(trials):  # the strict > of the draw-order scan
+        r = sf[i] / nx[i] if nx[i] != 0 else 0.0
         if r > best:
-            best, best_x = r, v / np.linalg.norm(v)
+            best, best_x = r, U[i]
     if best_x is not None:
         best = max(best, _polish_ratio(ratio, best_x, seed=seed + 1)[0])
-    return best
+    return float(best)
 
 
 # ---------------------------------------------------------------------------

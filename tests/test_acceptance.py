@@ -48,8 +48,9 @@ def test_criterion_04_transfer_principle():
 
 
 def test_criterion_05_square_functions():
+    t0 = time.perf_counter()
     checks = verify.criterion_5_square_functions(SEED)
-    _report("05-square-functions", checks)
+    _report("05-square-functions", checks, time.perf_counter() - t0, budget=3.0)
 
 
 def test_criterion_06_rademacher():

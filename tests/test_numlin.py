@@ -607,9 +607,26 @@ def test_dual_models_satisfy_holder(seed, p, d, schatten):
     nx = vec_norm(x, space)
     assert pairing(x, y) <= nx * vec_norm(y, dual) * (1 + 1e-12)
     assert pairing(x, y_star) == pytest.approx(nx * vec_norm(y_star, dual), rel=1e-9)
-    # p -> p/(p-1) twice returns p only up to rounding (exactly for p = 1.5, 2, 3)
+    # dual() records the exponent it came from, so p -> q -> p is exact
     back = dual.dual()
     assert back == dataclasses.replace(space, p=back.p)
-    assert back.p == pytest.approx(space.p, rel=8 * np.finfo(float).eps)
+    assert back.p == space.p and back == space
     for q in (1.5, 2.0, 3.0):
         assert dataclasses.replace(space, p=q).dual().dual() == dataclasses.replace(space, p=q)
+
+
+def test_dual_is_an_exact_involution():
+    ps = np.random.default_rng(11).uniform(1.0001, 50.0, size=2000)
+    for p in ps:
+        for space in (LpWeighted(float(p), (0.5, 2.0)), SchattenP(float(p), 2)):
+            dual = space.dual()
+            assert dual.dual() == space and dual.dual().p == space.p
+            assert dual.dual().dual() == dual
+    # the recorded exponent is invisible to ==, hash, repr and fields
+    space = LpWeighted(2.7, (1.0, 3.0))
+    back = space.dual().dual()
+    assert repr(back) == repr(space) and hash(back) == hash(space)
+    assert [f.name for f in dataclasses.fields(back)] == ["p", "weights"]
+    # a replaced copy forgets it and takes p / (p - 1) afresh
+    q = dataclasses.replace(space.dual(), weights=(2.0, 2.0))
+    assert q.dual().p == q.p / (q.p - 1.0)

@@ -163,13 +163,6 @@ def square_function(T, x, space: SpaceModel, cfg: Optional[SFConfig] = None) -> 
     return _square_sums(T, y, space, cfg, _effective_radius(T))[0]
 
 
-def _each(f, Y: np.ndarray, *args):
-    """f on the stack Y.  A lone row goes in as one element, so it keeps the
-    single-element kernels (a BLAS dot); its result, a scalar or one
-    element's, broadcasts like a one-row stack's."""
-    return f(Y[0], *args) if len(Y) == 1 else f(Y, *args)
-
-
 def _any(flags) -> bool:
     # a lone row's flags are numpy scalars: their truth value skips a reduction
     return bool(flags.any() if flags.ndim else flags)
@@ -204,8 +197,12 @@ def _square_sums(T: np.ndarray, Y: np.ndarray, space: SpaceModel, cfg: SFConfig,
     k = 0
     while True:
         k += 1
-        a_k = k ** (m - 0.5) * _each(space.norms, Y)
-        acc = acc + k ** (2 * m - 1) * _each(space.square_term, Y, cfg.side)
+        # a lone row goes into the models as one element, so it keeps the
+        # single-element kernels (a BLAS dot); its scalar or one-element
+        # results broadcast like a one-row stack's
+        V = Y[0] if len(Y) == 1 else Y
+        a_k = k ** (m - 0.5) * space.norms(V)
+        acc = acc + k ** (2 * m - 1) * space.square_term(V, cfg.side)
         if k == 1:
             elem = np.shape(acc)[r > 1:]  # the shape of one row's accumulator
             acc_out = np.empty((r,) + elem, dtype=acc.dtype)
@@ -242,7 +239,7 @@ def _square_sums(T: np.ndarray, Y: np.ndarray, space: SpaceModel, cfg: SFConfig,
                 v[keep] for v in (Y, acc, prev, grow, tail, big, rows))
         Y = Y @ TT
 
-    values = np.atleast_1d(_each(space.square_norm, acc_out))
+    values = np.atleast_1d(space.square_norm(acc_out[0] if r == 1 else acc_out))
     return [SFReport(value=float(values[i]), tail_bound=float(tail_out[i]),
                      n_terms=int(n_terms[i]), truncated=bool(truncated[i]),
                      per_k=np.array(per_k) if r == 1 else None)

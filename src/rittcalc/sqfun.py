@@ -55,6 +55,8 @@ __all__ = [
 
 EXACT_ENUM_MAX = 20
 MC_DEFAULT_SAMPLES = 4096
+GRAM_TAIL_TOL = 1e-13  # geometric tail at which the Gram series is cut
+GRAM_N_MAX = 200000  # longest Gram series before DivergenceError
 
 
 class DivergenceError(ArithmeticError):
@@ -261,57 +263,34 @@ def _deflate(T: np.ndarray):
     return W, W.conj().T @ T @ W
 
 
-def gram_operator(T, m: int = 1, method: str = "auto",
-                  tol: float = 1e-13, n_max: int = 200000) -> np.ndarray:
+def gram_operator(T, m: int = 1, method: str = "auto") -> np.ndarray:
     """Hermitian PSD Gram operator of the order-m square function (Euclidean).
 
     method "stein" (m = 1 only): two nested Stein equations
     H - T*HT = Q, G - T*GT = H on the deflated subspace.  method
-    "series": truncation with a geometric tail bound below ``tol``.
-    "auto" picks stein for m = 1.
+    "series": the series of :func:`_series_gram`, cut where its geometric
+    tail falls below ``GRAM_TAIL_TOL``.  "auto" picks stein for m = 1.
     """
     T = as_matrix(T, square=True)
     if m < 1:
         raise ValueError("m must be >= 1")
     if method == "auto":
         method = "stein" if m == 1 else "series"
-    W, Tr = _deflate(T)
-    rho = float(np.max(np.abs(numlin.eig(Tr).eigenvalues))) if Tr.size else 0.0
-    if Tr.size and rho >= 1.0 - 1e-12:
-        raise DivergenceError(0, "spectral radius off the fixed space is not < 1 "
-                                 f"(rho={rho:.6f}); eigenvalue-1 deflation failed")
-    n = T.shape[0]
-    A = np.eye(n, dtype=complex) - T
-    Em = W.conj().T @ np.linalg.matrix_power(A, m)
-
-    if not Tr.size:
-        return np.zeros((n, n), dtype=complex)
-
-    if method == "stein":
+    if method == "series":
+        G = _series_gram(T, m)
+    elif method == "stein":
         if m != 1:
             raise ValueError("stein route applies to m=1 only")
-        r = Tr.shape[0]
-        H = scipy.linalg.solve_discrete_lyapunov(Tr.conj().T, np.eye(r, dtype=complex))
+        _radius_below_one(T)
+        W, Tr = _deflate(T)
+        if not Tr.size:
+            return np.zeros(T.shape, dtype=complex)
+        H = scipy.linalg.solve_discrete_lyapunov(Tr.conj().T, np.eye(len(Tr), dtype=complex))
         Gr = scipy.linalg.solve_discrete_lyapunov(Tr.conj().T, H)
-    elif method == "series":
-        r = Tr.shape[0]
-        Gr = np.zeros((r, r), dtype=complex)
-        Pk = np.eye(r, dtype=complex)
-        k = 0
-        while True:
-            k += 1
-            Gr += k ** (2 * m - 1) * (Pk.conj().T @ Pk)
-            b_k = k ** (2 * m - 1) * np.linalg.norm(Pk, 2) ** 2
-            rho_t = rho * math.exp((2 * m - 1) / (2.0 * k))
-            if rho_t < 1.0 and b_k * rho_t**2 / (1.0 - rho_t**2) <= tol:
-                break
-            if k >= n_max:
-                raise DivergenceError(k, "series truncation cap reached")
-            Pk = Pk @ Tr
+        E = W.conj().T @ (np.eye(len(T), dtype=complex) - T)
+        G = E.conj().T @ Gr @ E
     else:
         raise ValueError(f"unknown gram method {method!r}")
-
-    G = Em.conj().T @ Gr @ Em
     return 0.5 * (G + G.conj().T)
 
 
@@ -343,19 +322,43 @@ def _unit_starts(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
-def _series_gram(T: np.ndarray, m: int, n_terms: int) -> np.ndarray:
-    """sum_k k^(2m-1) (A^m)^H (T^H)^(k-1) T^(k-1) A^m over k <= n_terms, A = I - T.
+def _radius_below_one(T: np.ndarray) -> float:
+    """:func:`_effective_radius` of T; DivergenceError unless it is < 1."""
+    rho = _effective_radius(T)
+    if rho >= 1.0 - 1e-12:
+        raise DivergenceError(0, "spectral radius off the fixed space is not < 1 "
+                                 f"(rho={rho:.6f})")
+    return rho
 
-    One walk of :func:`numlin.power_blocks`: a block of powers becomes the
-    products B_k = T^(k-1) A^m, and adds its weighted sum of B_k^H B_k as
-    one GEMM of their stacked rows.  A^m goes in before the sum, so a
-    fixed vector of T never enters it (the sum of k^(2m-1) over its
-    undecayed powers would be cancelled only to rounding afterwards).
+
+def _series_gram(T: np.ndarray, m: int) -> np.ndarray:
+    """sum_k k^(2m-1) B_k^H B_k over k <= n, B_k = T^(k-1) A^m, A = I - T.
+
+    n is fixed before the walk: from the n where rho^(2n) <= GRAM_TAIL_TOL
+    (at least 64), rho the spectral radius off the fixed space, it doubles
+    until the geometric tail of the last term, n^(2m-1) ||B_n||_2^2
+    rho_t^2 / (1 - rho_t^2) with rho_t = rho e^((2m-1)/(2n)), is at most
+    GRAM_TAIL_TOL (DivergenceError past GRAM_N_MAX).  One walk of
+    :func:`numlin.power_blocks` then adds each block's weighted B_k^H B_k
+    as one GEMM of their stacked rows.  A^m goes in before the sum, so
+    neither a fixed vector of T nor the large transient powers of a
+    non-normal T have to cancel to rounding afterwards.
     """
+    rho = _radius_below_one(T)
     d = T.shape[0]
     Am = np.linalg.matrix_power(np.eye(d, dtype=complex) - T, m)
+    n = max(64, math.ceil(math.log(GRAM_TAIL_TOL) / (2.0 * math.log(rho))) if rho > 0 else 0)
+    while True:
+        n = min(n, GRAM_N_MAX)
+        rho_t = rho * math.exp((2 * m - 1) / (2.0 * n))
+        b_n = n ** (2 * m - 1) * np.linalg.norm(np.linalg.matrix_power(T, n - 1) @ Am, 2) ** 2
+        if rho_t < 1.0 and b_n * rho_t**2 / (1.0 - rho_t**2) <= GRAM_TAIL_TOL:
+            break
+        if n >= GRAM_N_MAX:
+            raise DivergenceError(n, "series truncation cap reached")
+        n *= 2
     G = np.zeros((d, d), dtype=complex)
-    for s, P in numlin.power_blocks(T, n_terms - 1):
+    for s, P in numlin.power_blocks(T, n - 1):
         B = P @ Am
         w = np.arange(s + 1, s + 1 + len(P), dtype=float) ** (2 * m - 1)
         G += B.reshape(-1, d).conj().T @ (w[:, None, None] * B).reshape(-1, d)
@@ -417,16 +420,9 @@ def sf_constant(T, m: int, space: SpaceModel,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    rho = _effective_radius(T)
-
     if euclidean:
-        if rho >= 1.0 - 1e-12:
-            raise DivergenceError(0, "spectral radius off the fixed space not < 1")
-        # series length: geometric tail below 1e-16 relative
-        n_terms = min(int(max(64, (40 + (2 * m - 1) * math.log(max(2, 64))) /
-                              max(1e-12, -math.log(max(rho, 1e-12))))), 100000)
         X = _unit_starts(rng, max(trials // 50, 4), T.shape[0]).T
-        return math.sqrt(_top_rayleigh(_series_gram(T, m, n_terms), X))
+        return math.sqrt(_top_rayleigh(_series_gram(T, m), X))
 
     def ratio(x):
         nx = vec_norm(x, space)
@@ -436,7 +432,7 @@ def sf_constant(T, m: int, space: SpaceModel,
 
     U = _unit_starts(rng, trials, space.dim)
     nx = space.norms(U)
-    sf = [rep.value for rep in _square_sums(T, U, space, cfg, rho)]
+    sf = [rep.value for rep in _square_sums(T, U, space, cfg, _effective_radius(T))]
     best, best_x = 0.0, None
     for i in range(trials):  # the strict > of the draw-order scan
         r = sf[i] / nx[i] if nx[i] != 0 else 0.0
@@ -657,17 +653,10 @@ def r_bound_lower(Ts: Sequence, space: SpaceModel, trials: int = 200,
             best, best_tup = r, tup
 
     if isinstance(space, Hilbert):
-        # exact polish: power iteration on blockdiag(T_k^H T_k)
+        # exact polish: the squared ratio is the Rayleigh quotient of blockdiag(T_k^H T_k)
         v = np.concatenate(best_tup) if best_tup is not None else rng.normal(size=K * d) + 0j
-        for _ in range(500):
-            w = np.concatenate([ops[k].conj().T @ (ops[k] @ v[k * d:(k + 1) * d])
-                                for k in range(K)])
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                break
-            v = w / nw
-        tup = [v[k * d:(k + 1) * d] for k in range(K)]
-        best = max(best, ratio(tup))
+        G = scipy.linalg.block_diag(*(Tk.conj().T @ Tk for Tk in ops))
+        best = max(best, math.sqrt(_top_rayleigh(G, (v / np.linalg.norm(v))[:, None])))
     elif best_tup is not None:
         flat = np.concatenate(best_tup)
 

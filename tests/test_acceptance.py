@@ -59,18 +59,21 @@ def test_criterion_06_rademacher():
 
 
 def test_criterion_07_rbound():
+    t0 = time.perf_counter()
     checks = verify.criterion_7_rbound(SEED)
-    _report("07-rbound", checks)
+    _report("07-rbound", checks, time.perf_counter() - t0, budget=1.0)
 
 
 def test_criterion_08_similarity():
+    t0 = time.perf_counter()
     checks = verify.criterion_8_similarity(SEED)
-    _report("08-similarity", checks)
+    _report("08-similarity", checks, time.perf_counter() - t0, budget=1.0)
 
 
 def test_criterion_09_c512_relation():
+    t0 = time.perf_counter()
     checks = verify.criterion_9_c512(SEED)
-    _report("09-c512-relation", checks)
+    _report("09-c512-relation", checks, time.perf_counter() - t0, budget=1.0)
 
 
 def test_criterion_10_growth_witness():

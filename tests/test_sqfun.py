@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rittcalc import funcalc, sqfun
+from rittcalc import funcalc, numlin, sqfun
 from rittcalc.numlin import (Hilbert, LpWeighted, SchattenP, SupSeq, check_vector, svd,
                              vec_norm)
 from rittcalc.sqfun import (EXACT_ENUM_MAX, SFConfig, c512_check, gram_operator,
@@ -99,6 +99,22 @@ def test_gram_quadratic_form_is_square_function():
 def test_gram_deflates_eigenvalue_one():
     G = gram_operator(np.diag([1.0, 0.5]), 1)
     assert np.allclose(G, np.diag([0.0, 4.0 / 9.0]), atol=1e-12)
+
+
+GRAM_ROUTE_CALLS = {
+    "stein": lambda T: gram_operator(T, 1, method="stein"),
+    "series-1": lambda T: gram_operator(T, 1, method="series"),
+    "series-2": lambda T: gram_operator(T, 2, method="series"),
+    "maximize": lambda T: sf_constant(T, 1, Hilbert(2), method="maximize"),
+}
+
+
+@pytest.mark.parametrize("T", [np.diag([1.5, 0.5]), np.diag([-1.0, 0.5])],
+                         ids=["radius-1.5", "eigenvalue-minus-1"])
+@pytest.mark.parametrize("route", list(GRAM_ROUTE_CALLS))
+def test_gram_routes_refuse_a_radius_of_one_off_the_fixed_space(T, route):
+    with pytest.raises(sqfun.DivergenceError):
+        GRAM_ROUTE_CALLS[route](T)
 
 
 def test_sf_constant_examples():
@@ -250,6 +266,17 @@ def test_r_bound_single_and_identity():
     rb = r_bound_lower([T], Hilbert(3), trials=50, seed=0)
     assert rb == pytest.approx(op_norm(T, Hilbert(3)).value, abs=1e-9)
     assert r_bound_lower([np.eye(2)], SupSeq(2), trials=20, seed=0) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_r_bound_on_hilbert_is_the_largest_norm(K):
+    # on the Euclidean model the R-bound of a finite family is max_k ||T_k||
+    rng = np.random.default_rng(40 + K)
+    for _ in range(4):
+        d = int(rng.integers(2, 5))
+        Ts = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(K)]
+        rb = r_bound_lower(Ts, Hilbert(d), trials=20, seed=K)
+        assert rb == pytest.approx(max(np.linalg.norm(Tk, 2) for Tk in Ts), rel=1e-12, abs=0)
 
 
 # -- quadratic / matricial ratios -------------------------------------------
@@ -801,15 +828,12 @@ GRAM_ORACLE_CASES = {
     "semisimple-1": np.array([[1.0, 0.25, -0.5], [0.0, 0.5, 1.0], [0.0, 0.0, 0.3 + 0.2j]]),
 }
 # the Stein route (and sf_constant "gram", which takes it at m = 1) loses
-# digits on the non-normal case: 6.6e-11 and 3.3e-11 relative; the series
-# route at m = 2 reaches 1.3e-12
+# digits on the non-normal case: 6.6e-11 and 3.3e-11 relative
 _STEIN_LOSS = pytest.mark.xfail(strict=True, reason="Stein route off by 6.6e-11 on kappa 174")
-_SERIES_LOSS = pytest.mark.xfail(strict=True, reason="series route off by 1.3e-12 on kappa 174")
 GRAM_ORACLE_ROUTES = [
     pytest.param(name, m, route,
                  marks=(_STEIN_LOSS if (name, m, route) in (("non-normal", 1, "stein"),
                                                             ("non-normal", 1, "gram"))
-                        else _SERIES_LOSS if (name, m, route) == ("non-normal", 2, "series")
                         else ()))
     for name in GRAM_ORACLE_CASES for m in (1, 2)
     for route in (("stein", "series") if m == 1 else ("series",)) + ("gram", "maximize")]
@@ -825,3 +849,40 @@ def test_gram_routes_against_a_40_digit_series(name, m, route):
     else:
         C = sf_constant(T, m, Hilbert(3), method=route)
         assert C == pytest.approx(C_mp, rel=1e-12, abs=0.0)
+
+
+def _terms_needed(T, m):
+    """The first k at which the geometric tail of the k-th Gram term,
+    k^(2m-1) ||T^(k-1) A^m||_2^2 rho_t^2 / (1 - rho_t^2), is at most
+    ``GRAM_TAIL_TOL``: the length a term-by-term walk would stop at."""
+    rho = sqfun._effective_radius(T)
+    B = np.linalg.matrix_power(np.eye(len(T)) - T, m)
+    for k in range(1, sqfun.GRAM_N_MAX):
+        rho_t = rho * math.exp((2 * m - 1) / (2.0 * k))
+        tail = k ** (2 * m - 1) * np.linalg.norm(B, 2) ** 2 * rho_t**2 / (1.0 - rho_t**2)
+        if rho_t < 1.0 and tail <= sqfun.GRAM_TAIL_TOL:
+            return k
+        B = T @ B
+    raise AssertionError("no Gram series length found")
+
+
+def test_series_gram_walks_no_more_than_twice_the_powers_it_needs(monkeypatch):
+    # the length is fixed before the walk: a walk that is cut inside one
+    # power block (8192 powers at n = 4) asks for far more than its sum holds
+    walked = []
+    power_blocks = numlin.power_blocks
+
+    def counted(T, N):
+        for s, P in power_blocks(T, N):
+            walked.append(len(P))
+            yield s, P
+
+    monkeypatch.setattr(numlin, "power_blocks", counted)
+    cases = [(T, m) for T in GRAM_ORACLE_CASES.values() for m in (1, 2)]
+    cases += [(ritt_instance(seed, lam_hi=lam_hi), m)
+              for seed, lam_hi in ((0, 0.5), (1, 0.9), (2, 0.97)) for m in (1, 2)]
+    cases += [(np.zeros((4, 4)), 1), (np.eye(3), 2)]
+    for T, m in cases:
+        walked.clear()
+        sqfun._series_gram(T, m)
+        assert 0 < sum(walked) <= 2 * max(_terms_needed(T, m), 64)

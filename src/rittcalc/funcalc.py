@@ -380,8 +380,29 @@ def eval_contour(T, phi: HolomorphicFn, beta: Optional[float] = None,
 
 def frac_power(T, delta: float, beta: Optional[float] = None,
                mesh: Optional[MeshSpec] = None) -> CalcReport:
-    """(I - T)^delta via the contour; cross-check with frac_power_eig."""
-    return eval_contour(T, frac_power_fn(delta), beta=beta, mesh=mesh)
+    """(I - T)^delta via the contour; cross-check with frac_power_eig.
+
+    A semisimple eigenvalue 1 is split off first, since the quadrature
+    nodes close to the vertex would meet it: with P the mean ergodic
+    projection, T - P has 0 where T has 1, and (1 - z)^delta is 0 at 1
+    and 1 at 0, so (I - T)^delta = (I - (T - P))^delta - P.  A defective
+    eigenvalue 1 raises ContourSpectrumError.  Without eigenvalue 1 the
+    contour runs on T itself.
+    """
+    T = as_matrix(T, square=True)
+    phi = frac_power_fn(delta)
+    # ||T||_F >= ||T||_2, so this screen catches every eigenvalue that
+    # ritt.eigenvalue_one_tolerance (used by the projection) counts as 1
+    near_one = 1e-10 * (1.0 + np.linalg.norm(T))
+    if not np.any(np.abs(numlin.eig(T).eigenvalues - 1.0) <= near_one):
+        return eval_contour(T, phi, beta=beta, mesh=mesh)
+    try:
+        P = ritt.mean_ergodic_projection(T)
+    except numlin.SingularMatrixError as exc:
+        raise ContourSpectrumError(f"frac_power: {exc}") from exc
+    rep = eval_contour(T - P, phi, beta=beta, mesh=mesh)
+    rep.value = rep.value - P
+    return rep
 
 
 def scaled_calculus(T, phi: HolomorphicFn, r: float,

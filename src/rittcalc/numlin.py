@@ -98,8 +98,9 @@ class PowerOverflow(OverflowError):
 # Every model answers the same questions: ``dim`` (the vector length its
 # operators act on), ``exact`` (whether ``op_norm`` is exact), ``dual()``,
 # ``norms(V)`` along the last axis of a stack of flat elements,
-# ``op_norms(stack)``, ``op_norm(M)``, and the two halves of the
-# square-function accumulator, ``square_term(y, side)`` and
+# ``op_norms(stack)``, ``op_norm(M)``, ``scaled_resolvent_norms(T, z)``
+# (the norms of (z_j - 1) R(z_j, T) for one block of nodes), and the two
+# halves of the square-function accumulator, ``square_term(y, side)`` and
 # ``square_norm(acc)``, which take one element or a stack of them.
 # Inputs are checked by the public functions below.
 
@@ -132,6 +133,9 @@ class Hilbert:
 
     def op_norm(self, M: np.ndarray) -> OpNormResult:
         return _spectral_op_norm(M)
+
+    def scaled_resolvent_norms(self, T: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return _singular_resolvent_norms(T, z)
 
     def square_term(self, y: np.ndarray, side: str) -> np.ndarray:
         # a single element keeps the BLAS dot of np.vdot
@@ -187,6 +191,9 @@ class LpWeighted(_Pointwise):
         upper_eq = self.dim ** abs(0.5 - 1.0 / p) * float(svd(A)[0])
         upper = max(lower, min(upper_rt, upper_eq))
         return OpNormResult(value=lower, upper=upper, exact=False, witness=witnesses[0] / D)
+
+    def scaled_resolvent_norms(self, T: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return _kernel_resolvent_norms(T, z, self)
 
     def _unweighted(self, M: np.ndarray):
         """``(D M D^-1, D)`` with D = w^(1/p): the realization of M (one
@@ -244,6 +251,11 @@ class SchattenP:
         upper = max(lower, self.n ** abs(0.5 - 1.0 / self.p) * float(svd(M)[0]))
         return OpNormResult(value=lower, upper=upper, exact=False,
                             witness=witnesses[0].reshape(self.n, self.n))
+
+    def scaled_resolvent_norms(self, T: np.ndarray, z: np.ndarray) -> np.ndarray:
+        if self.exact:
+            return _singular_resolvent_norms(T, z)
+        return _kernel_resolvent_norms(T, z, self)
 
     def square_term(self, y: np.ndarray, side: str) -> np.ndarray:
         """Column (y* y) or row (y y*) square of the element(s) y."""
@@ -308,6 +320,9 @@ class SupSeq(_Pointwise):
         val = float(rows[i])
         witness = np.where(np.abs(M[i]) > 0, np.conj(M[i]) / np.maximum(np.abs(M[i]), 1e-300), 1.0)
         return OpNormResult(value=val, upper=val, exact=True, witness=witness)
+
+    def scaled_resolvent_norms(self, T: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return _kernel_resolvent_norms(T, z, self)
 
 
 SpaceModel = Union[Hilbert, LpWeighted, SchattenP, SupSeq]
@@ -526,6 +541,39 @@ def _guarded_inverses(M: np.ndarray, z: np.ndarray) -> np.ndarray:
         j = int(np.argmax(over))
         _refuse(f"residual {resid[j]:.3e} exceeds tolerance {target:.3e}", z[j], rcond[j])
     return X
+
+
+def _kernel_resolvent_norms(T: np.ndarray, z: np.ndarray, space: SpaceModel) -> np.ndarray:
+    """||(z_j - 1) R(z_j, T)|| on any model: the guarded inverses of
+    :func:`resolvents`, scaled, then :func:`op_norms`."""
+    R = resolvents(T, z)
+    R *= (z - 1.0)[:, None, None]
+    return op_norms(R, space)
+
+
+def _singular_resolvent_norms(T: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """||(z_j - 1) R(z_j, T)||_2 = |z_j - 1| / sigma_min(z_j I - T), from one
+    stacked SVD of the shifted block; no inverse is formed.
+
+    A node is refused, as by :func:`resolvents`, when the exact 2-norm
+    reciprocal condition number sigma_min / sigma_max of z_j I - T, read
+    from the same singular values, is below ``RCOND_MIN`` (NaN counts as
+    refused).  An SVD that does not converge raises
+    :class:`EigNonConvergence`.
+    """
+    M = z[:, None, None] * np.eye(T.shape[0], dtype=complex) - T
+    try:
+        s = np.linalg.svd(M, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise EigNonConvergence(f"SVD of the shifted resolvent block did not converge: {exc}") from exc
+    smin = s[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rcond = smin / s[:, 0]
+    bad = ~(rcond >= RCOND_MIN)
+    if bad.any():
+        j = int(np.argmax(bad))
+        _refuse(f"singular to tolerance, 2-norm rcond below {RCOND_MIN:.1e}", z[j], rcond[j])
+    return np.abs(z - 1.0) / smin
 
 
 def svd(M, factors: bool = False):

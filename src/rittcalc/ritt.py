@@ -181,10 +181,21 @@ def resolvent_sup(T, beta: float, space: SpaceModel, per_piece: int = 48) -> flo
     A heuristic (sampled, no maximum principle invoked): the returned
     value is a lower bound for the true supremum.  Sample points that
     fall inside the spectrum tolerance are skipped with a warning.  The
-    points go through the resolvent kernel one block at a time, so no
-    more than one block of resolvents is held.
+    points go to the model's ``scaled_resolvent_norms`` one block of
+    ``numlin.resolvent_block_len`` nodes at a time.
+
+    On the models whose operator norm is the largest singular value
+    (Hilbert, Schatten-2) the norm is |lam - 1| / sigma_min(lam I - T)
+    from one stacked SVD of the shifted block, and a node is refused
+    when sigma_min / sigma_max falls below ``numlin.RCOND_MIN``.  That
+    2-norm rcond differs from the 1-norm rcond of the resolvent kernel
+    by at most a factor n, since kappa_1 / n <= kappa_2 <= n kappa_1.
+    The other models take the guarded inverses of
+    :func:`rittcalc.numlin.resolvents` and their own ``op_norms``.  A
+    refused node raises :class:`rittcalc.numlin.SingularMatrixError`
+    naming the node and its rcond.
     """
-    T = as_matrix(T, square=True)
+    T = numlin.as_operator(T, space)
     eigs = numlin.eig(T).eigenvalues
     lam = resolvent_sample_points(T, beta, per_piece)
     near = np.abs(lam[:, None] - eigs[None, :]).min(axis=1) <= 1e-12 * (1.0 + np.abs(lam))
@@ -193,10 +204,7 @@ def resolvent_sup(T, beta: float, space: SpaceModel, per_piece: int = 48) -> flo
     best = 0.0
     step = numlin.resolvent_block_len(T.shape[0])
     for s in range(0, lam.size, step):
-        z = lam[s:s + step]
-        R = numlin.resolvents(T, z)
-        R *= (z - 1.0)[:, None, None]
-        best = max(best, float(numlin.op_norms(R, space).max()))
+        best = max(best, float(space.scaled_resolvent_norms(T, lam[s:s + step]).max()))
     if skipped:
         warnings.warn(f"resolvent_sup skipped {skipped} sample points inside "
                       "the spectrum tolerance")

@@ -127,6 +127,37 @@ def test_frac_power_eigen_oracle_and_additivity():
     assert np.linalg.norm(third @ twothird - (np.eye(4) - T), 2) <= 1e-6
 
 
+@pytest.mark.parametrize("d", [(1.0, 0.5, 0.2 + 0.1j), (1.0, 1.0, 0.6j, -0.4)])
+@pytest.mark.parametrize("similar", [False, True])
+@pytest.mark.parametrize("delta", [0.5, 1.0 / 3.0])
+def test_frac_power_with_semisimple_eigenvalue_one(d, similar, delta):
+    # planted oracle S diag((1 - d)^delta) S^-1; the contour alone refuses the
+    # node that lands on 1 (z = 1 + 2.6e-15i, rcond 6.9e-15 on the diagonal case)
+    n = len(d)
+    S = np.eye(n)
+    if similar:
+        rng = np.random.default_rng(11)
+        S = np.eye(n) + 0.4 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    Sinv = np.linalg.inv(S)
+    T = S @ np.diag(d) @ Sinv
+    oracle = S @ np.diag(np.power(1.0 - np.asarray(d, dtype=complex), delta)) @ Sinv
+    rep = frac_power(T, delta)
+    assert np.linalg.norm(rep.value - oracle, 2) <= 1e-12 * np.linalg.norm(oracle, 2)
+
+
+def test_frac_power_defective_one_raises():
+    T = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
+    with pytest.raises(funcalc.ContourSpectrumError, match="defective"):
+        frac_power(T, 0.5)
+
+
+def test_frac_power_without_eigenvalue_one_skips_the_projection(monkeypatch):
+    T = ritt_instance(3)
+    ref = funcalc.eval_contour(T, frac_power_fn(0.5)).value
+    monkeypatch.setattr(ritt, "mean_ergodic_projection", None)
+    assert np.array_equal(frac_power(T, 0.5).value, ref)
+
+
 def test_scaled_calculus():
     rep = scaled_calculus(np.diag([0.5]), poly([0, 1]), 0.9)
     assert rep.value[0, 0] == pytest.approx(0.45, abs=1e-10)

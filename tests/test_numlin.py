@@ -302,6 +302,78 @@ def test_resolvents_raise_on_singular_node(monkeypatch):
     assert 1.0 / exc.value.cond_estimate < numlin.RCOND_MIN
 
 
+def test_singular_value_route_raises_on_singular_node(monkeypatch):
+    # the Hilbert and Schatten-2 route of resolvent_sup keeps the kernel's refusals
+    T = np.diag([0.5, 0.2])
+    with pytest.raises(numlin.SingularMatrixError) as exc:
+        Hilbert(2).scaled_resolvent_norms(T, np.array([0.9, 0.1j, 0.3, 0.5]))
+    assert exc.value.node == 0.5
+    assert exc.value.cond_estimate > 1e300
+    assert "rcond" in str(exc.value)
+    J = np.array([[0.5, 1e9], [0.0, 0.5]])
+    with pytest.raises(numlin.SingularMatrixError) as exc:
+        Hilbert(2).scaled_resolvent_norms(J, np.array([0.5 + 0.3j]))
+    assert exc.value.node == 0.5 + 0.3j
+    assert 1.0 / exc.value.cond_estimate < numlin.RCOND_MIN
+    # an SVD that does not converge is never silent
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(numlin.EigNonConvergence, match="did not converge"):
+        Hilbert(2).scaled_resolvent_norms(T, np.array([0.9]))
+    with pytest.raises(numlin.EigNonConvergence):
+        ritt.resolvent_sup(np.kron(np.eye(2), T), np.pi / 4, SchattenP(2.0, 2), per_piece=4)
+
+
+def _mp_scaled_resolvent_norm(T, z):
+    # ||(z - 1)(z I - T)^-1||_2 in 40-digit arithmetic
+    n = T.shape[0]
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(complex(z))
+        M = mpmath.matrix([[(zm if i == j else 0) - mpmath.mpc(complex(T[i, j]))
+                            for j in range(n)] for i in range(n)])
+        return float(abs(zm - 1) * max(mpmath.svd(M ** -1, compute_uv=False)))
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_scaled_resolvent_norms_match_mpmath_at_the_worst_nodes(name):
+    # the five worst conditioned sample nodes of every verdict beta, on the
+    # singular-value route and on the kernel route
+    T = GALLERY[name]
+    cfg = ritt.RittConfig()
+    alpha = ritt.spectral_type(T)
+    I = np.eye(T.shape[0])
+    for f in cfg.beta_fracs:
+        beta = alpha + (np.pi / 2 - alpha) * f
+        pts = ritt.resolvent_sample_points(T, beta, cfg.resolvent_per_piece)
+        s = np.linalg.svd(pts[:, None, None] * I - T, compute_uv=False)
+        z = pts[np.argsort(s[:, -1] / s[:, 0])[:5]]
+        oracle = np.array([_mp_scaled_resolvent_norm(T, zj) for zj in z])
+        for got in (Hilbert(T.shape[0]).scaled_resolvent_norms(T, z),
+                    numlin._kernel_resolvent_norms(T, z, Hilbert(T.shape[0]))):
+            assert np.max(np.abs(got - oracle) / oracle) <= 1e-11, (name, f)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), schatten=st.booleans())
+def test_resolvent_sup_matches_the_dense_inverse_oracle(seed, schatten):
+    rng = np.random.default_rng(seed)
+    n = 4 if schatten else int(rng.integers(1, 6))
+    space = SchattenP(2.0, 2) if schatten else Hilbert(n)
+    # a unitary rotation of a triangular matrix with spectrum in the disc of radius 0.9
+    lams = 0.9 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    U = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
+    Q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    T = Q @ (np.diag(lams) + rng.uniform(0.0, 2.0) * U) @ Q.conj().T
+    beta = 0.5 * (ritt.spectral_type(T) + np.pi / 2)
+    val = ritt.resolvent_sup(T, beta, space, per_piece=6)
+    I = np.eye(n)
+    oracle = max(np.linalg.norm((z - 1) * np.linalg.inv(z * I - T), 2)
+                 for z in ritt.resolvent_sample_points(T, beta, 6))
+    assert abs(val - oracle) <= 1e-9 * oracle
+
+
 def test_resolvents_refuse_residual_above_roundoff_floor(monkeypatch):
     # a solver that is off by 1e-3 everywhere: refinement cannot repair it
     exact = np.linalg.solve

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rittcalc import numlin, ritt, stolz
-from rittcalc.numlin import Hilbert
+from rittcalc.numlin import Hilbert, SchattenP, SupSeq
 from rittcalc.ritt import (decay_sequences, increment_bound,
                            mean_ergodic_projection, power_bound,
                            resolvent_sample_points, resolvent_sup,
@@ -250,12 +250,16 @@ def test_increment_profile_prefix_is_increment_bound():
             assert float(prof[:N].max()) == increment_bound(T, space, N)
 
 
+@pytest.mark.parametrize("space", [Hilbert(2), SupSeq(2), SchattenP(2.0, 2)])
 @pytest.mark.parametrize("N", [8, 64])
-def test_verdict_inconclusive_when_resolvent_node_refused(N):
+def test_verdict_inconclusive_when_resolvent_node_refused(N, space):
     # spectrum {0.5} passes, but the pseudospectrum of this Jordan-like block
-    # swallows the resolvent nodes: the kernel refuses them (rcond ~ 1e-61)
+    # swallows the resolvent nodes: the singular-value route (Hilbert,
+    # Schatten-2) and the kernel (sup) refuse them (rcond ~ 1e-61)
     T = np.array([[0.5, 1e30], [0.0, 0.5]])
-    rep = ritt_verdict(T, config=ritt.RittConfig(N=N))
+    if space.dim == 4:
+        T = np.kron(np.eye(2), T)
+    rep = ritt_verdict(T, space, config=ritt.RittConfig(N=N))
     assert rep.verdict == "inconclusive"
     refused = [r for r in rep.reasons if "refused" in r]
     assert refused

@@ -297,7 +297,9 @@ class ContourCalculus:
     Resolvents are computed once per mesh level and reused across
     functions, so applying a whole test family costs one resolvent
     sweep.  The final contour sum runs in a fixed sequential order for
-    reproducibility.
+    reproducibility.  A semisimple eigenvalue 1 is split off with the
+    mean ergodic projection P, so the contour runs on T - P; a
+    defective one raises ContourSpectrumError.
     """
 
     def __init__(self, T, beta: Optional[float] = None,
@@ -325,6 +327,24 @@ class ContourCalculus:
         self.eigs = numlin.eig(self.T).eigenvalues
         self._vertex_in_spectrum = bool(
             np.any(np.abs(self.eigs - 1.0) <= VERTEX_CLUSTER))
+        # a semisimple eigenvalue 1 is split off, since the quadrature
+        # nodes close to the vertex would meet it: with P the mean ergodic
+        # projection, T - P has 0 where T has 1, and an admissible phi
+        # vanishes at 1, so phi(T) = phi(T - P) - phi(0) P
+        self._P = None
+        self._A = self.T  # the operator under the contour
+        self._A_eigs = self.eigs
+        if self._vertex_in_spectrum:
+            one = np.abs(self.eigs - 1.0) <= ritt.eigenvalue_one_tolerance(self.T)
+            if one.any():
+                try:
+                    self._P = ritt.mean_ergodic_projection(self.T)
+                except numlin.SingularMatrixError as exc:
+                    raise ContourSpectrumError(f"contour calculus: {exc}") from exc
+                self._A = self.T - self._P
+                self._A_eigs = np.where(one, 0.0, self.eigs)
+        self._vertex_under_contour = bool(
+            np.any(np.abs(self._A_eigs - 1.0) <= VERTEX_CLUSTER))
         self._levels: list = []  # (contour, resolvents (m,n,n))
 
     def _level(self, k: int):
@@ -333,8 +353,8 @@ class ContourCalculus:
             for _ in range(len(self._levels)):
                 mesh = mesh.refined()
             contour = stolz.boundary_contour(self.beta, mesh)
-            R = _node_resolvents(self.T, contour.nodes, "quadrature")
-            _check_separation(contour.nodes, self.eigs, "quadrature")
+            R = _node_resolvents(self._A, contour.nodes, "quadrature")
+            _check_separation(contour.nodes, self._A_eigs, "quadrature")
             self._levels.append((contour, R))
         return self._levels[k]
 
@@ -342,10 +362,17 @@ class ContourCalculus:
         if not self._vertex_in_spectrum:
             return
         cert = phi.h0_certificate
-        if cert is None or cert[1] < MIN_CERT_S:
+        # once 1 is split off phi only has to vanish there (s > 0); a
+        # spectrum left at the vertex also needs the decay s >= MIN_CERT_S
+        # that makes the integral converge
+        if self._vertex_under_contour:
+            ok, need = cert is not None and cert[1] >= MIN_CERT_S, f">= {MIN_CERT_S}"
+        else:
+            ok, need = cert is not None and cert[1] > 0.0, "> 0"
+        if not ok:
             raise AdmissibilityError(
                 "1 lies in the spectrum: phi needs an h0 certificate with "
-                f"exponent s >= {MIN_CERT_S} (got {cert!r})")
+                f"exponent s {need} (got {cert!r})")
 
     def apply(self, phi: HolomorphicFn) -> CalcReport:
         """phi(T) with a two-mesh (coarse vs refined) error estimate."""
@@ -365,6 +392,9 @@ class ContourCalculus:
                 break
         contour, _ = self._level(used)
         est += 1e-11 * (1.0 + float(np.linalg.norm(best, 2)))  # roundoff floor
+        if self._P is not None:
+            phi0 = np.asarray(phi(np.zeros(1, dtype=complex)), dtype=complex).reshape(-1)[0]
+            best = best - phi0 * self._P
         return CalcReport(value=best, error_estimate=est, beta=self.beta,
                           node_count=len(contour.nodes),
                           meta={"label": phi.label, "alpha": self.alpha},
@@ -382,27 +412,10 @@ def frac_power(T, delta: float, beta: Optional[float] = None,
                mesh: Optional[MeshSpec] = None) -> CalcReport:
     """(I - T)^delta via the contour; cross-check with frac_power_eig.
 
-    A semisimple eigenvalue 1 is split off first, since the quadrature
-    nodes close to the vertex would meet it: with P the mean ergodic
-    projection, T - P has 0 where T has 1, and (1 - z)^delta is 0 at 1
-    and 1 at 0, so (I - T)^delta = (I - (T - P))^delta - P.  A defective
-    eigenvalue 1 raises ContourSpectrumError.  Without eigenvalue 1 the
-    contour runs on T itself.
+    A semisimple eigenvalue 1 is split off by :class:`ContourCalculus`;
+    a defective one raises ContourSpectrumError.
     """
-    T = as_matrix(T, square=True)
-    phi = frac_power_fn(delta)
-    # ||T||_F >= ||T||_2, so this screen catches every eigenvalue that
-    # ritt.eigenvalue_one_tolerance (used by the projection) counts as 1
-    near_one = 1e-10 * (1.0 + np.linalg.norm(T))
-    if not np.any(np.abs(numlin.eig(T).eigenvalues - 1.0) <= near_one):
-        return eval_contour(T, phi, beta=beta, mesh=mesh)
-    try:
-        P = ritt.mean_ergodic_projection(T)
-    except numlin.SingularMatrixError as exc:
-        raise ContourSpectrumError(f"frac_power: {exc}") from exc
-    rep = eval_contour(T - P, phi, beta=beta, mesh=mesh)
-    rep.value = rep.value - P
-    return rep
+    return eval_contour(T, frac_power_fn(delta), beta=beta, mesh=mesh)
 
 
 def scaled_calculus(T, phi: HolomorphicFn, r: float,

@@ -16,7 +16,11 @@ together with an interpolation-style upper bound.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
@@ -42,6 +46,7 @@ __all__ = [
     "solve",
     "resolvents",
     "resolvent_block_len",
+    "map_node_blocks",
     "svd",
     "vec_norm",
     "op_norm",
@@ -467,28 +472,101 @@ def resolvent_block_len(n: int) -> int:
     return max(1, RESOLVENT_BLOCK_BYTES // (16 * n * n))
 
 
+def _worker_count() -> int:
+    """CPUs available to this process (all CPUs where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# One pool per process and worker count, made on first use and kept: a
+# thread started as another exits can miss that thread's malloc arena and
+# get a new one, so pools made per call let the arenas, and with them the
+# peak memory, grow over a run.
+_POOL_LOCK = threading.Lock()
+_POOL = None  # ((pid, workers), executor)
+_THREAD = threading.local()
+
+
+def _mark_worker():
+    _THREAD.is_worker = True
+
+
+def _pool(workers: int) -> ThreadPoolExecutor:
+    global _POOL
+    key = (os.getpid(), workers)  # a forked child makes its own
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != key:
+            _POOL = (key, ThreadPoolExecutor(max_workers=workers,
+                                             thread_name_prefix="rittcalc-nodes",
+                                             initializer=_mark_worker))
+        return _POOL[1]
+
+
+def map_node_blocks(fn, m: int, n: int) -> list:
+    """``[fn(b) for b in blocks]`` over a partition of m nodes of n x n
+    operators into slices, one worker thread per CPU.
+
+    m nodes that fit in one ``resolvent_block_len(n)`` block are one block,
+    run in the caller's thread.  More nodes are cut into blocks of a
+    quarter of that length, the last one partial: each worker thread
+    keeps its own malloc arena, and full-length blocks would raise the
+    peak memory of every arena.  The partition depends on m and n only,
+    never on the number of workers, so as long as ``fn`` computes every
+    node independently of its block neighbours the results, and the
+    first refusal, are the same on every machine.  Each block runs in a
+    copy of the caller's context, so ``np.errstate`` carries over.
+    Results come back in block order: the first failing block's
+    exception is the one raised, once the blocks already running are
+    done; the blocks not yet started are cancelled.  A call from a
+    worker runs serially.  ``fn`` must not change process-global state
+    (no ``warnings.catch_warnings``).
+    """
+    step = resolvent_block_len(n)
+    if m > step:
+        step = max(1, step // 4)
+    blocks = [slice(s, min(s + step, m)) for s in range(0, m, step)]
+    workers = _worker_count()
+    if len(blocks) <= 1 or workers <= 1 or getattr(_THREAD, "is_worker", False):
+        return [fn(b) for b in blocks]
+    pool = _pool(workers)
+    futures = [pool.submit(contextvars.copy_context().run, fn, b) for b in blocks]
+    try:
+        return [f.result() for f in futures]
+    finally:
+        for f in futures:
+            f.cancel()
+        wait(futures)
+
+
 def resolvents(T, nodes) -> np.ndarray:
     """Stacked resolvents (z_j I - T)^-1 for every node z_j, shape (m, n, n).
 
-    Nodes are inverted by stacked LU solves in blocks of about
-    ``RESOLVENT_BLOCK_BYTES`` of matrices and written into one
-    preallocated output, so no temporary exceeds one block.  Every node
-    keeps the guards of :func:`solve`: the reciprocal condition number
+    Nodes are inverted by stacked LU solves, block by block of
+    :func:`map_node_blocks` (one worker per CPU when there are several
+    blocks), and each block writes its slice of one preallocated output,
+    so a worker's temporaries never exceed one block.  Every node keeps
+    the guards of :func:`solve`: the reciprocal condition number
     ``1 / (||M||_1 ||X||_1)``, exact because X is the full inverse, must
     reach ``RCOND_MIN``; up to 3 rounds of iterative refinement drive the
     residual to ``SOLVE_TOL * ||I||_F``, and the roundoff floor
-    ``64 eps ||I||_F / rcond`` is the most that is accepted.  A refused
-    node raises :class:`SingularMatrixError` carrying that node.
+    ``64 eps ||I||_F / rcond`` is the most that is accepted.  Every node
+    is computed alone, so the values do not depend on the blocks.  A
+    refused node raises :class:`SingularMatrixError` carrying that node:
+    within a block an rcond refusal comes before a residual one, and the
+    first refusing block wins.
     """
     T = as_matrix(T, square=True)
     z = np.asarray(nodes, dtype=complex).reshape(-1)
     n = T.shape[0]
     I = np.eye(n, dtype=complex)
     out = np.empty((z.size, n, n), dtype=complex)
-    step = resolvent_block_len(n)
-    for s in range(0, z.size, step):
-        zb = z[s:s + step]
-        out[s:s + step] = _guarded_inverses(zb[:, None, None] * I - T, zb)
+
+    def invert(b):
+        zb = z[b]
+        out[b] = _guarded_inverses(zb[:, None, None] * I - T, zb)
+
+    map_node_blocks(invert, z.size, n)
     return out
 
 

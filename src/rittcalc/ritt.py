@@ -181,8 +181,11 @@ def resolvent_sup(T, beta: float, space: SpaceModel, per_piece: int = 48) -> flo
     A heuristic (sampled, no maximum principle invoked): the returned
     value is a lower bound for the true supremum.  Sample points that
     fall inside the spectrum tolerance are skipped with a warning.  The
-    points go to the model's ``scaled_resolvent_norms`` one block of
-    ``numlin.resolvent_block_len`` nodes at a time.
+    points go to the model's ``scaled_resolvent_norms`` block by block
+    of :func:`rittcalc.numlin.map_node_blocks`, one worker per CPU when
+    there are several blocks, and the supremum is the max of the block
+    maxima, taken in block order.  Every node's norm is computed alone,
+    so the value is the same whatever the blocks and the workers.
 
     On the models whose operator norm is the largest singular value
     (Hilbert, Schatten-2) the norm is |lam - 1| / sigma_min(lam I - T)
@@ -202,9 +205,10 @@ def resolvent_sup(T, beta: float, space: SpaceModel, per_piece: int = 48) -> flo
     skipped = int(np.count_nonzero(near))
     lam = lam[~near]
     best = 0.0
-    step = numlin.resolvent_block_len(T.shape[0])
-    for s in range(0, lam.size, step):
-        best = max(best, float(space.scaled_resolvent_norms(T, lam[s:s + step]).max()))
+    for v in numlin.map_node_blocks(
+            lambda b: float(space.scaled_resolvent_norms(T, lam[b]).max()),
+            lam.size, T.shape[0]):
+        best = max(best, v)
     if skipped:
         warnings.warn(f"resolvent_sup skipped {skipped} sample points inside "
                       "the spectrum tolerance")

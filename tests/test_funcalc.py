@@ -158,6 +158,46 @@ def test_frac_power_without_eigenvalue_one_skips_the_projection(monkeypatch):
     assert np.array_equal(frac_power(T, 0.5).value, ref)
 
 
+@pytest.mark.parametrize("delta", [0.5, 0.75])
+def test_eval_contour_splits_off_a_semisimple_eigenvalue_one(delta):
+    # without the split the node z = 1 + 2.6e-15i is refused (rcond 6.9e-15)
+    # at delta = 0.5, and at delta = 0.75 the (0, 0) entry comes out 1.5e-11
+    d = np.array([1.0, 0.5, 0.2 + 0.1j])
+    rep = eval_contour(np.diag(d), frac_power_fn(delta))
+    assert abs(rep.value[0, 0]) <= 1e-14
+    assert np.max(np.abs(rep.value - np.diag(np.power(1.0 - d, delta)))) <= 1e-13
+
+
+def test_contour_calculus_with_eigenvalue_one_matches_horner():
+    T = ritt_instance(4, lams=[1.0, 1.0, 0.6j, -0.4])
+    calc = ContourCalculus(T, beta=math.pi / 4)
+    rng = np.random.default_rng(2)
+    for deg in (2, 8, 16):
+        c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        c[0] -= c.sum()  # phi(1) = 0
+        direct = eval_poly(T, poly(c))
+        got = calc.apply(poly(c)).value
+        assert np.linalg.norm(got - direct, 2) <= 1e-12 * np.linalg.norm(direct, 2)
+
+
+def test_contour_calculus_refuses_a_defective_eigenvalue_one():
+    T = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
+    with pytest.raises(funcalc.ContourSpectrumError, match="defective"):
+        eval_contour(T, poly([0, 1, -1]))
+
+
+def test_contour_admissibility_after_the_split():
+    # a split-off eigenvalue 1 only asks phi(1) = 0; an eigenvalue near 1
+    # that is not split off keeps the vertex under the contour
+    third = frac_power_fn(1.0 / 3.0)
+    rep = eval_contour(np.diag([1.0, 0.5]), third)
+    assert rep.value[1, 1] == pytest.approx(0.5 ** (1.0 / 3.0), abs=1e-12)
+    with pytest.raises(funcalc.AdmissibilityError, match=">= 0.5"):
+        eval_contour(np.diag([1.0 - 1e-8, 0.5]), third)
+    with pytest.raises(funcalc.AdmissibilityError, match="> 0"):
+        eval_contour(np.diag([1.0, 0.5]), poly([1.0]))
+
+
 def test_scaled_calculus():
     rep = scaled_calculus(np.diag([0.5]), poly([0, 1]), 0.9)
     assert rep.value[0, 0] == pytest.approx(0.45, abs=1e-10)

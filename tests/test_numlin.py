@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -383,8 +386,154 @@ def test_resolvents_refuse_residual_above_roundoff_floor(monkeypatch):
     assert exc.value.node == 0.9
 
 
-@pytest.mark.parametrize("space", [Hilbert(4), LpWeighted(3.0, (1.0, 2.0, 0.5, 1.5)),
-                                   SchattenP(2.0, 2), SchattenP(3.0, 2), SupSeq(4)])
+#: the five norm models on dimension 4
+MODELS = [Hilbert(4), LpWeighted(3.0, (1.0, 2.0, 0.5, 1.5)),
+          SchattenP(2.0, 2), SchattenP(3.0, 2), SupSeq(4)]
+#: block bytes for 4 x 4 operators (256 bytes each): one block holds 22
+#: nodes, so a larger call is cut into blocks of 5
+SMALL_BLOCK_BYTES = 22 * 256
+
+
+def _at_worker_counts(monkeypatch, fn):
+    """fn() with small blocks at 1, 2 and 3 workers."""
+    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", SMALL_BLOCK_BYTES)
+    out = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(numlin, "_worker_count", lambda w=workers: w)
+        out.append(fn())
+    return out
+
+
+@pytest.mark.parametrize("space", MODELS, ids=repr)
+def test_worker_pool_is_bit_identical_to_one_block(monkeypatch, space):
+    T = _similar(5, [0.5, 0.3 + 0.2j, -0.4, 0.8])
+    beta = 0.5 * (ritt.spectral_type(T) + np.pi / 2)
+    nodes = ritt.resolvent_sample_points(T, beta, per_piece=2)
+    assert nodes.size > 22 and nodes.size % 5 != 0  # several blocks, the last partial
+    # the default block length holds every node: one block, the caller's thread
+    ref_R = numlin.resolvents(T, nodes)
+    ref_sup = ritt.resolvent_sup(T, beta, space, per_piece=2)
+    for R in _at_worker_counts(monkeypatch, lambda: numlin.resolvents(T, nodes)):
+        assert np.array_equal(R, ref_R)
+    for sup in _at_worker_counts(
+            monkeypatch, lambda: ritt.resolvent_sup(T, beta, space, per_piece=2)):
+        assert sup.hex() == ref_sup.hex()
+
+
+def test_worker_pool_stress_more_workers_than_cores(monkeypatch):
+    # eight workers write their slices of one output with the interpreter
+    # switching threads every microsecond: a lost or misplaced block shows
+    T = _similar(6, [0.5, 0.3 + 0.2j, -0.4, 0.8])
+    nodes = 0.95 * np.exp(1j * np.linspace(0.1, 6.2, 400))
+    ref = numlin.resolvents(T, nodes)
+    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", SMALL_BLOCK_BYTES)
+    monkeypatch.setattr(numlin, "_worker_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert np.array_equal(numlin.resolvents(T, nodes), ref)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _refusal(monkeypatch, T, nodes):
+    def refused():
+        with pytest.raises(numlin.SingularMatrixError) as exc:
+            numlin.resolvents(T, nodes)
+        return exc.value.node, str(exc.value)
+
+    return _at_worker_counts(monkeypatch, refused)
+
+
+def test_worker_pool_raises_the_first_refusing_block(monkeypatch):
+    T = np.diag([0.5, 0.2, 0.1, -0.3]).astype(complex)
+    nodes = 0.9 * np.exp(1j * np.linspace(0.0, 6.0, 40))
+    nodes[27] = 0.2   # block 5 of blocks 0-7
+    nodes[36] = 0.5   # block 7
+    got = _refusal(monkeypatch, T, nodes)
+    assert got == [got[0]] * 3
+    assert got[0][0] == 0.2 and "rcond" in got[0][1]
+
+
+def test_worker_pool_keeps_the_order_of_refusals_in_a_block(monkeypatch):
+    # block 2 holds a residual refusal (node 10) before an rcond refusal
+    # (node 12); within a block the rcond guard runs first, so node 12 is
+    # the one raised, ahead of a residual refusal in block 3 (node 17)
+    T = np.diag([0.5, 0.2, 0.1, -0.3]).astype(complex)
+    nodes = 0.9 * np.exp(1j * np.linspace(0.0, 6.0, 40))
+    nodes[12] = 0.5 + 1e-15  # rcond 3e-15, not exactly singular
+    off = nodes[[10, 17]] - T[0, 0]  # the (0, 0) entries of their z I - T
+    exact = np.linalg.solve
+
+    def off_by_1e3(M, B):  # refinement cannot repair nodes 10 and 17
+        X = exact(M, B)
+        hit = np.isin(M[..., 0, 0], off)
+        X[hit] += 1e-3
+        return X
+
+    monkeypatch.setattr(np.linalg, "solve", off_by_1e3)
+    got = _refusal(monkeypatch, T, nodes)
+    assert got == [got[0]] * 3
+    assert got[0][0] == nodes[12] and "rcond below" in got[0][1]
+    # without the rcond refusal the residual one of block 2 comes first
+    nodes[12] = 0.3j
+    got = _refusal(monkeypatch, T, nodes)
+    assert got == [got[0]] * 3
+    assert got[0][0] == nodes[10] and "residual" in got[0][1]
+
+
+def test_worker_tasks_see_the_callers_errstate(monkeypatch):
+    with np.errstate(divide="raise", over="ignore", under="warn", invalid="call"):
+        caller = np.geterr()
+        seen = _at_worker_counts(
+            monkeypatch, lambda: numlin.map_node_blocks(lambda b: np.geterr(), 40, 4))
+    assert all(len(s) == 8 and all(e == caller for e in s) for s in seen)
+
+
+def test_map_node_blocks_partition(monkeypatch):
+    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", SMALL_BLOCK_BYTES)
+    assert numlin.map_node_blocks(lambda b: b, 22, 4) == [slice(0, 22)]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(numlin, "_worker_count", lambda w=workers: w)
+        blocks = numlin.map_node_blocks(lambda b: b, 23, 4)
+        assert blocks == [slice(s, min(s + 5, 23)) for s in range(0, 23, 5)]
+    assert numlin.map_node_blocks(lambda b: b, 0, 4) == []
+
+
+def test_worker_threads_are_kept_and_nested_calls_run_serially(monkeypatch):
+    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", SMALL_BLOCK_BYTES)
+    monkeypatch.setattr(numlin, "_worker_count", lambda: 2)
+    seen = set()
+
+    def inner(b):
+        seen.add(threading.get_ident())
+        # a nested call on a worker would wait on the busy pool
+        return numlin.map_node_blocks(lambda c: (b.start, c.start), 40, 4)
+
+    out = []
+    runner = threading.Thread(daemon=True, target=lambda: out.extend(
+        numlin.map_node_blocks(inner, 40, 4) for _ in range(5)))
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    expect = [[(b, c) for c in range(0, 40, 5)] for b in range(0, 40, 5)]
+    assert out == [expect] * 5
+    # the same two threads serve every call
+    assert 1 <= len(seen) <= 2 and runner.ident not in seen
+
+
+def test_worker_count_falls_back_to_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert numlin._worker_count() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert numlin._worker_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert numlin._worker_count() == 1
+
+
+@pytest.mark.parametrize("space", MODELS)
 def test_op_norms_match_op_norm(space):
     rng = np.random.default_rng(8)
     stack = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))

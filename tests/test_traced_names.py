@@ -1,10 +1,16 @@
 """The benchmark tracer wraps functions by name; every name must resolve."""
 
 import importlib.util
+import math
+import threading
 from pathlib import Path
+
+import numpy as np
 
 import rittcalc
 import rittcalc.cli  # noqa: F401  (the package does not import it; the benchmark does)
+from rittcalc import funcalc, numlin, ritt
+from rittcalc.numlin import Hilbert, LpWeighted, SchattenP, SupSeq
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -30,3 +36,46 @@ def test_every_traced_name_resolves_on_rittcalc():
         if not callable(found):
             missing.append(f"{mod_name}.{attr}")
     assert not missing, missing
+
+
+def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
+    # the tracer's span stack is not thread-safe: the resolvent workers must
+    # call none of the traced functions
+    threads = []
+    for mod_name, attr in _traced():
+        owner = getattr(rittcalc, mod_name)
+        *path, name = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        fn = vars(owner)[name] if path else getattr(owner, name)
+
+        def recording(*args, _fn=fn, **kwargs):
+            threads.append(threading.get_ident())
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recording)
+    # the workers' own entry points, to see that the pool is used
+    workers = set()
+    for name in ("_guarded_inverses", "_singular_resolvent_norms"):
+        def on_worker(*args, _fn=getattr(numlin, name), **kwargs):
+            workers.add(threading.get_ident())
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(numlin, name, on_worker)
+    monkeypatch.setattr(numlin, "_worker_count", lambda: 3)
+    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", 22 * 256)  # 4 x 4: blocks of 5
+
+    rng = np.random.default_rng(2)
+    V = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    T = V @ np.diag([0.5, 0.3 + 0.2j, -0.4, 0.8]) @ np.linalg.inv(V)
+    for space in (Hilbert(4), LpWeighted(3.0, (1.0, 2.0, 0.5, 1.5)),
+                  SchattenP(2.0, 2), SchattenP(3.0, 2), SupSeq(4)):
+        ritt.resolvent_sup(T, 1.2, space, per_piece=2)
+    V = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    T12 = V @ np.diag(np.linspace(-0.4, 0.8, 12)) @ np.linalg.inv(V)
+    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", 50 * 16 * 144)  # 12 x 12: 50 nodes
+    funcalc.ContourCalculus(T12, beta=math.pi / 4).apply(funcalc.poly([1.0, -1.0]))
+
+    caller = threading.get_ident()
+    assert threads and set(threads) == {caller}
+    assert workers - {caller}

@@ -31,8 +31,8 @@ class IngestError(ValueError):
     pass
 
 
-def load_matrix(path: str) -> np.ndarray:
-    """Matrix Market or JSON matrix file."""
+def load_matrix(path: str, square: bool = False) -> np.ndarray:
+    """Matrix Market or JSON matrix file, finite, and square if asked."""
     try:
         with open(path, "rb") as fh:
             head = fh.read(64)
@@ -45,14 +45,19 @@ def load_matrix(path: str) -> np.ndarray:
             M = scipy.io.mmread(path)
             if hasattr(M, "todense"):
                 M = M.todense()
-            return np.asarray(M, dtype=complex)
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return matrix_from_json(obj)
-    except IngestError:
-        raise
+            M = np.asarray(M, dtype=complex)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+            M = matrix_from_json(obj)
     except Exception as exc:
         raise IngestError(f"cannot parse matrix file {path}: {exc}") from exc
+    if not np.all(np.isfinite(M)):
+        raise IngestError(f"matrix file {path} has non-finite entries")
+    if square and M.shape[0] != M.shape[1]:
+        raise IngestError(f"matrix file {path} is {M.shape[0]}x{M.shape[1]}, "
+                          "not a square operator")
+    return M
 
 
 def parse_space(spec: str, dim: int):
@@ -160,7 +165,7 @@ def _envelope(command: str, seed: int, options: dict, result) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    T = load_matrix(args.matrix)
+    T = load_matrix(args.matrix, square=True)
     space = parse_space(args.space, T.shape[0])
     cfg = ritt.RittConfig(N=args.N)
     rep = ritt.ritt_verdict(T, space, cfg)
@@ -171,7 +176,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_funcalc(args) -> int:
-    T = load_matrix(args.matrix)
+    T = load_matrix(args.matrix, square=True)
     phi = funcalc.named_function(args.phi)
     mesh = parse_mesh(args.mesh) if args.mesh else None
     rep = funcalc.eval_contour(T, phi, beta=args.beta, gamma=args.gamma, mesh=mesh)
@@ -183,7 +188,7 @@ def cmd_funcalc(args) -> int:
 
 
 def cmd_sqfun(args) -> int:
-    T = load_matrix(args.matrix)
+    T = load_matrix(args.matrix, square=True)
     space = parse_space(args.space, T.shape[0])
     cfg = sqfun.SFConfig(m=args.m, tail_tol=args.tail_tol)
     result: dict = {"space": repr(space), "m": args.m}
@@ -231,11 +236,15 @@ def cmd_gallery(args) -> int:
         args.usage_error(f"argument --n: '{args.n}': c0-witness needs n <= 12")
     if args.kind == "schur":
         if args.t:
-            t = load_matrix(args.t).real
+            t = load_matrix(args.t)
+            try:
+                inst = lab.gallery_schur(t, p=args.p)
+            except ValueError as exc:
+                raise IngestError(f"--t {args.t}: {exc}") from exc
         else:
             rng = np.random.Generator(np.random.Philox(key=args.seed))
             t = rng.uniform(-1.0 + args.delta, 1.0, size=(args.n, args.n))
-        inst = lab.gallery_schur(t, p=args.p)
+            inst = lab.gallery_schur(t, p=args.p)
         analysis = ritt.ritt_verdict(inst.operator, inst.space,
                                      ritt.RittConfig(N=args.N)).to_json_dict()
     elif args.kind == "markov":

@@ -267,9 +267,10 @@ def gallery_schur(t, p: float) -> GalleryInstance:
     multiplier is diagonal with spectrum {t_ij}, so delta = 1 + min t_ij
     measures the distance of the spectrum from -1.
     """
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+    t = np.asarray(t)
+    if t.ndim != 2 or t.shape[0] != t.shape[1] or np.any(np.imag(t) != 0):
         raise ValueError("t must be a square real matrix")
+    t = np.real(t).astype(float)
     if np.max(np.abs(t)) > 1.0 + 1e-14:
         raise ValueError("entries of t must lie in [-1, 1]")
     n = t.shape[0]

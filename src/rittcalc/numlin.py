@@ -46,6 +46,8 @@ __all__ = [
     "solve",
     "resolvents",
     "resolvent_block_len",
+    "node_block_len",
+    "map_in_order",
     "map_node_blocks",
     "svd",
     "vec_norm",
@@ -503,40 +505,58 @@ def _pool(workers: int) -> ThreadPoolExecutor:
         return _POOL[1]
 
 
-def map_node_blocks(fn, m: int, n: int) -> list:
-    """``[fn(b) for b in blocks]`` over a partition of m nodes of n x n
-    operators into slices, one worker thread per CPU.
+def node_block_len(m: int, n: int) -> int:
+    """Length of the blocks that m nodes (or powers) of n x n matrices are
+    cut into.
 
-    m nodes that fit in one ``resolvent_block_len(n)`` block are one block,
-    run in the caller's thread.  More nodes are cut into blocks of a
-    quarter of that length, the last one partial: each worker thread
-    keeps its own malloc arena, and full-length blocks would raise the
-    peak memory of every arena.  The partition depends on m and n only,
-    never on the number of workers, so as long as ``fn`` computes every
-    node independently of its block neighbours the results, and the
-    first refusal, are the same on every machine.  Each block runs in a
-    copy of the caller's context, so ``np.errstate`` carries over.
-    Results come back in block order: the first failing block's
-    exception is the one raised, once the blocks already running are
-    done; the blocks not yet started are cancelled.  A call from a
-    worker runs serially.  ``fn`` must not change process-global state
-    (no ``warnings.catch_warnings``).
+    m items that fit in one ``resolvent_block_len(n)`` block are one
+    block; more are cut into blocks of a quarter of that length: each
+    worker thread keeps its own malloc arena, and full-length blocks
+    would raise the peak memory of every arena.  The length depends on
+    m and n only, never on the number of workers.
     """
     step = resolvent_block_len(n)
-    if m > step:
-        step = max(1, step // 4)
-    blocks = [slice(s, min(s + step, m)) for s in range(0, m, step)]
+    return step if m <= step else max(1, step // 4)
+
+
+def map_in_order(fn, items) -> list:
+    """``[fn(item) for item in items]`` on the kept pool of one worker
+    thread per CPU.
+
+    One item, one CPU, or a call from a worker runs in the caller's
+    thread.  Each call runs in a copy of the caller's context, so
+    ``np.errstate`` carries over.  Results come back in item order: the
+    first failing call's exception is the one raised, once the calls
+    already running are done; the calls not yet started are cancelled.
+    ``fn`` must not change process-global state (no
+    ``warnings.catch_warnings``).
+    """
+    items = list(items)
     workers = _worker_count()
-    if len(blocks) <= 1 or workers <= 1 or getattr(_THREAD, "is_worker", False):
-        return [fn(b) for b in blocks]
+    if len(items) <= 1 or workers <= 1 or getattr(_THREAD, "is_worker", False):
+        return [fn(item) for item in items]
     pool = _pool(workers)
-    futures = [pool.submit(contextvars.copy_context().run, fn, b) for b in blocks]
+    futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
     try:
         return [f.result() for f in futures]
     finally:
         for f in futures:
             f.cancel()
         wait(futures)
+
+
+def map_node_blocks(fn, m: int, n: int) -> list:
+    """``[fn(b) for b in blocks]`` over the partition of m nodes of n x n
+    operators into slices of :func:`node_block_len`, the last one partial,
+    through :func:`map_in_order`.
+
+    One block runs in the caller's thread, several run on one worker
+    thread per CPU.  As long as ``fn`` computes every node independently
+    of its block neighbours the results, and the first refusal, are the
+    same on every machine.
+    """
+    step = node_block_len(m, n)
+    return map_in_order(fn, [slice(s, min(s + step, m)) for s in range(0, m, step)])
 
 
 def resolvents(T, nodes) -> np.ndarray:

@@ -60,14 +60,25 @@ def decay_profiles(T, space: SpaceModel, N: int, orders=(0, 1, 2, 3),
     for n = 0..N, order 1 gives n ||L (T^n - T^(n-1))|| from the
     difference of consecutive powers, and orders j = 2, 3 give
     n^j ||L T^(n-1) (I-T)^j|| for n = 1..N, in the order of ``orders``.
+    T is checked against the space model before any power is taken.
 
-    One pass over :func:`rittcalc.numlin.power_blocks` holds one block of
-    powers.  A product of finite powers can overflow a few powers before
-    the powers do, and its norm then raises ValueError; the walk then
-    runs on, so that the powers' own ``PowerOverflow``, if any, is
-    raised instead.
+    The caller's thread walks :func:`rittcalc.numlin.power_blocks`, each
+    power the previous one times T.  Each block is cut into slices of
+    :func:`rittcalc.numlin.node_block_len` for the N + 1 powers, and the
+    norm work of a block's slices (their differences, their products
+    with (I-T)^j, ``left`` times them and every ``op_norms``) runs on
+    :func:`rittcalc.numlin.map_in_order` before the walk goes on, so
+    one block of powers is normed at a time.  A walk that fits in one
+    ``resolvent_block_len`` block is one slice, run in the caller's
+    thread.  Every row entry comes from its own powers alone, so the
+    rows are the same on every machine.
+
+    A product of finite powers can overflow a few powers before the
+    powers do, and its norm then raises ValueError; the walk then runs
+    on, so that the powers' own ``PowerOverflow``, if any, is raised
+    instead.  Otherwise the first failing slice's error is raised.
     """
-    T = as_matrix(T, square=True)
+    T = numlin.as_operator(T, space)
     if N < 1:
         raise ValueError("N must be >= 1")
     if not set(orders) <= {0, 1, 2, 3}:
@@ -81,28 +92,35 @@ def decay_profiles(T, space: SpaceModel, N: int, orders=(0, 1, 2, 3),
     A = np.eye(T.shape[0], dtype=complex) - T
     factor = {2: A @ A, 3: A @ A @ A}
     rows = {j: np.empty(N + 1 if j == 0 else N) for j in orders}
+    step = numlin.node_block_len(N + 1, T.shape[0])
+
+    def norm_slice(item):
+        s, P, prev = item  # the powers T^s.., the one before them or None
+        end = s + len(P)
+        if 0 in rows:
+            rows[0][s:end] = norms(P)
+        if 1 in rows:  # T^n - T^(n-1) for n = s .. end-1
+            D = P.copy()
+            D[1:] -= P[:-1]
+            if prev is not None:
+                D[0] -= prev
+            lo = int(prev is None)  # T^0 has no increment
+            rows[1][s + lo - 1:end - 1] = (
+                np.arange(s + lo, end, dtype=float) * norms(D[lo:]))
+        n = np.arange(s + 1, min(end, N) + 1, dtype=float)  # T^(n-1) = P[n-1-s]
+        for j in orders:
+            if j > 1:
+                rows[j][s:s + len(n)] = n**j * norms(P[:len(n)] @ factor[j])
+
     blocks = power_blocks(T, N)
     prev = None  # the last power of the previous block
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for s, P in blocks:
-                end = s + len(P)
-                if 0 in rows:
-                    rows[0][s:end] = norms(P)
-                if 1 in rows:  # T^n - T^(n-1) for n = s .. end-1
-                    D = P.copy()
-                    D[1:] -= P[:-1]
-                    if prev is not None:
-                        D[0] -= prev
-                    lo = int(prev is None)  # T^0 has no increment
-                    prev = P[-1].copy()
-                    rows[1][s + lo - 1:end - 1] = (
-                        np.arange(s + lo, end, dtype=float) * norms(D[lo:]))
-                    del D
-                n = np.arange(s + 1, min(end, N) + 1, dtype=float)  # T^(n-1) = P[n-1-s]
-                for j in orders:
-                    if j > 1:
-                        rows[j][s:s + len(n)] = n**j * norms(P[:len(n)] @ factor[j])
+                numlin.map_in_order(norm_slice, [
+                    (s + a, P[a:a + step], P[a - 1] if a else prev)
+                    for a in range(0, len(P), step)])
+                prev = P[-1].copy()
     except ValueError:
         for _ in blocks:  # a power overflow outranks a product's
             pass

@@ -254,3 +254,36 @@ def test_sqfun_reads_a_row_or_column_as_the_flat_schatten_element(tdir, shape):
                     "--out", out, "--no-timestamp"]) == 0
         values.append(load(out)["result"]["value"])
     assert values[0] == values[1] == pytest.approx((2.0 / 3.0) * 2.0 ** (1.0 / 3.0), abs=1e-8)
+
+
+@pytest.mark.parametrize("command, extra", [("analyze", []), ("sqfun", []),
+                                            ("funcalc", ["--phi", "poly:0,1,-1"])])
+@pytest.mark.parametrize("entries, reason", [
+    (np.ones((2, 3)), "2x3, not a square operator"),
+    (np.array([[0.5, np.nan], [0.0, 0.2]]), "non-finite entries"),
+], ids=["2x3", "nan"])
+def test_bad_operator_file_is_an_ingestion_error(tmp_path, capsys, command, extra,
+                                                 entries, reason):
+    path = tmp_path / "T.json"
+    with open(path, "w") as fh:
+        json.dump(matrix_to_json(entries), fh)
+    assert run([command, path, *extra]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "ingestion error" in err
+    assert str(path) in err and reason in err
+
+
+@pytest.mark.parametrize("t, reason", [
+    (np.ones((2, 3)) * 0.5, "square real matrix"),
+    (np.array([[0.5, 1.5], [0.0, 0.2]]), "lie in [-1, 1]"),
+    (np.array([[0.5, 0.1 + 0.9j], [0.0, 0.2]]), "square real matrix"),
+], ids=["2x3", "outside", "complex"])
+def test_bad_schur_symbol_is_an_ingestion_error(tmp_path, capsys, t, reason):
+    import scipy.io
+
+    path = tmp_path / "t.mtx"
+    scipy.io.mmwrite(str(path), t)
+    assert run(["gallery", "schur", "--t", path]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "ingestion error" in err
+    assert f"--t {path}" in err and reason in err

@@ -501,6 +501,31 @@ def test_map_node_blocks_partition(monkeypatch):
     assert numlin.map_node_blocks(lambda b: b, 0, 4) == []
 
 
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_map_in_order_runs_items_on_workers_in_item_order(monkeypatch, workers):
+    monkeypatch.setattr(numlin, "_worker_count", lambda: workers)
+    out = numlin.map_in_order(lambda k: (k, threading.get_ident()), iter(range(30)))
+    assert [k for k, _ in out] == list(range(30))
+    assert {t for _, t in out} - {threading.get_ident()}
+    assert numlin.map_in_order(lambda k: threading.get_ident(), [7]) == [threading.get_ident()]
+    # the first failing call in item order is raised, after the calls
+    # already running are done
+    done = []
+
+    def fails_at_3(k):
+        threading.Event().wait(0.002)
+        if k in (3, 5):
+            raise ValueError(f"call {k}")
+        done.append(k)
+        return k
+
+    with pytest.raises(ValueError, match="call 3"):
+        numlin.map_in_order(fails_at_3, range(10))
+    running = len(done)
+    threading.Event().wait(0.05)
+    assert {0, 1, 2} <= set(done) and len(done) == running
+
+
 def test_worker_threads_are_kept_and_nested_calls_run_serially(monkeypatch):
     monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", SMALL_BLOCK_BYTES)
     monkeypatch.setattr(numlin, "_worker_count", lambda: 2)

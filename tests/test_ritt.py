@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -227,18 +229,30 @@ def test_power_overflow_mid_block_matches_power_list(monkeypatch):
         assert exc.value.n == ref.value.n
 
 
-def test_decay_sequences_hold_one_block_of_powers():
+def _decay_sequences_peak():
     import tracemalloc
 
     T = _ritt_matrix(48, 5)
-    tracemalloc.start()
+    tracemalloc.start()  # sees the allocations of every thread
     try:
         decay_sequences(T, numlin.SupSeq(48), 1024)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def test_decay_sequences_hold_one_block_of_powers():
     # the 1025 stored powers alone took 37.8 MB
-    assert peak < 10e6
+    assert _decay_sequences_peak() < 10e6
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+def test_pooled_decay_sequences_hold_about_two_blocks_of_powers(monkeypatch, workers):
+    # the walk waits while the 4 slices of 14 of one block of 56 powers
+    # (2 MB) are normed, whatever the workers
+    monkeypatch.setattr(numlin, "_worker_count", lambda: workers)
+    assert _decay_sequences_peak() < 10e6
 
 
 def test_increment_profile_prefix_is_increment_bound():
@@ -335,3 +349,144 @@ def test_verdict_bounds_are_the_bounds_at_2N(space):
     assert rep.verdict != "not-ritt"
     assert rep.power_bound == power_bound(T, space, 2 * N)
     assert rep.increment_bound == increment_bound(T, space, 2 * N)
+
+
+def test_decay_profiles_check_the_space_before_the_walk(monkeypatch):
+    # a 2x2 operator on a 3-dimensional model: the ShapeError comes before
+    # any power, not after the walk (finite powers) or hidden behind a
+    # later PowerOverflow (T^6 overflows)
+    yields = []
+
+    def counted(T, N):
+        for item in numlin.power_blocks(T, N):
+            yields.append(item[0])
+            yield item
+
+    monkeypatch.setattr(ritt, "power_blocks", counted)
+    with pytest.raises(numlin.ShapeError, match="size 2 on space of dimension 3"):
+        ritt_verdict(np.diag([1e60, 0.5]), Hilbert(3), ritt.RittConfig(N=8))
+    with pytest.raises(numlin.ShapeError, match="size 2 on space of dimension 3"):
+        ritt.decay_profiles(np.diag([0.5, 0.2]), Hilbert(3), 64)
+    assert yields == []
+
+
+# ---------------------------------------------------------------------------
+# the decay norms on the node-block pool while the caller walks the powers
+# ---------------------------------------------------------------------------
+
+POOL_MODELS = [Hilbert(4), numlin.LpWeighted(3.0, (1.0, 2.0, 0.5, 1.5)),
+               SchattenP(2.0, 2), SchattenP(3.0, 2), SupSeq(4)]
+POOL_ORDERS = [(0,), (1,), (3, 1), (0, 1, 2, 3)]
+#: block bytes for 4 x 4 operators: blocks of 22 powers, cut into slices of
+#: 5 once a walk holds more than 22 powers
+SMALL_BLOCK_BYTES = 22 * 256
+
+
+def _at_worker_counts(monkeypatch, fn, block_bytes=SMALL_BLOCK_BYTES):
+    """fn() with small blocks at 1, 2 and 3 workers."""
+    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", block_bytes)
+    out = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(numlin, "_worker_count", lambda w=workers: w)
+        out.append(fn())
+    return out
+
+
+def _hex_rows(rows):
+    return [[float(v).hex() for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("space", POOL_MODELS, ids=repr)
+def test_pooled_decay_profiles_are_bit_identical_to_the_serial_walk(monkeypatch, space):
+    # N = 40: 41 powers in blocks of 22 and 19, slices of 5 with a partial
+    # last slice in each block; the default block holds the whole walk
+    N = 40
+    T = _ritt_matrix(4, 21)
+    left = _ritt_matrix(4, 22)
+    ref = {(orders, lt): _hex_rows(ritt.decay_profiles(T, space, N, orders, left=L))
+           for orders in POOL_ORDERS for lt, L in (("I", None), ("L", left))}
+    workers = set()
+    op_norms = ritt.op_norms
+
+    def recorded(*args):
+        workers.add(threading.get_ident())
+        return op_norms(*args)
+
+    monkeypatch.setattr(ritt, "op_norms", recorded)
+    for (orders, lt), rows in ref.items():
+        L = None if lt == "I" else left
+        for got in _at_worker_counts(
+                monkeypatch, lambda: ritt.decay_profiles(T, space, N, orders, left=L)):
+            assert _hex_rows(got) == rows, (orders, lt)
+    assert workers - {threading.get_ident()}  # the pool ran the norms
+
+
+def test_pooled_walk_stress_more_workers_than_cores(monkeypatch):
+    # eight workers write their slices of the shared rows with the
+    # interpreter switching threads every microsecond: a lost or misplaced
+    # slice shows
+    T = _ritt_matrix(4, 23)
+    ref = _hex_rows(ritt.decay_profiles(T, Hilbert(4), 60))
+    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", SMALL_BLOCK_BYTES)
+    monkeypatch.setattr(numlin, "_worker_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert _hex_rows(ritt.decay_profiles(T, Hilbert(4), 60)) == ref
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_pooled_walk_raises_the_serial_power_overflow(monkeypatch):
+    # 2 x 2, blocks of 8 powers cut into slices of 2.  T^15 = 1e300 is
+    # finite and T^16 overflows, in the third block; the products with
+    # (I-T)^3 ~ -1e60 overflow from n = 14 on, in a slice of the second
+    T = np.diag([1e20, 0.5])
+    with pytest.raises(numlin.PowerOverflow) as ref:
+        numlin.mat_power_seq(T, 40)
+    assert ref.value.n == 16
+
+    def overflow(call):
+        def run():
+            with pytest.raises(numlin.PowerOverflow) as exc:
+                call()
+            return exc.value.n
+        return run
+
+    for call in (lambda: power_bound(T, Hilbert(2), 40),
+                 lambda: increment_bound(T, Hilbert(2), 40),
+                 lambda: decay_sequences(T, Hilbert(2), 40),
+                 lambda: decay_sequences(T, SupSeq(2), 40)):
+        assert _at_worker_counts(monkeypatch, overflow(call), 8 * 64) == [16] * 3
+    # without a power overflow the product's own error is raised
+    def product_error():
+        with pytest.raises(ValueError, match="non-finite") as exc:
+            decay_sequences(T, Hilbert(2), 15)
+        return type(exc.value)
+
+    assert _at_worker_counts(monkeypatch, product_error, 8 * 64) == [ValueError] * 3
+
+
+def test_ascent_constant_walks_stay_in_the_callers_thread(monkeypatch):
+    # the lp:3 verdicts (dims 4-6, N = 32), the Schur n = 2 increment
+    # bounds and the 65 powers of a not-ritt verdict fit in one block
+    from rittcalc import lab
+
+    def no_pool(workers):
+        raise AssertionError("a pool task was submitted")
+
+    monkeypatch.setattr(numlin, "_worker_count", lambda: 2)
+    monkeypatch.setattr(numlin, "_pool", no_pool)
+    cfg = ritt.RittConfig(N=32, beta_fracs=())
+    for dim in (4, 5, 6):
+        T = _ritt_matrix(dim, dim)
+        rep = ritt_verdict(T, numlin.LpWeighted(3.0, tuple(np.linspace(0.5, 2.0, dim))), cfg)
+        assert rep.N_used == 32
+    t = np.array([[-0.9, 0.3], [0.5, 0.8]])
+    inst = lab.gallery_schur(t, 3.0)
+    for N in (16, 32):
+        assert increment_bound(inst.operator, inst.space, N) > 0
+    rep = ritt_verdict(np.diag(np.linspace(-0.5, 1.05, 16)), Hilbert(16),
+                       ritt.RittConfig(N=128))
+    assert rep.verdict == "not-ritt" and rep.N_used == 64

@@ -121,6 +121,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _schur_delta(text: str) -> float:
+    # the symbols are drawn from [-1 + delta, 1], inside [-1, 1]
+    value = float(text)
+    if not 0.0 <= value <= 2.0:
+        raise ValueError("must lie in [0, 2]")
+    return value
+
+
 def _float_list(text: str) -> list:
     return [float(v) for v in text.split(",")]
 
@@ -397,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="Schatten exponent of schur and markov, in [1, inf)")
     sp.add_argument("--N", type=_arg_type(_positive_int), default=128)
     sp.add_argument("--t", help="Schur symbol matrix file (real entries in [-1,1])")
-    sp.add_argument("--delta", type=float, default=0.1,
+    sp.add_argument("--delta", type=_arg_type(_schur_delta), default=0.1,
                     help="random Schur symbols drawn from [-1+delta, 1]")
     sp.add_argument("--flip", action="store_true",
                     help="markov: the two-point flip witness instead of random")

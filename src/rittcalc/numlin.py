@@ -105,7 +105,8 @@ class PowerOverflow(OverflowError):
 # Every model answers the same questions: ``dim`` (the vector length its
 # operators act on), ``exact`` (whether ``op_norm`` is exact), ``dual()``,
 # ``norms(V)`` along the last axis of a stack of flat elements,
-# ``op_norms(stack)``, ``op_norm(M)``, ``scaled_resolvent_norms(T, z)``
+# ``op_norms(stack)``, ``op_norm_ceilings(stack)`` (a cheap upper bound on
+# every value of ``op_norms``), ``op_norm(M)``, ``scaled_resolvent_norms(T, z)``
 # (the norms of (z_j - 1) R(z_j, T) for one block of nodes), and the two
 # halves of the square-function accumulator, ``square_term(y, side)`` and
 # ``square_norm(acc)``, which take one element or a stack of them.
@@ -137,6 +138,9 @@ class Hilbert:
 
     def op_norms(self, A: np.ndarray) -> np.ndarray:
         return _spectral_norms(A)
+
+    def op_norm_ceilings(self, A: np.ndarray) -> np.ndarray:
+        return _frobenius_norms(A)
 
     def op_norm(self, M: np.ndarray) -> OpNormResult:
         return _spectral_op_norm(M)
@@ -186,18 +190,27 @@ class LpWeighted(_Pointwise):
     def op_norms(self, A: np.ndarray) -> np.ndarray:
         return _boyd_ascent(self._unweighted(A)[0], self)[0]
 
+    def op_norm_ceilings(self, A: np.ndarray) -> np.ndarray:
+        return _ascent_ceilings(self._riesz_thorin(self._unweighted(A)[0]), self.p)
+
     def op_norm(self, M: np.ndarray) -> OpNormResult:
-        p = self.p
         A, D = self._unweighted(M)
         values, witnesses = _boyd_ascent(A[None], self)
         lower = float(values[0])
-        # Riesz-Thorin bracket between the (weighted) 1- and inf-norms
-        n1 = float(np.max(np.sum(np.abs(A), axis=0)))
-        ninf = float(np.max(np.sum(np.abs(A), axis=1)))
-        upper_rt = n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p)
-        upper_eq = self.dim ** abs(0.5 - 1.0 / p) * float(svd(A)[0])
+        upper_rt = float(self._riesz_thorin(A[None])[0])
+        upper_eq = self.dim ** abs(0.5 - 1.0 / self.p) * float(svd(A)[0])
         upper = max(lower, min(upper_rt, upper_eq))
         return OpNormResult(value=lower, upper=upper, exact=False, witness=witnesses[0] / D)
+
+    def _riesz_thorin(self, A: np.ndarray) -> np.ndarray:
+        """Riesz-Thorin bounds n1^(1/p) ninf^(1-1/p) of the stack A (already
+        ``D A D^-1``) between its 1- and inf-norms (Higham, Numer. Math. 62,
+        1992).  The powers are Python's, one matrix at a time: numpy's
+        vectorized power rounds differently."""
+        a = np.abs(A)
+        e = 1.0 / self.p
+        return np.array([float(c) ** e * float(r) ** (1.0 - e) for c, r in
+                         zip(a.sum(axis=1).max(axis=1), a.sum(axis=2).max(axis=1))])
 
     def scaled_resolvent_norms(self, T: np.ndarray, z: np.ndarray) -> np.ndarray:
         return _kernel_resolvent_norms(T, z, self)
@@ -249,6 +262,12 @@ class SchattenP:
 
     def op_norms(self, A: np.ndarray) -> np.ndarray:
         return _spectral_norms(A) if self.exact else _boyd_ascent(A, self)[0]
+
+    def op_norm_ceilings(self, A: np.ndarray) -> np.ndarray:
+        # ||A|| <= n^|1/2-1/p| sigma_1(A) <= n^|1/2-1/p| ||A||_F, as in op_norm
+        if self.exact:
+            return _frobenius_norms(A)
+        return _ascent_ceilings(self.n ** abs(0.5 - 1.0 / self.p) * _frobenius_norms(A), self.p)
 
     def op_norm(self, M: np.ndarray) -> OpNormResult:
         if self.exact:
@@ -320,6 +339,9 @@ class SupSeq(_Pointwise):
 
     def op_norms(self, A: np.ndarray) -> np.ndarray:
         return np.abs(A).sum(axis=2).max(axis=1)
+
+    def op_norm_ceilings(self, A: np.ndarray) -> np.ndarray:
+        return self.op_norms(A)  # exact and as cheap as any bound
 
     def op_norm(self, M: np.ndarray) -> OpNormResult:
         rows = np.sum(np.abs(M), axis=1)
@@ -807,6 +829,39 @@ def _boyd_ascent(A: np.ndarray, space: SpaceModel):
     witnesses = wit[np.arange(m), first]
     witnesses[values == 0.0] = ones
     return values, witnesses
+
+
+def _frobenius_norms(A: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the stack A, each matrix scaled by its largest
+    real or imaginary part first, so that no square over- or underflows:
+    an upper bound on the largest singular value, to rounding.  NaN where
+    a matrix is not finite."""
+    X = np.ascontiguousarray(A).view(float)
+    s = np.abs(X).max(axis=(1, 2), initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = s * np.sqrt(np.square(X / s[:, None, None]).sum(axis=(1, 2)))
+    return np.where(s == 0.0, 0.0, c)
+
+
+#: a Boyd-ascent ceiling c counts where |log2 c| times the largest power
+#: the ascent raises c to stays below this: 2^960 leaves 2^64 of headroom
+_ASCENT_SAFE_LOG2 = 960.0
+
+
+def _ascent_ceilings(c: np.ndarray, p: float) -> np.ndarray:
+    """The ceilings c of a Boyd-ascent model, or inf where they are not
+    safe bounds on the ascent's values.
+
+    An ascent on a matrix of size about c takes p-th powers of entries
+    of about c^q (q = p/(p-1)), so of about c^(p q).  Where these leave
+    the normal range an overflowed or denormal sum can put the value
+    above c, so such a matrix gets an infinite ceiling, which no walk
+    skips.  A zero matrix keeps its ceiling 0: its value is 0 exactly.
+    """
+    r = p * p / (p - 1.0) if p > 1.0 else 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        safe = (c == 0.0) | (np.abs(np.log2(c)) * r < _ASCENT_SAFE_LOG2)
+    return np.where(safe, c, np.inf)
 
 
 def _spectral_norms(A: np.ndarray) -> np.ndarray:

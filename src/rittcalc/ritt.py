@@ -30,6 +30,7 @@ __all__ = [
     "RittConfig",
     "RittReport",
     "decay_profiles",
+    "decay_suprema",
     "power_bound",
     "increment_profile",
     "increment_bound",
@@ -52,6 +53,73 @@ def eigenvalue_one_tolerance(T: np.ndarray) -> float:
     return 1e-10 * (1.0 + float(np.linalg.norm(T, 2)))
 
 
+class _DecayWalk:
+    """One walk over the powers of T for the decay terms of the given orders.
+
+    The inputs are checked when the walk is made, T against the space
+    model before any power is taken.  :meth:`run` walks
+    :func:`rittcalc.numlin.power_blocks` in the caller's thread and cuts
+    each block into slices ``(s, P, prev)`` of
+    :func:`rittcalc.numlin.node_block_len` for the N + 1 powers: the
+    powers T^s.. and the one before them (None for T^0).  :meth:`terms`
+    gives the order-j terms of a slice.
+    """
+
+    def __init__(self, T, space: SpaceModel, N: int, orders, left):
+        self.T = numlin.as_operator(T, space)
+        if N < 1:
+            raise ValueError("N must be >= 1")
+        if not set(orders) <= {0, 1, 2, 3}:
+            raise ValueError(f"orders must lie in 0..3, got {tuple(orders)}")
+        if left is not None and np.shape(left) != self.T.shape:
+            raise ShapeError(f"left has shape {np.shape(left)}, T has {self.T.shape}")
+        self.N, self.left = N, left
+        A = np.eye(self.T.shape[0], dtype=complex) - self.T
+        self.factor = {2: A @ A, 3: A @ A @ A}
+
+    def terms(self, item, j: int, pick=slice(None)):
+        """``(n, M)``: the n of every order-j term of the slice, as floats,
+        and the matrices of the terms at ``pick``, left times them.
+
+        The term of n is n^j times the norm of its matrix: L T^n for
+        j = 0, L (T^n - T^(n-1)) for j = 1 and L T^(n-1) (I-T)^j for j = 2, 3.
+        """
+        s, P, prev = item
+        end = s + len(P)
+        if j == 0:
+            n, M = np.arange(s, end, dtype=float), P[pick]
+        elif j == 1:  # T^0 has no increment
+            Q = P if prev is None else np.concatenate((prev[None], P))
+            n = np.arange(end - len(Q) + 1, end, dtype=float)
+            M = Q[1:][pick] - Q[:-1][pick]
+        else:
+            n = np.arange(s + 1, min(end, self.N) + 1, dtype=float)  # T^(n-1) = P[n-1-s]
+            M = P[:len(n)][pick] @ self.factor[j]
+        return n, M if self.left is None else self.left @ M
+
+    def run(self, on_block) -> None:
+        """``on_block(items)`` for the slices of every block of powers.
+
+        A product of finite powers can overflow a few powers before the
+        powers do, and its norm then raises ValueError; the walk then runs
+        on, so that the powers' own ``PowerOverflow``, if any, is raised
+        instead.  Otherwise ``on_block``'s error is raised.
+        """
+        step = numlin.node_block_len(self.N + 1, self.T.shape[0])
+        blocks = power_blocks(self.T, self.N)
+        prev = None  # the last power of the previous block
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for s, P in blocks:
+                    on_block([(s + a, P[a:a + step], P[a - 1] if a else prev)
+                              for a in range(0, len(P), step)])
+                    prev = P[-1].copy()
+        except ValueError:
+            for _ in blocks:  # a power overflow outranks a product's
+                pass
+            raise
+
+
 def decay_profiles(T, space: SpaceModel, N: int, orders=(0, 1, 2, 3),
                    left=None) -> tuple:
     """Per-n rows of the decay sequences along the powers of T, one per order.
@@ -71,61 +139,106 @@ def decay_profiles(T, space: SpaceModel, N: int, orders=(0, 1, 2, 3),
     one block of powers is normed at a time.  A walk that fits in one
     ``resolvent_block_len`` block is one slice, run in the caller's
     thread.  Every row entry comes from its own powers alone, so the
-    rows are the same on every machine.
+    rows are the same on every machine.  Callers that read only maxima
+    take :func:`decay_suprema`, which norms few of the terms.
 
     A product of finite powers can overflow a few powers before the
     powers do, and its norm then raises ValueError; the walk then runs
     on, so that the powers' own ``PowerOverflow``, if any, is raised
     instead.  Otherwise the first failing slice's error is raised.
     """
-    T = numlin.as_operator(T, space)
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if not set(orders) <= {0, 1, 2, 3}:
-        raise ValueError(f"orders must lie in 0..3, got {tuple(orders)}")
-    if left is not None and np.shape(left) != T.shape:
-        raise ShapeError(f"left has shape {np.shape(left)}, T has {T.shape}")
-
-    def norms(M):
-        return op_norms(M if left is None else left @ M, space)
-
-    A = np.eye(T.shape[0], dtype=complex) - T
-    factor = {2: A @ A, 3: A @ A @ A}
+    walk = _DecayWalk(T, space, N, orders, left)
     rows = {j: np.empty(N + 1 if j == 0 else N) for j in orders}
-    step = numlin.node_block_len(N + 1, T.shape[0])
 
     def norm_slice(item):
-        s, P, prev = item  # the powers T^s.., the one before them or None
-        end = s + len(P)
-        if 0 in rows:
-            rows[0][s:end] = norms(P)
-        if 1 in rows:  # T^n - T^(n-1) for n = s .. end-1
-            D = P.copy()
-            D[1:] -= P[:-1]
-            if prev is not None:
-                D[0] -= prev
-            lo = int(prev is None)  # T^0 has no increment
-            rows[1][s + lo - 1:end - 1] = (
-                np.arange(s + lo, end, dtype=float) * norms(D[lo:]))
-        n = np.arange(s + 1, min(end, N) + 1, dtype=float)  # T^(n-1) = P[n-1-s]
         for j in orders:
-            if j > 1:
-                rows[j][s:s + len(n)] = n**j * norms(P[:len(n)] @ factor[j])
+            n, M = walk.terms(item, j)
+            rows[j][n.astype(int) - (j > 0)] = n**j * op_norms(M, space)
 
-    blocks = power_blocks(T, N)
-    prev = None  # the last power of the previous block
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for s, P in blocks:
-                numlin.map_in_order(norm_slice, [
-                    (s + a, P[a:a + step], P[a - 1] if a else prev)
-                    for a in range(0, len(P), step)])
-                prev = P[-1].copy()
-    except ValueError:
-        for _ in blocks:  # a power overflow outranks a product's
-            pass
-        raise
+    walk.run(lambda items: numlin.map_in_order(norm_slice, items))
     return tuple(rows[j] for j in orders)
+
+
+#: relative slack on a ceiling before it may rule a term out; far above
+#: the rounding of the norms and their ceilings
+_CEILING_MARGIN = 1e-10
+
+
+def decay_suprema(T, space: SpaceModel, N: int, orders=(0, 1, 2, 3),
+                  left=None, cut: Optional[int] = None) -> tuple:
+    """Maxima of the :func:`decay_profiles` rows, bit for bit, from few norms.
+
+    One float per order, the maximum over n <= N; with ``cut``, one pair
+    per order, the maxima over n <= cut and over n <= N (1 <= cut <= N),
+    which is what a doubling test reads.  The inputs, the walk and the
+    overflow rule are those of :func:`decay_profiles`.
+
+    Each term has a cheap ceiling, ``space.op_norm_ceilings`` of its
+    matrix times n^j, that its norm never exceeds: the Frobenius norm
+    on Hilbert and Schatten-2, n^|1/2-1/p| times it on Schatten-p, the
+    Riesz-Thorin bound on lp and the exact row sums on sup.  The
+    products and ceilings of a block's slices run on
+    :func:`rittcalc.numlin.map_in_order`.  Then, for each order and each
+    of the segments n <= cut and n > cut, the caller's thread norms the
+    terms in order of decreasing ceiling, and only while a ceiling times
+    1 + ``_CEILING_MARGIN`` still reaches the segment's running maximum:
+    1, then 2, 4, ... more terms of each segment per ``op_norms`` call,
+    their matrices recomputed from the block's powers.  A term whose
+    ceiling is inf or NaN is never ruled out.  Each norm depends only
+    on its own matrix, so every maximum is the one of the rows.
+    """
+    walk = _DecayWalk(T, space, N, orders, left)
+    if cut is not None and not 1 <= cut <= N:
+        raise ValueError(f"cut must lie in 1..N, got {cut}")
+    split = N if cut is None else cut
+    best = {(j, seg): -np.inf for j in orders for seg in (0, 1)}
+
+    def ceilings(item):
+        out = []
+        for j in orders:
+            n, M = walk.terms(item, j)
+            out.append((n, n**j * space.op_norm_ceilings(M)))
+        return out
+
+    def on_block(items):
+        per_slice = numlin.map_in_order(ceilings, items)
+        # one queue per order and segment: the ceilings and (slice,
+        # position) of its terms, by decreasing ceiling, NaN first
+        queues = []
+        for a, j in enumerate(orders):
+            n = np.concatenate([out[a][0] for out in per_slice])
+            ceil = np.concatenate([out[a][1] for out in per_slice])
+            slot = np.concatenate([np.full(len(out[a][0]), i) for i, out in enumerate(per_slice)])
+            pos = np.concatenate([np.arange(len(out[a][0])) for out in per_slice])
+            order = np.argsort(-np.where(np.isnan(ceil), np.inf, ceil), kind="stable")
+            for seg in (0, 1):
+                sel = order[(n[order] > split) == seg]
+                queues.append([(j, seg), ceil[sel], slot[sel], pos[sel]])
+        take = 1
+        while True:
+            parts = []  # (order and segment, weights, matrices) of this round
+            for q in queues:
+                (j, seg), ceil, slot, pos = q
+                out = np.flatnonzero(ceil * (1.0 + _CEILING_MARGIN) < best[j, seg])
+                live = out[0] if out.size else len(ceil)  # the rest are ruled out
+                m = min(take, live)
+                for i in np.unique(slot[:m]):
+                    ks = pos[:m][slot[:m] == i]
+                    n, M = walk.terms(items[i], j, ks)
+                    parts.append(((j, seg), (n**j)[ks], M))
+                q[1:] = ceil[m:live], slot[m:live], pos[m:live]
+            if not parts:
+                return
+            values = op_norms(np.concatenate([M for *_, M in parts]), space)
+            at = 0
+            for key, w, M in parts:
+                best[key] = np.max(w * values[at:at + len(M)], initial=best[key])
+                at += len(M)
+            take *= 2
+
+    walk.run(on_block)
+    maxima = [(float(best[j, 0]), float(np.max([best[j, 0], best[j, 1]]))) for j in orders]
+    return tuple(maxima if cut is not None else (b for _, b in maxima))
 
 
 def power_bound(T, space: SpaceModel, N: int) -> float:
@@ -134,7 +247,7 @@ def power_bound(T, space: SpaceModel, N: int) -> float:
     Lower-bound flavor on the non-exact norm models, like everything
     built on :func:`rittcalc.numlin.op_norm`.
     """
-    return float(decay_profiles(T, space, N, orders=(0,))[0].max())
+    return decay_suprema(T, space, N, orders=(0,))[0]
 
 
 def increment_profile(T, space: SpaceModel, N: int) -> np.ndarray:
@@ -148,7 +261,7 @@ def increment_profile(T, space: SpaceModel, N: int) -> np.ndarray:
 
 def increment_bound(T, space: SpaceModel, N: int) -> float:
     """max over 1 <= n <= N of n * ||T^n - T^(n-1)||."""
-    return float(increment_profile(T, space, N).max())
+    return decay_suprema(T, space, N, orders=(1,))[0]
 
 
 def spectral_type(T) -> float:
@@ -235,7 +348,7 @@ def resolvent_sup(T, beta: float, space: SpaceModel, per_piece: int = 48) -> flo
 
 def decay_sequences(T, space: SpaceModel, N: int):
     """Suprema (S0, S1, S2, S3) of the four decay sequences up to N."""
-    return tuple(float(np.max(s)) for s in decay_profiles(T, space, N))
+    return decay_suprema(T, space, N)
 
 
 def mean_ergodic_projection(T) -> np.ndarray:
@@ -347,19 +460,17 @@ def ritt_verdict(T, space: Optional[SpaceModel] = None,
         )
 
     try:
-        profiles = decay_profiles(T, space, n_used if not_ritt else 2 * n_used)
+        if not_ritt:
+            return report(list(decay_suprema(T, space, n_used)), "not-ritt")
+        pairs = decay_suprema(T, space, 2 * n_used, cut=n_used)
     except numlin.PowerOverflow as exc:
         reasons.append(str(exc))
         return report((math.inf,) * 4, "not-ritt" if not_ritt else "inconclusive")
-    if not_ritt:
-        return report([float(np.max(p)) for p in profiles], "not-ritt")
 
     names = ("S0", "S1", "S2", "S3")
     sup_2N = []
     stable = True
-    for name, prof in zip(names, profiles):
-        cut = cfg.N + 1 if name == "S0" else cfg.N
-        a, b = float(np.max(prof[:cut])), float(np.max(prof))
+    for name, (a, b) in zip(names, pairs):
         sup_2N.append(b)
         if not np.isfinite(b) or b > (1.0 + cfg.stability_rel) * max(a, 1e-300):
             stable = False

@@ -146,8 +146,12 @@ def test_usage_error_exit_2():
     (["gallery", "schur", "--p", "0.5", "--N", "4"],
      "argument --p: '0.5': p must lie in [1, inf), got 0.5"),
     (["sqfun", "T.json", "--tail-tol", "0"], "argument --tail-tol: '0': tail_tol must be positive"),
+    (["gallery", "schur", "--delta", "-0.5"], "argument --delta: '-0.5': must lie in [0, 2]"),
+    (["gallery", "schur", "--delta", "2.5"], "argument --delta: '2.5': must lie in [0, 2]"),
+    (["gallery", "schur", "--delta", "nan"], "argument --delta: 'nan': must lie in [0, 2]"),
 ], ids=["phi-unknown", "phi-frac-negative", "sqfun-m-0", "analyze-N-0", "kappa-grid-1,x",
-        "conditional-basis-n-1", "c0-witness-n-13", "schur-n-0", "schur-p-0.5", "sqfun-tail-tol-0"])
+        "conditional-basis-n-1", "c0-witness-n-13", "schur-n-0", "schur-p-0.5", "sqfun-tail-tol-0",
+        "schur-delta-negative", "schur-delta-above-2", "schur-delta-nan"])
 def test_option_values_the_library_rejects_are_usage_errors(tdir, capsys, args, message):
     with pytest.raises(SystemExit) as exc:
         run([tdir / a if a == "T.json" else a for a in args])
@@ -155,6 +159,14 @@ def test_option_values_the_library_rejects_are_usage_errors(tdir, capsys, args, 
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].endswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("delta", ["0", "2"])
+def test_gallery_schur_takes_the_ends_of_the_delta_range(tdir, delta):
+    out = tdir / "rep.json"
+    assert run(["gallery", "schur", "--n", 2, "--N", 8, "--delta", delta,
+                "--out", out, "--no-timestamp"]) == 0
+    assert 0.0 <= load(out)["result"]["instance"]["params"]["delta"] <= 2.0
 
 
 def test_sqfun_schatten_space_with_x(tdir):

@@ -118,6 +118,32 @@ def test_op_norm_hilbert_matches_svd():
     assert abs(r.value - svd(M)[0]) <= 1e-12
 
 
+def _one_matrix_riesz_thorin(A, p):
+    # the bracket op_norm took one matrix at a time before the stacked bound
+    n1 = float(np.max(np.sum(np.abs(A), axis=0)))
+    ninf = float(np.max(np.sum(np.abs(A), axis=1)))
+    return n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p)
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.5, 3.0, 7.0])
+def test_op_norm_riesz_thorin_comes_from_the_stacked_bound(monkeypatch, p):
+    # op_norm's upper bracket is the stacked bound of op_norm_ceilings, bit
+    # for bit, and both are the one-matrix formula; numpy's vectorized power
+    # differs from Python's in the last bit on 3 to 9 of these 80 matrices
+    rng = np.random.default_rng(6)
+    space = LpWeighted(p, tuple(rng.uniform(0.5, 2.0, size=5)))
+    stack = (rng.normal(size=(80, 5, 5)) + 1j * rng.normal(size=(80, 5, 5))) * \
+        10.0 ** rng.uniform(-5, 5, size=(80, 1, 1))
+    A = space._unweighted(stack)[0]
+    ref = [_one_matrix_riesz_thorin(M, p) for M in A]
+    assert [float(v).hex() for v in space._riesz_thorin(A)] == [v.hex() for v in ref]
+    assert np.array_equal(space.op_norm_ceilings(stack), space._riesz_thorin(A))
+    # op_norm takes its upper bracket from the same bound
+    monkeypatch.setattr(numlin, "svd", lambda M: np.array([np.inf]))
+    for M, v in zip(stack[:10], ref):
+        assert op_norm(M, space).upper == max(op_norm(M, space).value, v)
+
+
 def test_op_norm_bracket_and_witness():
     rng = np.random.default_rng(5)
     M = rng.normal(size=(3, 3))

@@ -490,3 +490,138 @@ def test_ascent_constant_walks_stay_in_the_callers_thread(monkeypatch):
     rep = ritt_verdict(np.diag(np.linspace(-0.5, 1.05, 16)), Hilbert(16),
                        ritt.RittConfig(N=128))
     assert rep.verdict == "not-ritt" and rep.N_used == 64
+
+
+# ---------------------------------------------------------------------------
+# decay_suprema: the maxima of the rows from few norms
+# ---------------------------------------------------------------------------
+
+SUPREMA_N = 40
+SUPREMA_CUT = 17
+SUPREMA_T = {
+    "ritt": _ritt_matrix(4, 31),
+    "identity": np.eye(4),
+    "zero": np.zeros((4, 4)),
+    "nilpotent": np.diag([0.5, 2.0, -1.0], 1),  # T^3 != 0, T^4 = 0
+    # eigenvalues 0.98 and 0.95: rows of orders 1-3 peak after the cut
+    "slow": np.array([[0.98, 1.0, 0, 0], [0, 0.95, 0, 0], [0, 0, 0.9, 0], [0, 0, 0, -0.5]]),
+}
+
+
+def _row_maxima(rows, cut):
+    # the parent's reading of the rows: n <= cut is rows[0][:cut+1] and
+    # rows[j][:cut] for j >= 1
+    if cut is None:
+        return [float(r.max()).hex() for r in rows]
+    return [(float(r[:cut + (len(r) > SUPREMA_N)].max()).hex(), float(r.max()).hex())
+            for r in rows]
+
+
+def _hex_suprema(sup):
+    return [tuple(float(v).hex() for v in s) if isinstance(s, tuple) else float(s).hex()
+            for s in sup]
+
+
+@pytest.mark.parametrize("kind", list(SUPREMA_T))
+@pytest.mark.parametrize("space", POOL_MODELS, ids=repr)
+def test_decay_suprema_are_the_row_maxima_bit_for_bit(monkeypatch, space, kind):
+    # blocks of 22 powers cut into slices of 5; the cut at n = 17 splits a
+    # slice; T = I and T = 0 give tied and constant rows
+    T = SUPREMA_T[kind]
+    left = _ritt_matrix(4, 32)
+    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", SMALL_BLOCK_BYTES)
+    for L in (None, left):
+        rows = ritt.decay_profiles(T, space, SUPREMA_N, left=L)
+        for cut in (None, SUPREMA_CUT):
+            ref = _row_maxima(rows, cut)
+            for workers in (1, 2, 8):
+                monkeypatch.setattr(numlin, "_worker_count", lambda w=workers: w)
+                got = ritt.decay_suprema(T, space, SUPREMA_N, left=L, cut=cut)
+                assert _hex_suprema(got) == ref, (L is None, cut, workers)
+
+
+def test_decay_suprema_orders_and_cut_checks():
+    T = _ritt_matrix(4, 33)
+    rows = ritt.decay_profiles(T, Hilbert(4), 30, orders=(3, 1))
+    assert ritt.decay_suprema(T, Hilbert(4), 30, orders=(3, 1)) == tuple(
+        float(r.max()) for r in rows)
+    full = ritt.decay_suprema(T, Hilbert(4), 30, orders=(1,), cut=30)
+    assert full[0][0] == full[0][1] == increment_bound(T, Hilbert(4), 30)
+    for cut in (0, 31):
+        with pytest.raises(ValueError, match="cut must lie in 1..N"):
+            ritt.decay_suprema(T, Hilbert(4), 30, cut=cut)
+    with pytest.raises(numlin.ShapeError, match="size 4 on space of dimension 3"):
+        ritt.decay_suprema(T, Hilbert(3), 30)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_decay_suprema_never_skip_a_non_finite_ceiling(monkeypatch, bad):
+    # every ceiling 0 (which would rule a term out as soon as any norm is
+    # known) except the one of the largest power, which is NaN or inf:
+    # only that term gives the maximum, so it must be normed
+    T = np.array([[0.5, 3.0], [0.0, 0.6]])
+    row = ritt.decay_profiles(T, Hilbert(2), 30, orders=(0,))[0]
+    n_max = int(np.argmax(row))
+    assert n_max > 1
+    peak = np.linalg.matrix_power(T.astype(complex), n_max)
+
+    def rigged(self, A):
+        c = np.zeros(len(A))
+        c[np.all(np.abs(A - peak) <= 1e-14, axis=(1, 2))] = bad
+        return c
+
+    monkeypatch.setattr(numlin.Hilbert, "op_norm_ceilings", rigged)
+    assert ritt.decay_suprema(T, Hilbert(2), 30, orders=(0,)) == (float(row.max()),)
+
+
+def test_decay_suprema_raise_the_serial_power_overflow(monkeypatch):
+    # T^16 overflows; the products with (I-T)^3 overflow from n = 14 on
+    T = np.diag([1e20, 0.5])
+
+    def raised(N, cut):
+        def run():
+            with pytest.raises((ValueError, numlin.PowerOverflow)) as exc:
+                ritt.decay_suprema(T, Hilbert(2), N, cut=cut)
+            return type(exc.value), getattr(exc.value, "n", None)
+        return run
+
+    for cut in (None, 8):
+        assert _at_worker_counts(monkeypatch, raised(40, cut), 8 * 64) == [
+            (numlin.PowerOverflow, 16)] * 3
+        assert _at_worker_counts(monkeypatch, raised(15, cut), 8 * 64) == [(ValueError, None)] * 3
+
+
+@pytest.mark.parametrize("space", POOL_MODELS, ids=repr)
+def test_op_norm_ceilings_bound_op_norms(space):
+    # random stacks at scales from 1e-40 to 1e40, a zero matrix among them
+    rng = np.random.default_rng(34)
+    d = space.dim
+    A = rng.normal(size=(60, d, d)) + 1j * rng.normal(size=(60, d, d))
+    A[::3] = np.triu(A[::3])
+    A *= 10.0 ** rng.uniform(-40, 40, size=(60, 1, 1))
+    A[7] = 0.0
+    values = numlin.op_norms(A, space)
+    ceilings = space.op_norm_ceilings(A)
+    assert np.all(values <= ceilings * (1.0 + 1e-12))
+    assert ceilings[7] == 0.0
+
+
+def test_verdict_norms_few_decay_matrices(monkeypatch):
+    # a decaying dim-32 Hilbert operator at N = 256: the walk of 2N holds
+    # 8N + 1 = 2049 decay terms
+    T = _ritt_matrix(32, 35)
+    N = 256
+    normed = []
+    op_norms = numlin.Hilbert.op_norms
+
+    def counted(self, A):
+        normed.append(len(A))
+        return op_norms(self, A)
+
+    monkeypatch.setattr(numlin.Hilbert, "op_norms", counted)
+    rep = ritt_verdict(T, Hilbert(32), ritt.RittConfig(N=N, beta_fracs=()))
+    assert rep.verdict == "ritt"
+    assert 0 < sum(normed) <= 0.1 * (8 * N + 1)
+    monkeypatch.undo()
+    rows = ritt.decay_profiles(T, Hilbert(32), 2 * N)
+    assert list(rep.decay) == [float(r.max()) for r in rows]

@@ -71,8 +71,9 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
     for space in (Hilbert(4), LpWeighted(3.0, (1.0, 2.0, 0.5, 1.5)),
                   SchattenP(2.0, 2), SchattenP(3.0, 2), SupSeq(4)):
         ritt.resolvent_sup(T, 1.2, space, per_piece=2)
-    # the verdict's walk of 33 powers takes slices of 5, normed on workers
-    decay = set()
+    # the verdict's walk of 33 powers takes slices of 5, whose ceilings are
+    # taken on workers; the rows of decay_profiles are normed on workers
+    decay, ceilings = set(), set()
 
     def decay_norms(*args, _fn=ritt.op_norms):
         decay.add(threading.get_ident())
@@ -80,7 +81,13 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
 
     monkeypatch.setattr(ritt, "op_norms", decay_norms)
     for space in (Hilbert(4), SupSeq(4)):
+        def ceiling_thread(self, A, _fn=type(space).op_norm_ceilings):
+            ceilings.add(threading.get_ident())
+            return _fn(self, A)
+
+        monkeypatch.setattr(type(space), "op_norm_ceilings", ceiling_thread)
         ritt.ritt_verdict(T, space, ritt.RittConfig(N=16, resolvent_per_piece=2))
+        ritt.decay_profiles(T, space, 32)
     V = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     T12 = V @ np.diag(np.linspace(-0.4, 0.8, 12)) @ np.linalg.inv(V)
     monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", 50 * 16 * 144)  # 12 x 12: 50 nodes
@@ -90,3 +97,4 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
     assert threads and set(threads) == {caller}
     assert workers - {caller}
     assert decay - {caller}
+    assert ceilings - {caller}

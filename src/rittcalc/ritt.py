@@ -32,7 +32,6 @@ __all__ = [
     "decay_profiles",
     "decay_suprema",
     "power_bound",
-    "increment_profile",
     "increment_bound",
     "spectral_type",
     "resolvent_sample_points",
@@ -97,8 +96,11 @@ class _DecayWalk:
             M = P[:len(n)][pick] @ self.factor[j]
         return n, M if self.left is None else self.left @ M
 
-    def run(self, on_block) -> None:
+    def run(self, on_block, stop=None) -> None:
         """``on_block(items)`` for the slices of every block of powers.
+
+        After each block ``(s, P)`` of powers T^s.. that ends before T^N,
+        the walk returns early when ``stop(s, P)`` is true.
 
         A product of finite powers can overflow a few powers before the
         powers do, and its norm then raises ValueError; the walk then runs
@@ -113,6 +115,8 @@ class _DecayWalk:
                 for s, P in blocks:
                     on_block([(s + a, P[a:a + step], P[a - 1] if a else prev)
                               for a in range(0, len(P), step)])
+                    if stop is not None and s + len(P) <= self.N and stop(s, P):
+                        return
                     prev = P[-1].copy()
         except ValueError:
             for _ in blocks:  # a power overflow outranks a product's
@@ -164,6 +168,24 @@ def decay_profiles(T, space: SpaceModel, N: int, orders=(0, 1, 2, 3),
 _CEILING_MARGIN = 1e-10
 
 
+def _tail_peak(j: int, c: int, L: int, q: float, A: float, kmax: int) -> float:
+    """max over k = 1..kmax of (c + kL)^j q^k A, for 0 <= q < 1 (NaN when A
+    is not finite).
+
+    The logarithm j log(c + kL) + k log q + log A is concave in k, with
+    its peak at k = j / log(1/q) - c / L, so the maximum over the
+    integers is at k = 1, kmax, or the integers next to that peak.
+    """
+    if not math.isfinite(A):
+        return math.nan
+    ks = {1, kmax}
+    if j and q > 0.0:
+        k_peak = j / -math.log(q) - c / L
+        if 1.0 < k_peak < kmax:
+            ks.update((math.floor(k_peak), math.ceil(k_peak)))
+    return max((c + k * L) ** j * q**k * A for k in ks)
+
+
 def decay_suprema(T, space: SpaceModel, N: int, orders=(0, 1, 2, 3),
                   left=None, cut: Optional[int] = None) -> tuple:
     """Maxima of the :func:`decay_profiles` rows, bit for bit, from few norms.
@@ -186,18 +208,33 @@ def decay_suprema(T, space: SpaceModel, N: int, orders=(0, 1, 2, 3),
     their matrices recomputed from the block's powers.  A term whose
     ceiling is inf or NaN is never ruled out.  Each norm depends only
     on its own matrix, so every maximum is the one of the rows.
+
+    The walk ends early once the terms it has not reached are ruled out
+    too.  After a block of the powers T^s..T^e, q is the ceiling of
+    T^L, L = max(s, ceil(e/2)).  An unreached order-j term has the matrix
+    ``left T^r (I-T)^j`` times T^(kL) for one of the last L exponents r
+    walked and some k >= 1, and an n at most c + kL, c the largest n
+    walked, so it is at most (c + kL)^j q^k A_j, A_j the largest ceiling
+    of those L walked matrices.  When q < 1 that bound is log-concave in
+    k and :func:`_tail_peak` takes its maximum in closed form.  The walk
+    stops when, for every order, the peak times 1 + ``_CEILING_MARGIN``
+    is below the running maximum of the segment the unreached terms
+    start in (n <= cut while the order has not passed the cut, all n
+    after).  A q >= 1, or a NaN or inf in q or in A_j, never stops it,
+    so a walk whose powers overflow still reaches the overflow.
     """
     walk = _DecayWalk(T, space, N, orders, left)
     if cut is not None and not 1 <= cut <= N:
         raise ValueError(f"cut must lie in 1..N, got {cut}")
     split = N if cut is None else cut
     best = {(j, seg): -np.inf for j in orders for seg in (0, 1)}
+    walked = {j: [] for j in orders}  # (n, ceiling without n^j) of each block
 
     def ceilings(item):
         out = []
         for j in orders:
             n, M = walk.terms(item, j)
-            out.append((n, n**j * space.op_norm_ceilings(M)))
+            out.append((n, space.op_norm_ceilings(M)))
         return out
 
     def on_block(items):
@@ -207,7 +244,9 @@ def decay_suprema(T, space: SpaceModel, N: int, orders=(0, 1, 2, 3),
         queues = []
         for a, j in enumerate(orders):
             n = np.concatenate([out[a][0] for out in per_slice])
-            ceil = np.concatenate([out[a][1] for out in per_slice])
+            raw = np.concatenate([out[a][1] for out in per_slice])
+            walked[j].append((n, raw))
+            ceil = n**j * raw
             slot = np.concatenate([np.full(len(out[a][0]), i) for i, out in enumerate(per_slice)])
             pos = np.concatenate([np.arange(len(out[a][0])) for out in per_slice])
             order = np.argsort(-np.where(np.isnan(ceil), np.inf, ceil), kind="stable")
@@ -236,7 +275,26 @@ def decay_suprema(T, space: SpaceModel, N: int, orders=(0, 1, 2, 3),
                 at += len(M)
             take *= 2
 
-    walk.run(on_block)
+    def tail_ruled_out(s, P):
+        e = s + len(P) - 1
+        L = max(s, (e + 1) // 2)
+        if L < 1:
+            return False
+        q = float(space.op_norm_ceilings(P[L - s][None])[0])
+        if not 0.0 <= q < 1.0:  # also NaN
+            return False
+        for j in orders:
+            c = int(walked[j][-1][0][-1])  # the largest n walked
+            if c >= N:
+                continue
+            A = float(np.max(np.concatenate([raw for _, raw in walked[j]])[-L:]))
+            peak = _tail_peak(j, c, L, q, A, (N - c + L - 1) // L)
+            seg = best[j, 0] if c < split else max(best[j, 0], best[j, 1])
+            if not peak * (1.0 + _CEILING_MARGIN) < seg:  # also NaN
+                return False
+        return True
+
+    walk.run(on_block, tail_ruled_out)
     maxima = [(float(best[j, 0]), float(np.max([best[j, 0], best[j, 1]]))) for j in orders]
     return tuple(maxima if cut is not None else (b for _, b in maxima))
 
@@ -248,15 +306,6 @@ def power_bound(T, space: SpaceModel, N: int) -> float:
     built on :func:`rittcalc.numlin.op_norm`.
     """
     return decay_suprema(T, space, N, orders=(0,))[0]
-
-
-def increment_profile(T, space: SpaceModel, N: int) -> np.ndarray:
-    """n ||T^n - T^(n-1)|| for n = 1..N, as an array of length N.
-
-    The profile at N is a prefix of the profile at any larger N, so a
-    doubling test computes it once, at the larger N.
-    """
-    return decay_profiles(T, space, N, orders=(1,))[0]
 
 
 def increment_bound(T, space: SpaceModel, N: int) -> float:
@@ -306,6 +355,59 @@ def resolvent_sample_points(T, beta: float, per_piece: int = 48,
     return lam[np.abs(lam - 1.0) > VERTEX_EXCLUSION]
 
 
+#: a node is certified when the power series bounds the condition number
+#: of lam I - T by this, in the 1-norm and in the 2-norm
+_CERTIFIED_COND = 1e4
+
+
+def _series_ceilings(T: np.ndarray, space: SpaceModel, lam: np.ndarray) -> np.ndarray:
+    """Ceilings on ||(lam - 1) R(lam, T)|| at the nodes lam from the norms
+    of T^0..T^4, inf at every node they do not certify.
+
+    With c_k >= ||T^k||, the Neumann series R(lam) = sum_k T^k lam^-(k+1)
+    gives ||R(lam)|| <= (sum_{k<4} c_k |lam|^-(k+1)) / (1 - c_4 |lam|^-4)
+    wherever c_4 < |lam|^4.  The c_k are the exact ``op_norms`` on the
+    exact models and ``op_norm_ceilings`` on the others.  A node is
+    certified when the same series in the 1-norm and in the 2-norm bounds
+    the condition number of lam I - T, at most (|lam| + ||T||) times
+    ||R(lam)||, by ``_CERTIFIED_COND``: far from ``numlin.RCOND_MIN``,
+    from the residual floor of the resolvent kernel and from the
+    spectrum.  The powers come from :func:`rittcalc.numlin.power_blocks`
+    in the caller's thread; powers that overflow certify no node, and a T
+    whose 1-norm alone rules out every node costs no power.
+    """
+    nothing = np.full(lam.shape, np.inf)
+    r = np.abs(lam)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # the 1-norm bound is at least (1 + ||T||_1 / |lam|)^2, its first
+        # two terms: past 99 |lam| it exceeds 1e4
+        if not r.size or not np.abs(T).sum(axis=0).max() <= 99.0 * r.max():
+            return nothing
+        try:
+            P = np.concatenate([P for _, P in power_blocks(T, 4)])
+        except numlin.PowerOverflow:
+            return nothing
+        inv = r ** -np.arange(1.0, 5.0)[:, None]  # |lam|^-(k+1), k = 0..3
+
+        def resolvent_bound(c):  # inf where c_4 >= |lam|^4
+            x = c[4] * inv[3]
+            return np.where(x < 1.0, (c[:4] @ inv) / (1.0 - x), np.inf)
+
+        def certified(c):
+            return (r + c[1]) * resolvent_bound(c) <= _CERTIFIED_COND
+
+        sure = certified(np.abs(P).sum(axis=1).max(axis=1))  # no SVD yet
+        try:
+            if sure.any():
+                sure &= certified(np.linalg.svd(P, compute_uv=False)[:, 0])
+            if sure.any():
+                own = op_norms(P, space) if space.exact else space.op_norm_ceilings(P)
+                return np.where(sure, np.abs(lam - 1.0) * resolvent_bound(own), np.inf)
+        except np.linalg.LinAlgError as exc:
+            raise numlin.EigNonConvergence(f"SVD of the powers of T did not converge: {exc}") from exc
+    return nothing
+
+
 def resolvent_sup(T, beta: float, space: SpaceModel, per_piece: int = 48) -> float:
     """Sampled supremum of ||(lam - 1) R(lam, T)|| off closure(B(beta)).
 
@@ -318,6 +420,16 @@ def resolvent_sup(T, beta: float, space: SpaceModel, per_piece: int = 48) -> flo
     maxima, taken in block order.  Every node's norm is computed alone,
     so the value is the same whatever the blocks and the workers.
 
+    Nodes far from the spectrum are mostly not evaluated:
+    :func:`_series_ceilings` bounds the norm of each node from the norms
+    of T^0..T^4 and certifies the nodes where no refusal can apply (on
+    the verdict's inputs, the 128 nodes on |lam| = 2 and 10).  The
+    uncertified nodes are evaluated first, in the same node blocks as
+    all nodes would be, so the first refusal and its message are those
+    of every node.  Then only the certified nodes whose ceiling times
+    1 + ``_CEILING_MARGIN`` still reaches the maximum are evaluated, so
+    the supremum is the one of every node, bit for bit.
+
     On the models whose operator norm is the largest singular value
     (Hilbert, Schatten-2) the norm is |lam - 1| / sigma_min(lam I - T)
     from one stacked SVD of the shifted block, and a node is refused
@@ -327,7 +439,8 @@ def resolvent_sup(T, beta: float, space: SpaceModel, per_piece: int = 48) -> flo
     The other models take the guarded inverses of
     :func:`rittcalc.numlin.resolvents` and their own ``op_norms``.  A
     refused node raises :class:`rittcalc.numlin.SingularMatrixError`
-    naming the node and its rcond.
+    naming the node and its rcond; an SVD that does not converge raises
+    :class:`rittcalc.numlin.EigNonConvergence`.
     """
     T = numlin.as_operator(T, space)
     eigs = numlin.eig(T).eigenvalues
@@ -335,10 +448,18 @@ def resolvent_sup(T, beta: float, space: SpaceModel, per_piece: int = 48) -> flo
     near = np.abs(lam[:, None] - eigs[None, :]).min(axis=1) <= 1e-12 * (1.0 + np.abs(lam))
     skipped = int(np.count_nonzero(near))
     lam = lam[~near]
+    ceiling = _series_ceilings(T, space, lam)
+    sure = ceiling < np.inf
+
+    def block_max(z):
+        return float(space.scaled_resolvent_norms(T, z).max()) if z.size else 0.0
+
     best = 0.0
-    for v in numlin.map_node_blocks(
-            lambda b: float(space.scaled_resolvent_norms(T, lam[b]).max()),
-            lam.size, T.shape[0]):
+    for v in numlin.map_node_blocks(lambda b: block_max(lam[b][~sure[b]]),
+                                    lam.size, T.shape[0]):
+        best = max(best, v)
+    rest = lam[sure & (ceiling * (1.0 + _CEILING_MARGIN) >= best)]
+    for v in numlin.map_node_blocks(lambda b: block_max(rest[b]), rest.size, T.shape[0]):
         best = max(best, v)
     if skipped:
         warnings.warn(f"resolvent_sup skipped {skipped} sample points inside "

@@ -210,7 +210,7 @@ def test_streamed_profiles_match_power_list(monkeypatch, space, block_len):
         assert g.shape == r.shape
         assert np.max(np.abs(g - r)) <= 1e-12 * np.max(r)
     assert abs(power_bound(T, space, N_STREAM) - ref[0].max()) <= 1e-12 * ref[0].max()
-    prof = ritt.increment_profile(T, space, N_STREAM)
+    prof = ritt.decay_profiles(T, space, N_STREAM, orders=(1,))[0]
     assert np.max(np.abs(prof - inc)) <= 1e-12 * np.max(inc)
     assert abs(increment_bound(T, space, N_STREAM) - inc.max()) <= 1e-12 * inc.max()
 
@@ -258,7 +258,7 @@ def test_pooled_decay_sequences_hold_about_two_blocks_of_powers(monkeypatch, wor
 def test_increment_profile_prefix_is_increment_bound():
     T = _ritt_matrix(3, 2)
     for space in (Hilbert(3), numlin.LpWeighted(3.0, (1.0, 0.5, 2.0))):
-        prof = ritt.increment_profile(T, space, 64)
+        prof = ritt.decay_profiles(T, space, 64, orders=(1,))[0]
         assert prof.shape == (64,)
         for N in (1, 17, 32, 64):
             assert float(prof[:N].max()) == increment_bound(T, space, N)

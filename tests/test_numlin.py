@@ -434,15 +434,15 @@ def _at_worker_counts(monkeypatch, fn):
 def test_worker_pool_is_bit_identical_to_one_block(monkeypatch, space):
     T = _similar(5, [0.5, 0.3 + 0.2j, -0.4, 0.8])
     beta = 0.5 * (ritt.spectral_type(T) + np.pi / 2)
-    nodes = ritt.resolvent_sample_points(T, beta, per_piece=2)
+    nodes = ritt.resolvent_sample_points(T, beta, per_piece=6)
     assert nodes.size > 22 and nodes.size % 5 != 0  # several blocks, the last partial
     # the default block length holds every node: one block, the caller's thread
     ref_R = numlin.resolvents(T, nodes)
-    ref_sup = ritt.resolvent_sup(T, beta, space, per_piece=2)
+    ref_sup = ritt.resolvent_sup(T, beta, space, per_piece=6)
     for R in _at_worker_counts(monkeypatch, lambda: numlin.resolvents(T, nodes)):
         assert np.array_equal(R, ref_R)
     for sup in _at_worker_counts(
-            monkeypatch, lambda: ritt.resolvent_sup(T, beta, space, per_piece=2)):
+            monkeypatch, lambda: ritt.resolvent_sup(T, beta, space, per_piece=6)):
         assert sup.hex() == ref_sup.hex()
 
 

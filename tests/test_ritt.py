@@ -48,7 +48,8 @@ def test_resolvent_sup_scalar_zero():
     oracle = max(abs((lam - 1) / lam) for lam in pts)
     val = resolvent_sup(np.zeros((1, 1)), beta, Hilbert(1))
     assert abs(val - oracle) <= 1e-10
-    # analytic supremum (1 + sin b)/sin b = 3 is approached by the dilations
+    # analytic supremum (1 + sin b)/sin b = 3 is approached by the layer
+    # next to the boundary
     assert abs(val - 3.0) <= 5e-3
 
 

@@ -1,10 +1,12 @@
-"""The verdict's two sweeps end early without changing a bit.
+"""The verdict's two sweeps evaluate few terms and nodes, bit for bit.
 
 ``ritt.decay_suprema`` stops walking the powers once a ceiling built from
-one power's norm rules out every term it has not reached, and
-``ritt.resolvent_sup`` skips the nodes whose Neumann-series ceiling
-cannot reach the maximum.  Both must give the maxima, refusals and
-warnings of the full sweeps.
+one power's norm rules out every term it has not reached, and must give
+the maxima and the errors of the full walk.  ``ritt.resolvent_sup``
+samples one layer next to the Stolz boundary: by the maximum principle
+that layer holds the maximum over the outer dilation layers and far
+circles too, and its near-spectrum skip drops only the nodes on the
+spectrum, with a warning.
 """
 
 import math
@@ -16,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rittcalc import numlin, ritt
+from rittcalc import numlin, ritt, stolz
 from rittcalc.numlin import Hilbert, LpWeighted, SchattenP, SupSeq
+from test_numlin import GALLERY
 
 #: every model on 4-vectors (Schatten on 2 x 2 matrices)
 MODELS = {
@@ -171,116 +174,53 @@ def test_the_walk_stops_only_on_finite_ceilings_below_one(monkeypatch):
 # the resolvent nodes
 # ---------------------------------------------------------------------------
 
-def _reference_sup(T, beta, space, per_piece):
-    """resolvent_sup over every non-near node, in the node blocks of all of
-    them: ``(value, warnings)`` or the first refusal ``(type, message)``."""
-    lam = ritt.resolvent_sample_points(T, beta, per_piece)
-    eigs = numlin.eig(T).eigenvalues
-    near = np.abs(lam[:, None] - eigs[None, :]).min(axis=1) <= 1e-12 * (1.0 + np.abs(lam))
-    z = lam[~near]
-    step = numlin.node_block_len(z.size, T.shape[0])
-    best = 0.0
-    try:
-        for s in range(0, z.size, step):
-            best = max(best, float(space.scaled_resolvent_norms(T, z[s:s + step]).max()))
-    except numlin.SingularMatrixError as exc:
-        return type(exc), str(exc)
-    skipped = int(np.count_nonzero(near))
-    msgs = [f"resolvent_sup skipped {skipped} sample points inside the spectrum tolerance"]
-    return float(best).hex(), msgs if skipped else []
+def _outer_family(beta, per_piece):
+    """The sample family of resolvent_sup before it kept one layer: the
+    boundary dilated by 1 + 10^-k, k = 1..4, and 64 points on each of the
+    circles |lam| = 2 and 10, minus the vertex disc."""
+    base = stolz.boundary_samples(beta, per_piece)
+    circle = np.exp(1j * np.linspace(0.0, 2 * math.pi, 64, endpoint=False))
+    layers = [(1.0 + 10.0 ** (-k)) * base for k in range(1, 5)]
+    lam = np.concatenate(layers + [2.0 * circle, 10.0 * circle])
+    return lam[np.abs(lam - 1.0) > ritt.VERTEX_EXCLUSION]
 
 
-def _sup(T, beta, space, per_piece):
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = ritt.resolvent_sup(T, beta, space, per_piece)
-    except numlin.SingularMatrixError as exc:
-        return type(exc), str(exc)
-    return float(value).hex(), [str(w.message) for w in caught]
+#: fixed operators on every model, and the gallery on Hilbert
+VERDICT_CASES = {
+    **{f"{model}-{seed}": (_operator(seed, 0.9, vcond), MODELS[model])
+       for model in sorted(MODELS) for seed, vcond in [(5, 10.0), (8, 1e3)]},
+    **{name: (T, Hilbert(T.shape[0])) for name, T in sorted(GALLERY.items())},
+}
 
 
-def _near_two(seed, offset, coupling):
-    """A Ritt 2 x 2 block beside mu I + coupling E_12, with mu at distance
-    ``offset`` outside a node of the circle |lam| = 2: the spectral
-    radius 2 + offset is at least the radius of every node of |lam| <= 2,
-    so the series certifies none of them."""
-    rng = np.random.default_rng(seed)
-    mu = (2.0 + offset) * np.exp(2j * math.pi * int(rng.integers(64)) / 64)
-    T = np.zeros((4, 4), dtype=complex)
-    T[:2, :2] = _operator(seed, 0.6, 3.0, dim=2)
-    T[2:, 2:] = [[mu, coupling], [0.0, mu]]
-    return T
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(sorted(MODELS)),
-       kind=st.sampled_from(["ritt", "growing", "near-two"]),
-       radius=st.floats(0.1, 0.95), vcond=st.floats(1.0, 30.0),
-       offset=st.sampled_from([0.0, 1e-7, 1e-3]), coupling=st.sampled_from([0.0, 1.0, 1e3]),
-       frac=st.floats(0.05, 0.95), per_piece=st.integers(1, 3))
-def test_resolvent_sup_is_the_maximum_over_every_node(seed, model, kind, radius, vcond,
-                                                      offset, coupling, frac, per_piece):
-    space = MODELS[model]
-    if kind == "near-two":
-        T = _near_two(seed, offset, coupling)
-    else:
-        T = _operator(seed, radius, vcond, 0.05 if kind == "growing" else 0.0)
-    beta = 0.3 + (math.pi / 2 - 0.3) * frac
-    with pytest.MonkeyPatch.context() as mp:
-        _small_blocks(mp, block_len=40)  # several node blocks, quarter-length
-        assert _sup(T, beta, space, per_piece) == _reference_sup(T, beta, space, per_piece)
-    lam = ritt.resolvent_sample_points(T, beta, per_piece)
-    ceiling = ritt._series_ceilings(numlin.as_matrix(T), space, lam)
-    if kind == "near-two":
-        assert not np.isfinite(ceiling[np.abs(lam) < 2.5]).any()
-    sure = np.isfinite(ceiling)
-    if sure.any():  # the ceilings bound what they rule out
-        values = space.scaled_resolvent_norms(numlin.as_matrix(T), lam[sure])
-        assert np.all(values <= ceiling[sure] * (1.0 + ritt._CEILING_MARGIN))
+@pytest.mark.parametrize("name", VERDICT_CASES)
+def test_resolvent_sup_is_the_maximum_over_the_outer_family(name):
+    # the maximum principle on the verdict's inputs: the layer next to the
+    # boundary alone gives the maximum over every outer node, bit for bit
+    T, space = VERDICT_CASES[name]
+    per_piece = ritt.RittConfig().resolvent_per_piece
+    alpha = ritt.spectral_type(T)
+    for f in ritt.RittConfig().beta_fracs:
+        beta = alpha + (math.pi / 2 - alpha) * f
+        lam = _outer_family(beta, per_piece)
+        ref = float(space.scaled_resolvent_norms(numlin.as_matrix(T), lam).max())
+        assert ritt.resolvent_sup(T, beta, space, per_piece).hex() == ref.hex(), f
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
-def test_resolvent_sup_skips_the_far_nodes(monkeypatch, model):
-    # a decaying operator: the 128 nodes on |lam| = 2 and 10 are certified,
-    # and only those whose ceiling reaches the maximum are evaluated: none
-    # but on Schatten-3, whose n^|1/2-1/p| Frobenius ceilings are looser
-    space = MODELS[model]
-    T = _operator(11, 0.7, 3.0)
-    beta = math.pi / 3
-    ref = _reference_sup(T, beta, space, 6)
-    seen = []
-    norms = type(space).scaled_resolvent_norms
-
-    def counted(self, T, z):
-        seen.append(np.abs(z))
-        return norms(self, T, z)
-
-    monkeypatch.setattr(type(space), "scaled_resolvent_norms", counted)
-    assert _sup(T, beta, space, 6) == ref
-    lam = ritt.resolvent_sample_points(T, beta, 6)
-    far = np.abs(lam) > 1.5
-    assert far.sum() == 128
-    ceiling = ritt._series_ceilings(T, space, lam)[far]
-    assert np.isfinite(ceiling).all()
-    reach = ceiling * (1.0 + ritt._CEILING_MARGIN) >= float.fromhex(ref[0])
-    assert np.count_nonzero(np.concatenate(seen) > 1.5) == np.count_nonzero(reach)
-    assert not reach.any() or model == "schatten3"
-
-
-def test_series_ceilings_certify_no_node_when_the_powers_overflow():
-    # T^2 is finite, T^3 overflows: every node keeps its evaluation
-    T = np.diag([1e120, 0.5])
-    lam = np.array([2.0, 10.0, 1e3j])
-    assert np.all(ritt._series_ceilings(T, Hilbert(2), lam) == np.inf)
-
-
-def test_series_ceilings_take_no_power_when_the_one_norm_rules_out_every_node(monkeypatch):
-    # ||T||_1 = 2000 > 99 * 10: the 1-norm bound exceeds 1e4 at every node
-    def no_powers(T, N):
-        raise AssertionError("a power was taken")
-
-    monkeypatch.setattr(ritt, "power_blocks", no_powers)
-    T = np.array([[0.5, 2000.0], [0.0, 0.3]])
-    lam = ritt.resolvent_sample_points(T, math.pi / 4, 4)
-    assert np.all(ritt._series_ceilings(T, Hilbert(2), lam) == np.inf)
+def test_resolvent_sup_skips_a_node_on_the_spectrum(model):
+    # an eigenvalue planted on a node of the layer, so beta is below the
+    # spectral type: that node alone is skipped, with one warning
+    space, beta, per_piece = MODELS[model], math.pi / 4, 6
+    lam = ritt.resolvent_sample_points(np.zeros((4, 4)), beta, per_piece)
+    node = lam[len(lam) // 2]
+    T = np.diag([node, 0.3, 0.2j, -0.1])
+    assert ritt.spectral_type(T) > beta
+    rest = np.delete(lam, len(lam) // 2)
+    ref = float(space.scaled_resolvent_norms(numlin.as_matrix(T), rest).max())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = ritt.resolvent_sup(T, beta, space, per_piece)
+    assert [str(w.message) for w in caught] == [
+        "resolvent_sup skipped 1 sample points inside the spectrum tolerance"]
+    assert value.hex() == ref.hex()

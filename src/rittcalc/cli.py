@@ -6,9 +6,11 @@ timestamp and timing fields so reruns with one seed are byte-identical.
 Matrices are read from Matrix Market files (array or coordinate, real
 or complex) or from JSON {"rows", "cols", "entries": [[re, im], ...]}.
 
-Exit codes: 0 success, 1 failed verification assertions or a contour
-that missed its quadrature target (``converged`` false), 2 usage errors,
-3 ingestion errors.
+Exit codes: 0 success, 1 failed verification assertions, a contour
+that missed its quadrature target (``converged`` false) or a library
+refusal (DivergenceError, SingularMatrixError, ContourSpectrumError,
+AdmissibilityError) printed as one ``rittcalc: refused: ...`` line on
+stderr, 2 usage errors, 3 ingestion errors.
 """
 
 from __future__ import annotations
@@ -22,9 +24,13 @@ import numpy as np
 
 from . import funcalc, lab, ritt, sqfun, stolz, verify
 from .jsonutil import matrix_from_json, sanitize
-from .numlin import Hilbert, LpWeighted, SchattenP, ShapeError, SupSeq, check_vector
+from .numlin import (Hilbert, LpWeighted, SchattenP, ShapeError, SingularMatrixError, SupSeq,
+                     check_vector)
 
 SCHEMA = "ritt-calc/1"
+# what the library raises when it declines an operator or a function
+REFUSALS = (sqfun.DivergenceError, SingularMatrixError, funcalc.ContourSpectrumError,
+            funcalc.AdmissibilityError)
 
 
 class IngestError(ValueError):
@@ -438,6 +444,9 @@ def main(argv=None) -> int:
     except IngestError as exc:
         print(f"rittcalc: ingestion error: {exc}", file=sys.stderr)
         return 3
+    except REFUSALS as exc:
+        print(f"rittcalc: refused: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

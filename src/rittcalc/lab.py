@@ -160,10 +160,11 @@ def similarity_builder(T) -> SimilarityReport:
     """Renorm so that T becomes a contraction.
 
     M = P*P + G with P the mean-ergodic projection and G the order-1
-    Gram operator; the exact relations PT = P and T*GT <= G - (I-T)*(I-T)
-    make T*MT <= M, so for the Hermitian root V of M the conjugated
-    operator V T V^-1 is a contraction up to rounding (the order-1 Gram
-    operator comes from the Stein route, which does not truncate).
+    Gram operator; the relations PT = P and T*GT <= G - (I-T)*(I-T) of
+    the full series make T*MT <= M, so for the Hermitian root V of M the
+    conjugated operator V T V^-1 is a contraction up to rounding and the
+    series tail (G is the series cut where its geometric tail bound falls
+    below ``sqfun.GRAM_TAIL_TOL``).
     Raises when M is numerically singular (no two-sided square-function
     equivalence at working precision).
     """

@@ -7,12 +7,13 @@ quadratic form of the Gram operator
 
     G = sum_k k^(2m-1) (T*)^(k-1) (I-T*)^m (I-T)^m T^(k-1),
 
-computable either by truncation with a geometric tail bound or, for
-m = 1, exactly through two nested Stein equations on the subspace
-complementary to Ker(I-T).  On the weighted-p / sup models the square
-sum moves inside the norm pointwise; on Schatten models it becomes the
-Schatten norm of (sum_k k^(2m-1) |Delta_k x|^2)^(1/2) with a column/row
-side choice.
+computed at every m as this one series, cut where its geometric tail
+bound falls below ``GRAM_TAIL_TOL``.  On the weighted-p / sup models the
+square sum moves inside the norm pointwise; on Schatten models it
+becomes the Schatten norm of (sum_k k^(2m-1) |Delta_k x|^2)^(1/2) with
+a column/row side choice.  Every route takes its spectral radius off
+the fixed space from one helper, which refuses a defective eigenvalue 1
+(SingularMatrixError) and leaves a radius >= 1 to DivergenceError.
 
 Rademacher averages are exact sign enumerations up to 20 summands and
 counter-based (Philox) Monte Carlo beyond, so parallel or repeated runs
@@ -142,12 +143,21 @@ class RadEstimate:
 # ---------------------------------------------------------------------------
 
 def _effective_radius(T: np.ndarray) -> float:
-    """Largest |eigenvalue| off the eigenvalue-1 cluster (0 if none)."""
+    """Largest |eigenvalue| off the eigenvalue-1 cluster (0 if none).
+
+    A cluster at 1 must be semisimple: when it is not,
+    :func:`ritt.mean_ergodic_projection` raises SingularMatrixError, so
+    no square-function route sums a series that grows without bound.
+    """
     tol1 = ritt.eigenvalue_one_tolerance(T)
-    rho = 0.0
+    rho, near_one = 0.0, False
     for lam in numlin.eig(T).eigenvalues:
         if abs(lam - 1.0) > tol1:
             rho = max(rho, abs(lam))
+        else:
+            near_one = True
+    if near_one:
+        ritt.mean_ergodic_projection(T)
     return rho
 
 
@@ -248,49 +258,18 @@ def _square_sums(T: np.ndarray, Y: np.ndarray, space: SpaceModel, cfg: SFConfig,
             for i in range(r)]
 
 
-def _deflate(T: np.ndarray):
-    """(W, T_r) with W an orthonormal basis of Ran(I-T) and T_r = W^H T W.
-
-    Ran(I-T) is T-invariant; when 1 is not an eigenvalue W spans the
-    whole space and T_r is just a unitary conjugate of T.
-    """
-    n = T.shape[0]
-    P = ritt.mean_ergodic_projection(T)
-    Q = np.eye(n, dtype=complex) - P
-    U, s, _ = scipy.linalg.svd(Q)
-    r = int(np.sum(s > 1e-12 * max(s[0], 1.0)))
-    W = U[:, :r]
-    return W, W.conj().T @ T @ W
-
-
-def gram_operator(T, m: int = 1, method: str = "auto") -> np.ndarray:
+def gram_operator(T, m: int = 1) -> np.ndarray:
     """Hermitian PSD Gram operator of the order-m square function (Euclidean).
 
-    method "stein" (m = 1 only): two nested Stein equations
-    H - T*HT = Q, G - T*GT = H on the deflated subspace.  method
-    "series": the series of :func:`_series_gram`, cut where its geometric
-    tail falls below ``GRAM_TAIL_TOL``.  "auto" picks stein for m = 1.
+    The series of :func:`_series_gram`, cut where its geometric tail
+    falls below ``GRAM_TAIL_TOL``, then symmetrized.  DivergenceError
+    unless the spectral radius off the fixed space is < 1;
+    SingularMatrixError when the eigenvalue 1 is defective.
     """
     T = as_matrix(T, square=True)
     if m < 1:
         raise ValueError("m must be >= 1")
-    if method == "auto":
-        method = "stein" if m == 1 else "series"
-    if method == "series":
-        G = _series_gram(T, m)
-    elif method == "stein":
-        if m != 1:
-            raise ValueError("stein route applies to m=1 only")
-        _radius_below_one(T)
-        W, Tr = _deflate(T)
-        if not Tr.size:
-            return np.zeros(T.shape, dtype=complex)
-        H = scipy.linalg.solve_discrete_lyapunov(Tr.conj().T, np.eye(len(Tr), dtype=complex))
-        Gr = scipy.linalg.solve_discrete_lyapunov(Tr.conj().T, H)
-        E = W.conj().T @ (np.eye(len(T), dtype=complex) - T)
-        G = E.conj().T @ Gr @ E
-    else:
-        raise ValueError(f"unknown gram method {method!r}")
+    G = _series_gram(T, m)
     return 0.5 * (G + G.conj().T)
 
 
@@ -322,15 +301,6 @@ def _unit_starts(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
-def _radius_below_one(T: np.ndarray) -> float:
-    """:func:`_effective_radius` of T; DivergenceError unless it is < 1."""
-    rho = _effective_radius(T)
-    if rho >= 1.0 - 1e-12:
-        raise DivergenceError(0, "spectral radius off the fixed space is not < 1 "
-                                 f"(rho={rho:.6f})")
-    return rho
-
-
 def _series_gram(T: np.ndarray, m: int) -> np.ndarray:
     """sum_k k^(2m-1) B_k^H B_k over k <= n, B_k = T^(k-1) A^m, A = I - T.
 
@@ -342,9 +312,13 @@ def _series_gram(T: np.ndarray, m: int) -> np.ndarray:
     :func:`numlin.power_blocks` then adds each block's weighted B_k^H B_k
     as one GEMM of their stacked rows.  A^m goes in before the sum, so
     neither a fixed vector of T nor the large transient powers of a
-    non-normal T have to cancel to rounding afterwards.
+    non-normal T have to cancel to rounding afterwards.  DivergenceError
+    unless rho < 1.
     """
-    rho = _radius_below_one(T)
+    rho = _effective_radius(T)
+    if rho >= 1.0 - 1e-12:
+        raise DivergenceError(0, "spectral radius off the fixed space is not < 1 "
+                                 f"(rho={rho:.6f})")
     d = T.shape[0]
     Am = np.linalg.matrix_power(np.eye(d, dtype=complex) - T, m)
     n = max(64, math.ceil(math.log(GRAM_TAIL_TOL) / (2.0 * math.log(rho))) if rho > 0 else 0)
@@ -396,27 +370,28 @@ def sf_constant(T, m: int, space: SpaceModel,
                 method: str = "auto") -> float:
     """Smallest C with ||x||_{T,m} <= C ||x||.
 
-    Euclidean model: exact, the square root of the top Gram eigenvalue
-    (method "gram").  Method "maximize" cross-checks it without the Stein
-    route: it builds the series Gram form over a geometric-tail length in
-    one walk over the powers, and runs power iteration from
-    max(trials // 50, 4) random starts at once, the columns of one block.
-    Other models: ``trials`` random unit vectors, evaluated in one stacked
-    square-function loop and scanned in draw order, then a hill climb from
-    the best; a lower bound (flagged by construction, not by value).
-    ``trials`` must be at least 1 wherever random starts are drawn.
+    Euclidean model: exact, the square root of the top eigenvalue of
+    :func:`gram_operator` (method "auto" or "gram").  Method "maximize"
+    reads the same series Gram form and runs power iteration from
+    max(trials // 50, 4) random starts at once, the columns of one block,
+    so it cross-checks the eigensolver, not the series.  Other models
+    have only method "auto": ``trials`` random unit vectors, evaluated in
+    one stacked square-function loop and scanned in draw order, then a
+    hill climb from the best; a lower bound (flagged by construction, not
+    by value).  The spectral radius is taken once per call.  ``trials``
+    must be at least 1 wherever random starts are drawn.
     """
     T = as_matrix(T, square=True)
     cfg = cfg or SFConfig(m=m)
     if cfg.m != m:
         cfg = dataclasses.replace(cfg, m=m)
     euclidean = isinstance(space, Hilbert)
-    if euclidean and method in ("auto", "gram"):
+    if method not in (("auto", "gram", "maximize") if euclidean else ("auto",)):
+        raise ValueError(f"unknown sf_constant method {method!r} on {type(space).__name__}")
+    if euclidean and method != "maximize":
         G = gram_operator(T, m=m)
         lam = float(np.max(np.clip(np.linalg.eigvalsh(G).real, 0.0, None))) if G.size else 0.0
         return math.sqrt(lam)
-    if euclidean and method != "maximize":
-        raise ValueError(f"unknown sf_constant method {method!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -424,15 +399,17 @@ def sf_constant(T, m: int, space: SpaceModel,
         X = _unit_starts(rng, max(trials // 50, 4), T.shape[0]).T
         return math.sqrt(_top_rayleigh(_series_gram(T, m), X))
 
+    rho = _effective_radius(T)
+
     def ratio(x):
         nx = vec_norm(x, space)
         if nx == 0:
             return 0.0
-        return square_function(T, x, space, cfg).value / nx
+        return _square_sums(T, x[None], space, cfg, rho)[0].value / nx
 
     U = _unit_starts(rng, trials, space.dim)
     nx = space.norms(U)
-    sf = [rep.value for rep in _square_sums(T, U, space, cfg, _effective_radius(T))]
+    sf = [rep.value for rep in _square_sums(T, U, space, cfg, rho)]
     best, best_x = 0.0, None
     for i in range(trials):  # the strict > of the draw-order scan
         r = sf[i] / nx[i] if nx[i] != 0 else 0.0

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -223,6 +224,25 @@ def test_analyze_refused_resolvent_node_is_inconclusive(tmp_path):
     res = load(out)["result"]
     assert res["verdict"] == "inconclusive"
     assert any("refused" in r and "rcond=" in r for r in res["reasons"])
+
+
+@pytest.mark.parametrize("T, message", [
+    (np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]), "eigenvalue 1 is defective"),
+    # the Gram series refuses the radius before it sums, the loops as terms grow
+    (np.diag([1.5, 0.5]), "diverge|rho=1.5"),
+], ids=["jordan-at-1", "radius-1.5"])
+@pytest.mark.parametrize("extra", [[], ["--constant", "--m", "2"], ["--constant", "--space", "lp:3"]],
+                         ids=["value", "constant-m2", "constant-lp3"])
+def test_sqfun_refusal_is_one_stderr_line_and_exit_1(tmp_path, capsys, T, message, extra):
+    with open(tmp_path / "T.json", "w") as fh:
+        json.dump(matrix_to_json(T), fh)
+    out = tmp_path / "out.json"
+    assert run(["sqfun", tmp_path / "T.json", "--out", out] + extra) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("rittcalc: refused: ")
+    assert re.search(message, lines[0])
+    assert not out.exists() and captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["analyze", "sqfun"])

@@ -78,13 +78,6 @@ def test_gram_scalar_and_zero():
     assert np.allclose(gram_operator(np.zeros((3, 3)), 1), np.eye(3))
 
 
-def test_gram_dual_route():
-    T = ritt_instance(0)
-    a = gram_operator(T, 1, method="stein")
-    b = gram_operator(T, 1, method="series")
-    assert np.linalg.norm(a - b, 2) <= 1e-9
-
-
 def test_gram_quadratic_form_is_square_function():
     T = ritt_instance(1)
     G = gram_operator(T, 1)
@@ -102,9 +95,8 @@ def test_gram_deflates_eigenvalue_one():
 
 
 GRAM_ROUTE_CALLS = {
-    "stein": lambda T: gram_operator(T, 1, method="stein"),
-    "series-1": lambda T: gram_operator(T, 1, method="series"),
-    "series-2": lambda T: gram_operator(T, 2, method="series"),
+    "series-1": lambda T: gram_operator(T, 1),
+    "series-2": lambda T: gram_operator(T, 2),
     "maximize": lambda T: sf_constant(T, 1, Hilbert(2), method="maximize"),
 }
 
@@ -115,6 +107,27 @@ GRAM_ROUTE_CALLS = {
 def test_gram_routes_refuse_a_radius_of_one_off_the_fixed_space(T, route):
     with pytest.raises(sqfun.DivergenceError):
         GRAM_ROUTE_CALLS[route](T)
+
+
+JORDAN_AT_ONE = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+LP3 = LpWeighted(3.0, (1.0, 1.0, 1.0))
+DEFECTIVE_ONE_CALLS = {
+    "square-function": lambda T: square_function(T, np.ones(3), Hilbert(3)),
+    "gram-1": lambda T: gram_operator(T, 1),
+    "gram-2": lambda T: gram_operator(T, 2),
+    "sf-gram": lambda T: sf_constant(T, 1, Hilbert(3), method="gram"),
+    "sf-maximize": lambda T: sf_constant(T, 1, Hilbert(3), method="maximize"),
+    "sf-gram-2": lambda T: sf_constant(T, 2, Hilbert(3), method="gram"),
+    "sf-lp3": lambda T: sf_constant(T, 1, LP3, trials=5),
+    "square-function-lp3": lambda T: square_function(T, np.ones(3), LP3),
+}
+
+
+@pytest.mark.parametrize("route", list(DEFECTIVE_ONE_CALLS))
+def test_every_square_function_route_refuses_a_defective_eigenvalue_one(route):
+    # the series of a Jordan block at 1 grows like k^3: no finite value exists
+    with pytest.raises(numlin.SingularMatrixError, match="defective"):
+        DEFECTIVE_ONE_CALLS[route](JORDAN_AT_ONE)
 
 
 def test_sf_constant_examples():
@@ -775,6 +788,26 @@ def test_sf_constant_needs_a_trial(trials):
     assert sf_constant(T, 1, Hilbert(4), trials=trials) > 0
 
 
+@pytest.mark.parametrize("space", [LpWeighted(3.0, (1.0,) * 4), SupSeq(4)], ids=["lp3", "sup"])
+@pytest.mark.parametrize("method", ["gram", "maximize", "bogus"])
+def test_sf_constant_refuses_a_method_the_model_does_not_have(space, method):
+    with pytest.raises(ValueError, match="method"):
+        sf_constant(ritt_instance(3), 1, space, trials=5, method=method)
+
+
+def test_sf_constant_takes_the_spectral_radius_once(monkeypatch):
+    calls = []
+    eig = numlin.eig
+
+    def counted(T, *args, **kwargs):
+        calls.append(1)
+        return eig(T, *args, **kwargs)
+
+    monkeypatch.setattr(numlin, "eig", counted)
+    sf_constant(ritt_instance(3), 1, LpWeighted(3.0, (1.0,) * 4), trials=20, seed=1)
+    assert len(calls) == 1
+
+
 def test_sf_constant_scans_the_trials_in_draw_order():
     # the stacked scan picks the same best start as the one-at-a-time loop
     T = ritt_instance(7, lam_hi=0.8)
@@ -827,28 +860,48 @@ GRAM_ORACLE_CASES = {
     # triangular, so the eigenvalue 1 is exact in double precision too
     "semisimple-1": np.array([[1.0, 0.25, -0.5], [0.0, 0.5, 1.0], [0.0, 0.0, 0.3 + 0.2j]]),
 }
-# the Stein route (and sf_constant "gram", which takes it at m = 1) loses
-# digits on the non-normal case: 6.6e-11 and 3.3e-11 relative
-_STEIN_LOSS = pytest.mark.xfail(strict=True, reason="Stein route off by 6.6e-11 on kappa 174")
-GRAM_ORACLE_ROUTES = [
-    pytest.param(name, m, route,
-                 marks=(_STEIN_LOSS if (name, m, route) in (("non-normal", 1, "stein"),
-                                                            ("non-normal", 1, "gram"))
-                        else ()))
-    for name in GRAM_ORACLE_CASES for m in (1, 2)
-    for route in (("stein", "series") if m == 1 else ("series",)) + ("gram", "maximize")]
+GRAM_ORACLE_ROUTES = [(name, m, route) for name in GRAM_ORACLE_CASES for m in (1, 2)
+                      for route in ("series", "gram", "maximize")]
 
 
 @pytest.mark.parametrize("name, m, route", GRAM_ORACLE_ROUTES)
 def test_gram_routes_against_a_40_digit_series(name, m, route):
     T = GRAM_ORACLE_CASES[name]
     G_mp, C_mp = _mp_gram(T, m)
-    if route in ("stein", "series"):
-        G = gram_operator(T, m, method=route)
+    if route == "series":
+        G = gram_operator(T, m)
         assert np.linalg.norm(G - G_mp, 2) <= 1e-12 * np.linalg.norm(G_mp, 2)
     else:
         C = sf_constant(T, m, Hilbert(3), method=route)
         assert C == pytest.approx(C_mp, rel=1e-12, abs=0.0)
+
+
+def test_gram_against_the_closed_form_on_the_conditional_basis_operator():
+    # T = E D E^-1 as lab.conditional_basis_demo(8, 1e3) builds it; then
+    # G = E^-H [(1 - conj d_i)(1 - d_j)(E^H E)_ij / (1 - conj d_i d_j)^2] E^-1
+    # (E and d are real here), summed in closed form at 40 digits
+    import mpmath
+
+    n, kappa = 8, 1e3
+    d = 1.0 - 2.0 ** -(np.arange(1, n + 1, dtype=float))
+    c = (kappa**2 - 1.0) / (kappa**2 + 1.0)
+    a = 0.5 * (math.sqrt(1.0 + c) + math.sqrt(1.0 - c))
+    b = 0.5 * (math.sqrt(1.0 + c) - math.sqrt(1.0 - c))
+    E = np.eye(n, dtype=complex)
+    E[n - 2:, n - 2:] = np.array([[a, b], [b, a]])
+    T = E @ np.diag(d.astype(complex)) @ np.linalg.inv(E)
+    with mpmath.workdps(40):
+        Em = mpmath.matrix([[mpmath.mpf(float(v.real)) for v in row] for row in E])
+        dm = [mpmath.mpf(float(v)) for v in d]
+        K = Em.T * Em
+        for i in range(n):
+            for j in range(n):
+                K[i, j] *= (1 - dm[i]) * (1 - dm[j]) / (1 - dm[i] * dm[j]) ** 2
+        Einv = Em ** -1
+        Gm = Einv.T * K * Einv
+        G_exact = np.array([[float(Gm[i, j]) for j in range(n)] for i in range(n)])
+    G = gram_operator(T, 1)
+    assert np.linalg.norm(G - G_exact, 2) <= 1e-11 * np.linalg.norm(G_exact, 2)
 
 
 def _terms_needed(T, m):

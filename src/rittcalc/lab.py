@@ -169,9 +169,8 @@ def similarity_builder(T) -> SimilarityReport:
     equivalence at working precision).
     """
     T = as_matrix(T, square=True)
-    P = ritt.mean_ergodic_projection(T)
-    G = sqfun.gram_operator(T, m=1)
-    M = P.conj().T @ P + G
+    rho, P = sqfun._effective_radius(T)
+    M = P.conj().T @ P + sqfun._series_gram(T, 1, rho)
     M = 0.5 * (M + M.conj().T)
     lam, U = np.linalg.eigh(M)
     lam = lam.real

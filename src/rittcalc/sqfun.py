@@ -7,7 +7,8 @@ quadratic form of the Gram operator
 
     G = sum_k k^(2m-1) (T*)^(k-1) (I-T*)^m (I-T)^m T^(k-1),
 
-computed at every m as this one series, cut where its geometric tail
+computed at every m as this one series, term by term up to ``GRAM_HEAD``
+terms and by doubling the count past them, until its geometric tail
 bound falls below ``GRAM_TAIL_TOL``.  On the weighted-p / sup models the
 square sum moves inside the norm pointwise; on Schatten models it
 becomes the Schatten norm of (sum_k k^(2m-1) |Delta_k x|^2)^(1/2) with
@@ -57,7 +58,8 @@ __all__ = [
 EXACT_ENUM_MAX = 20
 MC_DEFAULT_SAMPLES = 4096
 GRAM_TAIL_TOL = 1e-13  # geometric tail at which the Gram series is cut
-GRAM_N_MAX = 200000  # longest Gram series before DivergenceError
+GRAM_HEAD = 8192  # Gram terms walked one power at a time; longer series double
+GRAM_N_MAX = 2**60  # longest Gram series before DivergenceError
 
 
 class DivergenceError(ArithmeticError):
@@ -142,8 +144,10 @@ class RadEstimate:
 # square functions
 # ---------------------------------------------------------------------------
 
-def _effective_radius(T: np.ndarray) -> float:
-    """Largest |eigenvalue| off the eigenvalue-1 cluster (0 if none).
+def _effective_radius(T: np.ndarray) -> tuple:
+    """(rho, P): the largest |eigenvalue| off the eigenvalue-1 cluster (0
+    if none) and the mean-ergodic projection (zero when no eigenvalue
+    lies within ``ritt.eigenvalue_one_tolerance`` of 1).
 
     A cluster at 1 must be semisimple: when it is not,
     :func:`ritt.mean_ergodic_projection` raises SingularMatrixError, so
@@ -156,9 +160,7 @@ def _effective_radius(T: np.ndarray) -> float:
             rho = max(rho, abs(lam))
         else:
             near_one = True
-    if near_one:
-        ritt.mean_ergodic_projection(T)
-    return rho
+    return rho, (ritt.mean_ergodic_projection(T) if near_one else np.zeros_like(T))
 
 
 def square_function(T, x, space: SpaceModel, cfg: Optional[SFConfig] = None) -> SFReport:
@@ -172,7 +174,7 @@ def square_function(T, x, space: SpaceModel, cfg: Optional[SFConfig] = None) -> 
     cfg = cfg or SFConfig()
     T = as_matrix(T, square=True)
     y = check_vector(x, space).reshape(1, -1)
-    return _square_sums(T, y, space, cfg, _effective_radius(T))[0]
+    return _square_sums(T, y, space, cfg, _effective_radius(T)[0])[0]
 
 
 def _any(flags) -> bool:
@@ -269,7 +271,7 @@ def gram_operator(T, m: int = 1) -> np.ndarray:
     T = as_matrix(T, square=True)
     if m < 1:
         raise ValueError("m must be >= 1")
-    G = _series_gram(T, m)
+    G = _series_gram(T, m, _effective_radius(T)[0])
     return 0.5 * (G + G.conj().T)
 
 
@@ -301,21 +303,23 @@ def _unit_starts(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
-def _series_gram(T: np.ndarray, m: int) -> np.ndarray:
-    """sum_k k^(2m-1) B_k^H B_k over k <= n, B_k = T^(k-1) A^m, A = I - T.
+def _series_gram(T: np.ndarray, m: int, rho: float) -> np.ndarray:
+    """sum_{k<=n} k^(2m-1) B_k^H B_k, B_k = T^(k-1) A^m, A = I - T.
 
-    n is fixed before the walk: from the n where rho^(2n) <= GRAM_TAIL_TOL
-    (at least 64), rho the spectral radius off the fixed space, it doubles
-    until the geometric tail of the last term, n^(2m-1) ||B_n||_2^2
-    rho_t^2 / (1 - rho_t^2) with rho_t = rho e^((2m-1)/(2n)), is at most
-    GRAM_TAIL_TOL (DivergenceError past GRAM_N_MAX).  One walk of
-    :func:`numlin.power_blocks` then adds each block's weighted B_k^H B_k
-    as one GEMM of their stacked rows.  A^m goes in before the sum, so
-    neither a fixed vector of T nor the large transient powers of a
-    non-normal T have to cancel to rounding afterwards.  DivergenceError
-    unless rho < 1.
+    n doubles from max(64, the n with rho^(2n) <= GRAM_TAIL_TOL) until the
+    geometric tail n^(2m-1) ||B_n||_2^2 rho_t^2 / (1 - rho_t^2), rho_t =
+    rho e^((2m-1)/(2n)), is at most GRAM_TAIL_TOL.  The first
+    min(n, GRAM_HEAD) terms come from one walk of :func:`numlin.power_blocks`,
+    one GEMM per block.  Past the head the weighted sums W_p(c) =
+    sum_{k<=c} k^p (T^(k-1))^H (A^m)^H A^m T^(k-1), p < 2m, double together:
+    W_p(2c) = W_p(c) + (T^c)^H [sum_{q<=p} binom(p, q) c^(p-q) W_q(c)] T^c,
+    so any rho < 1 costs log n steps.  Each step carries the rounding of
+    W(c) through T^c, which costs digits on a non-normal T with rho near 1,
+    so the walk serves every series it can.  A^m goes in before the sum,
+    so no fixed vector of T has to cancel afterwards.  rho is the spectral
+    radius off the fixed space; DivergenceError unless rho < 1, or past
+    GRAM_N_MAX terms.
     """
-    rho = _effective_radius(T)
     if rho >= 1.0 - 1e-12:
         raise DivergenceError(0, "spectral radius off the fixed space is not < 1 "
                                  f"(rho={rho:.6f})")
@@ -323,20 +327,29 @@ def _series_gram(T: np.ndarray, m: int) -> np.ndarray:
     Am = np.linalg.matrix_power(np.eye(d, dtype=complex) - T, m)
     n = max(64, math.ceil(math.log(GRAM_TAIL_TOL) / (2.0 * math.log(rho))) if rho > 0 else 0)
     while True:
-        n = min(n, GRAM_N_MAX)
+        if n > GRAM_N_MAX:
+            raise DivergenceError(n, "series truncation cap reached")
         rho_t = rho * math.exp((2 * m - 1) / (2.0 * n))
         b_n = n ** (2 * m - 1) * np.linalg.norm(np.linalg.matrix_power(T, n - 1) @ Am, 2) ** 2
         if rho_t < 1.0 and b_n * rho_t**2 / (1.0 - rho_t**2) <= GRAM_TAIL_TOL:
             break
-        if n >= GRAM_N_MAX:
-            raise DivergenceError(n, "series truncation cap reached")
         n *= 2
-    G = np.zeros((d, d), dtype=complex)
-    for s, P in numlin.power_blocks(T, n - 1):
-        B = P @ Am
-        w = np.arange(s + 1, s + 1 + len(P), dtype=float) ** (2 * m - 1)
-        G += B.reshape(-1, d).conj().T @ (w[:, None, None] * B).reshape(-1, d)
-    return G
+    c = min(n, GRAM_HEAD)
+    weights = range(2 * m) if n > c else [2 * m - 1]  # the doubling needs every p
+    W = {p: np.zeros((d, d), dtype=complex) for p in weights}
+    for s, P in numlin.power_blocks(T, c):
+        B = P[:c - s] @ Am  # the walk reaches T^c, the first power past the head
+        k = np.arange(s + 1, s + 1 + len(B), dtype=float)
+        for p in weights:
+            W[p] += B.reshape(-1, d).conj().T @ ((k**p)[:, None, None] * B).reshape(-1, d)
+    P = P[-1]  # T^c
+    while c < n:
+        Z = {q: P.conj().T @ W[q] @ P for q in weights}
+        W = {p: W[p] + sum(math.comb(p, q) * float(c) ** (p - q) * Z[q] for q in range(p + 1))
+             for p in weights}
+        P = P @ P
+        c *= 2
+    return W[2 * m - 1]
 
 
 def _top_rayleigh(G: np.ndarray, X: np.ndarray) -> float:
@@ -395,11 +408,10 @@ def sf_constant(T, m: int, space: SpaceModel,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.Generator(np.random.Philox(key=seed))
+    rho = _effective_radius(T)[0]
     if euclidean:
         X = _unit_starts(rng, max(trials // 50, 4), T.shape[0]).T
-        return math.sqrt(_top_rayleigh(_series_gram(T, m), X))
-
-    rho = _effective_radius(T)
+        return math.sqrt(_top_rayleigh(_series_gram(T, m, rho), X))
 
     def ratio(x):
         nx = vec_norm(x, space)

@@ -105,6 +105,16 @@ def test_gallery_conditional_basis(tdir):
     assert load(out)["result"]["equivalence_ratio"] >= 1e2
 
 
+def test_gallery_conditional_basis_past_the_gram_walk(tdir):
+    # rho = 1 - 2^-14: the Gram series needs 2^19 terms, far past the walk
+    out = tdir / "rep.json"
+    assert run(["gallery", "conditional-basis", "--n", 14, "--kappa", 1000,
+                "--out", out, "--no-timestamp"]) == 0
+    res = load(out)["result"]
+    assert res["sf_constant"] == pytest.approx(117.8623230, rel=1e-9)
+    assert res["contraction_norm"] <= 1.0 + 1e-8
+
+
 def test_plotdata_resolvent_and_checks(tdir):
     rep = tdir / "rep.json"
     run(["analyze", tdir / "T.json", "--N", 64, "--out", rep, "--no-timestamp"])

@@ -428,7 +428,7 @@ def _ladder_square_function(T, x, space, cfg):
     T = np.asarray(T, dtype=complex)
     x = check_vector(x, space)
     m = cfg.m
-    rho = sqfun._effective_radius(T)
+    rho = sqfun._effective_radius(T)[0]
 
     n = T.shape[0] if not isinstance(space, SchattenP) else space.n
     I = np.eye(T.shape[0], dtype=complex)
@@ -662,7 +662,7 @@ def _parent_square_function(T, x, space, cfg):
     T = np.asarray(T, dtype=complex)
     y = check_vector(x, space).reshape(-1)
     m = cfg.m
-    rho = sqfun._effective_radius(T)
+    rho = sqfun._effective_radius(T)[0]
 
     A = np.eye(T.shape[0], dtype=complex) - T
     for _ in range(m):
@@ -744,7 +744,7 @@ def test_every_row_of_a_stack_is_its_one_row_call(seed, case, m, rows, tail_exp,
     Y = rng.normal(size=(rows, 4)) + 1j * rng.normal(size=(rows, 4))
     Y[rng.integers(rows)] = 0.0  # a zero row leaves the stack at k = 1
     cfg = SFConfig(m=m, side=side, tail_tol=10.0 ** -tail_exp, n_max=n_max)
-    reps = sqfun._square_sums(T, Y, space, cfg, sqfun._effective_radius(T))
+    reps = sqfun._square_sums(T, Y, space, cfg, sqfun._effective_radius(T)[0])
     assert len(reps) == rows
     # a GEMM rounds unlike the one-row GEMV; the difference grows along the
     # powers by at most the eigenvector condition number of T per step
@@ -765,7 +765,7 @@ def test_stacked_divergence_has_the_first_bad_k_of_its_row():
     T = np.diag([1.5, 0.5])
     Y = np.array([[0.0, 1.0], [0.0, -2.0], [1.0, 1.0], [0.0, 3.0j]])
     with pytest.raises(sqfun.DivergenceError) as stack:
-        sqfun._square_sums(T, Y, Hilbert(2), SFConfig(n_max=4000), sqfun._effective_radius(T))
+        sqfun._square_sums(T, Y, Hilbert(2), SFConfig(n_max=4000), sqfun._effective_radius(T)[0])
     with pytest.raises(sqfun.DivergenceError) as row:
         square_function(T, Y[2], Hilbert(2), SFConfig(n_max=4000))
     assert stack.value.k == row.value.k == 33
@@ -876,20 +876,25 @@ def test_gram_routes_against_a_40_digit_series(name, m, route):
         assert C == pytest.approx(C_mp, rel=1e-12, abs=0.0)
 
 
-def test_gram_against_the_closed_form_on_the_conditional_basis_operator():
-    # T = E D E^-1 as lab.conditional_basis_demo(8, 1e3) builds it; then
-    # G = E^-H [(1 - conj d_i)(1 - d_j)(E^H E)_ij / (1 - conj d_i d_j)^2] E^-1
-    # (E and d are real here), summed in closed form at 40 digits
-    import mpmath
-
-    n, kappa = 8, 1e3
+def _conditional_basis(n, kappa):
+    """(d, E, T) with T = E D E^-1 as lab.conditional_basis_demo(n, kappa) builds it."""
     d = 1.0 - 2.0 ** -(np.arange(1, n + 1, dtype=float))
     c = (kappa**2 - 1.0) / (kappa**2 + 1.0)
     a = 0.5 * (math.sqrt(1.0 + c) + math.sqrt(1.0 - c))
     b = 0.5 * (math.sqrt(1.0 + c) - math.sqrt(1.0 - c))
     E = np.eye(n, dtype=complex)
     E[n - 2:, n - 2:] = np.array([[a, b], [b, a]])
-    T = E @ np.diag(d.astype(complex)) @ np.linalg.inv(E)
+    return d, E, E @ np.diag(d.astype(complex)) @ np.linalg.inv(E)
+
+
+def test_gram_against_the_closed_form_on_the_conditional_basis_operator():
+    # T = E D E^-1 as lab.conditional_basis_demo(8, 1e3) builds it; then
+    # G = E^-H [(1 - conj d_i)(1 - d_j)(E^H E)_ij / (1 - conj d_i d_j)^2] E^-1
+    # (E and d are real here), summed in closed form at 40 digits
+    import mpmath
+
+    n = 8
+    d, E, T = _conditional_basis(n, 1e3)
     with mpmath.workdps(40):
         Em = mpmath.matrix([[mpmath.mpf(float(v.real)) for v in row] for row in E])
         dm = [mpmath.mpf(float(v)) for v in d]
@@ -904,38 +909,62 @@ def test_gram_against_the_closed_form_on_the_conditional_basis_operator():
     assert np.linalg.norm(G - G_exact, 2) <= 1e-11 * np.linalg.norm(G_exact, 2)
 
 
-def _terms_needed(T, m):
-    """The first k at which the geometric tail of the k-th Gram term,
-    k^(2m-1) ||T^(k-1) A^m||_2^2 rho_t^2 / (1 - rho_t^2), is at most
-    ``GRAM_TAIL_TOL``: the length a term-by-term walk would stop at."""
-    rho = sqfun._effective_radius(T)
-    B = np.linalg.matrix_power(np.eye(len(T)) - T, m)
-    for k in range(1, sqfun.GRAM_N_MAX):
-        rho_t = rho * math.exp((2 * m - 1) / (2.0 * k))
-        tail = k ** (2 * m - 1) * np.linalg.norm(B, 2) ** 2 * rho_t**2 / (1.0 - rho_t**2)
-        if rho_t < 1.0 and tail <= sqfun.GRAM_TAIL_TOL:
-            return k
+def _closed_form_gram(T):
+    """The order-1 Gram operator of a diagonalizable T at 40 digits, from
+    the eigendecomposition T = E D E^-1 of the matrix as rounded:
+    G = E^-H [conj(1 - d_i)(1 - d_j)(E^H E)_ij / (1 - conj d_i d_j)^2] E^-1."""
+    import mpmath
+
+    n = T.shape[0]
+    with mpmath.workdps(40):
+        d, E = mpmath.eig(mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in T]))
+        K = E.H * E
+        for i in range(n):
+            for j in range(n):
+                K[i, j] *= mpmath.conj(1 - d[i]) * (1 - d[j]) / (1 - mpmath.conj(d[i]) * d[j]) ** 2
+        Einv = E ** -1
+        G = Einv.H * K * Einv
+        return np.array([[complex(G[i, j]) for j in range(n)] for i in range(n)])
+
+
+def test_gram_of_a_series_far_past_the_walk():
+    # conditional_basis_demo(14, 1e3): rho = 1 - 2^-14, so the series needs
+    # 2^19 terms, 64 times GRAM_HEAD.  The closed form is taken from the
+    # rounded T itself: rounding E D E^-1 alone moves this Gram by 2.8e-10
+    # relative.  The doubling past the walk is 1.7e-10 off here, about as
+    # far as the Stein solver it replaced (1.4e-11) on this operator.
+    T = _conditional_basis(14, 1e3)[2]
+    G_exact = _closed_form_gram(T)
+    assert np.linalg.norm(gram_operator(T, 1) - G_exact, 2) <= 1e-9 * np.linalg.norm(G_exact, 2)
+
+
+def _term_by_term_gram(T, m, n):
+    """sum_{k<=n} k^(2m-1) B_k^H B_k, B_k = T^(k-1) (I - T)^m, one term at a time."""
+    B = np.linalg.matrix_power(np.eye(len(T)) - T, m).astype(complex)
+    G = np.zeros_like(B)
+    for k in range(1, n + 1):
+        G += k ** (2 * m - 1) * (B.conj().T @ B)
         B = T @ B
-    raise AssertionError("no Gram series length found")
+    return G
 
 
-def test_series_gram_walks_no_more_than_twice_the_powers_it_needs(monkeypatch):
-    # the length is fixed before the walk: a walk that is cut inside one
-    # power block (8192 powers at n = 4) asks for far more than its sum holds
-    walked = []
-    power_blocks = numlin.power_blocks
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_series_gram_doubling_is_the_term_by_term_sum(monkeypatch, m):
+    # with the walk cut to 64 terms every case doubles at least once; the
+    # binomial doubling of the weighted sums against 4096 terms added one
+    # at a time, which leaves a tail far below GRAM_TAIL_TOL here
+    monkeypatch.setattr(sqfun, "GRAM_HEAD", 64)
+    cases = list(GRAM_ORACLE_CASES.values())
+    cases += [ritt_instance(seed, lam_hi=lam_hi) for seed, lam_hi in ((0, 0.5), (1, 0.9))]
+    for T in cases:
+        G = sqfun._series_gram(T, m, sqfun._effective_radius(T)[0])
+        ref = _term_by_term_gram(T, m, 4096)
+        assert np.linalg.norm(G - ref, 2) <= 1e-12 * max(np.linalg.norm(ref, 2), 1.0)
 
-    def counted(T, N):
-        for s, P in power_blocks(T, N):
-            walked.append(len(P))
-            yield s, P
 
-    monkeypatch.setattr(numlin, "power_blocks", counted)
-    cases = [(T, m) for T in GRAM_ORACLE_CASES.values() for m in (1, 2)]
-    cases += [(ritt_instance(seed, lam_hi=lam_hi), m)
-              for seed, lam_hi in ((0, 0.5), (1, 0.9), (2, 0.97)) for m in (1, 2)]
-    cases += [(np.zeros((4, 4)), 1), (np.eye(3), 2)]
-    for T, m in cases:
-        walked.clear()
-        sqfun._series_gram(T, m)
-        assert 0 < sum(walked) <= 2 * max(_terms_needed(T, m), 64)
+def test_series_gram_refuses_past_its_cap(monkeypatch):
+    # rho = 0.97 needs rho^(2n) <= GRAM_TAIL_TOL, about 500 terms
+    T = ritt_instance(2, lam_hi=0.97)
+    monkeypatch.setattr(sqfun, "GRAM_N_MAX", 128)
+    with pytest.raises(sqfun.DivergenceError, match="cap"):
+        sqfun._series_gram(T, 1, sqfun._effective_radius(T)[0])

@@ -304,9 +304,7 @@ class ContourCalculus:
 
     def __init__(self, T, beta: Optional[float] = None,
                  gamma: Optional[float] = None,
-                 mesh: Optional[MeshSpec] = None,
-                 target_rel: float = QUAD_TARGET_REL,
-                 refine_rounds: int = REFINE_ROUNDS):
+                 mesh: Optional[MeshSpec] = None):
         self.T = as_matrix(T, square=True)
         self.alpha = ritt.spectral_type(self.T)
         if self.alpha == NOT_STOLZ:
@@ -322,8 +320,6 @@ class ContourCalculus:
             raise ContourSpectrumError(f"beta={beta:.6g} outside (0, pi/2)")
         self.beta = float(beta)
         self.mesh0 = mesh or MeshSpec()
-        self.target_rel = target_rel
-        self.refine_rounds = refine_rounds
         self.eigs = numlin.eig(self.T).eigenvalues
         self._vertex_in_spectrum = bool(
             np.any(np.abs(self.eigs - 1.0) <= VERTEX_CLUSTER))
@@ -382,12 +378,12 @@ class ContourCalculus:
         est = math.inf
         used = 0
         converged = False
-        for k in range(1, self.refine_rounds + 1):
+        for k in range(1, REFINE_ROUNDS + 1):
             fine = _cauchy_sum(*self._level(k), phi)
             est = float(np.linalg.norm(fine - best, 2))
             best = fine
             used = k
-            if est <= self.target_rel * (1.0 + np.linalg.norm(fine, 2)):
+            if est <= QUAD_TARGET_REL * (1.0 + np.linalg.norm(fine, 2)):
                 converged = True
                 break
         contour, _ = self._level(used)

@@ -36,7 +36,6 @@ __all__ = [
     "spectral_type",
     "resolvent_sample_points",
     "resolvent_sup",
-    "decay_sequences",
     "mean_ergodic_projection",
     "ritt_verdict",
     "eigenvalue_one_tolerance",
@@ -385,11 +384,6 @@ def resolvent_sup(T, beta: float, space: SpaceModel, per_piece: int = 48) -> flo
         warnings.warn(f"resolvent_sup skipped {np.count_nonzero(near)} sample points inside "
                       "the spectrum tolerance")
     return max([0.0, *block_maxima])  # a NaN block maximum is passed over
-
-
-def decay_sequences(T, space: SpaceModel, N: int):
-    """Suprema (S0, S1, S2, S3) of the four decay sequences up to N."""
-    return decay_suprema(T, space, N)
 
 
 def mean_ergodic_projection(T) -> np.ndarray:

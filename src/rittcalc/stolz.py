@@ -4,11 +4,12 @@ The domain B(gamma) is the interior of the convex hull of the point 1
 and the disc of radius sin(gamma) about 0.  Its boundary consists of
 the two tangent segments from 1 to the circle |z| = sin(gamma) (tangent
 points sin(gamma) * exp(+-i(pi/2 - gamma))) and the far arc of that
-circle joining them.  Contours are discretized with composite
-Gauss-Legendre panels; the segments are geometrically graded toward
-the vertex 1 because calculus integrands behave like |1 - z|^(s-1)
-there.  The truncated sector boundary needed by the sectorial transfer
-identity is built the same way, graded toward the sector tip.
+circle joining them, described once with their derivatives dz/dt: the
+sup-norms sample these pieces and one composite Gauss-Legendre builder
+integrates them, grading the segments toward the vertex 1 because
+calculus integrands behave like |1 - z|^(s-1) there.  The truncated
+sector boundary of the sectorial transfer identity is two such
+segments, graded toward the sector tip.
 
 All contours are oriented counterclockwise (winding +1 about interior
 points) and are immutable value objects.
@@ -17,10 +18,11 @@ points) and are immutable value objects.
 from __future__ import annotations
 
 import cmath
+import io
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,6 +46,7 @@ __all__ = [
 
 #: sentinel returned by min_angle when z lies in no Stolz closure
 NOT_STOLZ = math.inf
+_gauss_legendre = lru_cache(maxsize=32)(np.polynomial.legendre.leggauss)
 
 
 @dataclass(frozen=True)
@@ -78,29 +81,11 @@ class MeshSpec:
         )
 
 
-@lru_cache(maxsize=32)
-def _gauss_legendre(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-def _panel_nodes(a: float, b: float, npts: int):
-    """Gauss-Legendre nodes/weights on the parameter interval [a, b]."""
-    x, w = _gauss_legendre(npts)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
-
-
-def _graded_breakpoints(length: float, panels: int, ratio: float, min_panel: float):
-    """Breakpoints on [0, length], geometrically refined toward 0."""
-    pts = [length]
-    for j in range(1, panels):
-        v = length * ratio**j
-        if v < min_panel:
-            break
-        pts.append(v)
-    pts.append(0.0)
-    return pts[::-1]  # ascending, starting at 0
+def _graded(mesh: MeshSpec, tiny: float) -> np.ndarray:
+    """Breakpoints on [0, 1], geometrically refined toward 0 down to panels
+    of relative size ``tiny``."""
+    v = mesh.grading_ratio ** np.arange(1, mesh.segment_panels)
+    return np.concatenate([[0.0], v[v >= tiny][::-1], [1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -223,54 +208,63 @@ class Contour:
         return self.r_max ** (-s) / (math.pi * s)
 
 
+class _Piece(NamedTuple):
+    """A boundary piece: parameter arrays map to points and to dz/dt,
+    shape for shape, over the parameter interval [lo, hi]."""
+
+    point: Callable
+    dz: Callable
+    lo: float
+    hi: float
+
+
+def _segment(a: complex, b: complex) -> _Piece:
+    """The segment u -> a + u (b - a), u in [0, 1]."""
+    d = b - a
+    return _Piece(lambda u: a + u * d, lambda u: np.full(np.shape(u), d), 0.0, 1.0)
+
+
+def _pieces(gamma: float) -> tuple:
+    """The Stolz boundary: the segments u -> 1 + u (tp - 1) and
+    u -> 1 + u (tm - 1) leaving the vertex, and the far arc
+    t -> sin(gamma) e^(it), t from pi/2 - gamma to 3 pi/2 + gamma."""
+    tp, tm = tangent_points(gamma)
+    r = math.sin(gamma)
+    arc = _Piece(lambda t: r * np.exp(1j * t), lambda t: 1j * r * np.exp(1j * t),
+                 math.pi / 2 - gamma, 3 * math.pi / 2 + gamma)
+    return _segment(1.0, tp), _segment(1.0, tm), arc
+
+
+def _gauss_contour(runs, npts: int, r_max: float = math.inf) -> Contour:
+    """Composite Gauss-Legendre contour along ``(piece, breakpoints)`` runs
+    in turn, ``npts`` nodes a panel; a run goes from its first breakpoint
+    to its last, so descending breakpoints traverse a piece backward."""
+    x, w = _gauss_legendre(npts)
+    nodes, tangents, weights = [], [], []
+    for piece, brk in runs:
+        half = 0.5 * (brk[1:] - brk[:-1])[:, None]
+        t = (0.5 * (brk[1:] + brk[:-1])[:, None] + half * x).ravel()
+        dz = piece.dz(t)
+        speed = np.abs(dz)
+        nodes.append(piece.point(t))
+        tangents.append(np.repeat(np.sign(half), npts) * dz / speed)
+        weights.append((np.abs(half) * w).ravel() * speed)
+    return Contour(nodes=np.concatenate(nodes), tangents=np.concatenate(tangents),
+                   weights=np.concatenate(weights), r_max=r_max)
+
+
 def boundary_contour(beta: float, mesh: Optional[MeshSpec] = None) -> Contour:
     """Counterclockwise Gauss-Legendre discretization of the Stolz boundary.
 
     Traversal order: vertex 1 -> upper tangent point -> far arc -> lower
-    tangent point -> vertex.  Segment panels are graded toward 1.
+    tangent point -> vertex.  Segment panels are graded toward 1, so the
+    lower segment mirrors the upper one bit for bit.
     """
-    _check_angle(beta)
     mesh = mesh or MeshSpec()
-    tp, tm = tangent_points(beta)
-    npts = mesh.points_per_panel
-    seg_len = math.cos(beta)
-
-    nodes, tangents, weights = [], [], []
-
-    def add_segment(start: complex, end: complex, grade_at_start: bool):
-        direction = (end - start) / abs(end - start)
-        brks = _graded_breakpoints(abs(end - start), mesh.segment_panels,
-                                   mesh.grading_ratio, mesh.min_panel)
-        if not grade_at_start:  # grading refers to distance from `end`
-            brks = [abs(end - start) - b for b in brks[::-1]]
-        for a, b in zip(brks[:-1], brks[1:]):
-            x, w = _panel_nodes(a, b, npts)
-            nodes.extend(start + direction * xi for xi in x)
-            tangents.extend([direction] * len(x))
-            weights.extend(w)
-
-    # upper tangent segment, leaving the vertex
-    add_segment(1.0 + 0j, tp, grade_at_start=True)
-    # far arc, angle increasing from pi/2 - beta to 3 pi/2 + beta
-    r = math.sin(beta)
-    th0, th1 = math.pi / 2 - beta, 3 * math.pi / 2 + beta
-    arc_brks = np.linspace(th0, th1, mesh.arc_panels + 1)
-    for a, b in zip(arc_brks[:-1], arc_brks[1:]):
-        x, w = _panel_nodes(a, b, npts)
-        for th, wi in zip(x, w):
-            z = r * cmath.exp(1j * th)
-            nodes.append(z)
-            tangents.append(1j * cmath.exp(1j * th))
-            weights.append(wi * r)
-    # lower tangent segment, back into the vertex
-    add_segment(tm, 1.0 + 0j, grade_at_start=False)
-
-    assert seg_len > 0
-    return Contour(
-        nodes=np.array(nodes, dtype=complex),
-        tangents=np.array(tangents, dtype=complex),
-        weights=np.array(weights, dtype=float),
-    )
+    upper, lower, arc = _pieces(beta)
+    u = _graded(mesh, mesh.min_panel / math.cos(beta))  # cos(beta): segment length
+    th = np.linspace(arc.lo, arc.hi, mesh.arc_panels + 1)
+    return _gauss_contour(((upper, u), (arc, th), (lower, u[::-1])), mesh.points_per_panel)
 
 
 def sector_contour(nu: float, r_max: float = 50.0,
@@ -283,33 +277,13 @@ def sector_contour(nu: float, r_max: float = 50.0,
     """
     if not 0.0 < nu < math.pi:
         raise ValueError(f"sector half-angle must lie in (0, pi), got {nu}")
-    if r_max <= 0:
-        raise ValueError("r_max must be positive")
+    if not 0.0 < r_max < math.inf:
+        raise ValueError(f"r_max must be positive and finite, got {r_max}")
     mesh = mesh or MeshSpec()
-    npts = mesh.points_per_panel
-    brks = _graded_breakpoints(r_max, mesh.segment_panels,
-                               mesh.grading_ratio, mesh.min_panel * r_max)
-
-    nodes, tangents, weights = [], [], []
-    lo_dir = cmath.exp(-1j * nu)
-    hi_dir = cmath.exp(1j * nu)
-    for a, b in zip(brks[:-1], brks[1:]):  # lower ray, outward
-        x, w = _panel_nodes(a, b, npts)
-        nodes.extend(lo_dir * xi for xi in x)
-        tangents.extend([lo_dir] * len(x))
-        weights.extend(w)
-    for a, b in zip(brks[:-1][::-1], brks[1:][::-1]):  # upper ray, inward
-        x, w = _panel_nodes(a, b, npts)
-        nodes.extend(hi_dir * xi for xi in x[::-1])
-        tangents.extend([-hi_dir] * len(x))
-        weights.extend(w[::-1])
-
-    return Contour(
-        nodes=np.array(nodes, dtype=complex),
-        tangents=np.array(tangents, dtype=complex),
-        weights=np.array(weights, dtype=float),
-        r_max=r_max,
-    )
+    end = r_max * cmath.exp(1j * nu)
+    u = _graded(mesh, mesh.min_panel)
+    return _gauss_contour(((_segment(0.0, end.conjugate()), u), (_segment(0.0, end), u[::-1])),
+                          mesh.points_per_panel, r_max)
 
 
 def contour_moment(beta: float, k: int, mesh: Optional[MeshSpec] = None) -> float:
@@ -333,33 +307,34 @@ def winding_number(contour, z0: complex = 0.0) -> float:
 
 def contour_to_csv(contour) -> str:
     """CSV rendering (node re/im, weight, tangent re/im) for plotting."""
-    lines = ["node_re,node_im,weight,tangent_re,tangent_im"]
-    for z, w, t in zip(contour.nodes, contour.weights, contour.tangents):
-        lines.append(f"{z.real:.17g},{z.imag:.17g},{w:.17g},{t.real:.17g},{t.imag:.17g}")
-    return "\n".join(lines) + "\n"
+    z, t, buf = contour.nodes, contour.tangents, io.StringIO()
+    np.savetxt(buf, np.column_stack([z.real, z.imag, contour.weights, t.real, t.imag]),
+               fmt="%.17g", delimiter=",", comments="",
+               header="node_re,node_im,weight,tangent_re,tangent_im")
+    return buf.getvalue()
 
 
 def boundary_param(gamma: float, per_piece: int = 512) -> tuple:
     """The Stolz boundary as sampled pieces (grid, point, wraps): ``point``
     maps parameter arrays to boundary points, shape for shape.
 
-    The segments run over s in [0, 1] from the vertex (uniform plus a
-    geometric cluster down to 1e-12), the far arc over its angle.  For
-    gamma = pi/2 it is one piece, the unit circle, whose angle wraps.
+    The segments of :func:`_pieces` run over s in [0, 1] from the vertex
+    (uniform plus a geometric cluster down to 1e-12), the far arc over
+    its angle.  For gamma = pi/2 it is one piece, the unit circle, whose
+    angle wraps.  Angles outside (0, pi/2] and per_piece < 1 raise ValueError.
     """
-    if gamma >= math.pi / 2:
+    if not (0.0 < gamma <= math.pi / 2 and per_piece >= 1):
+        raise ValueError(f"need gamma in (0, pi/2] and per_piece >= 1, got {gamma}, {per_piece}")
+    if gamma == math.pi / 2:
         th = np.linspace(0.0, 2 * math.pi, 4 * per_piece, endpoint=False)
         return ((th, lambda t: np.exp(1j * t), True),)
-    tp, tm = tangent_points(gamma)
+    upper, lower, arc = _pieces(gamma)
     s = np.unique(np.concatenate([
         np.linspace(0.0, 1.0, per_piece),
         np.geomspace(1e-12, 1.0, per_piece // 2),
     ]))
-    r = math.sin(gamma)
-    th = np.linspace(math.pi / 2 - gamma, 3 * math.pi / 2 + gamma, 2 * per_piece)
-    return ((s, lambda u: 1.0 + u * (tp - 1.0), False),
-            (s, lambda u: 1.0 + u * (tm - 1.0), False),
-            (th, lambda t: r * np.exp(1j * t), False))
+    th = np.linspace(arc.lo, arc.hi, 2 * per_piece)
+    return ((s, upper.point, False), (s, lower.point, False), (th, arc.point, False))
 
 
 def boundary_samples(gamma: float, per_piece: int = 512) -> np.ndarray:

@@ -225,6 +225,13 @@ def test_transfer_check_builds_its_sector_contour_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_transfer_check_refuses_an_infinite_radius():
+    # the sector contour used to carry nan nodes to a singular resolvent
+    f = funcalc.from_callable(lambda z: z / (1 + z) ** 2, certificate=(1.0, 1.0))
+    with pytest.raises(ValueError, match="r_max must be positive and finite"):
+        transfer_check(np.diag([0.5]), f, r_max=math.inf)
+
+
 def test_transfer_check_polynomial_route():
     f = poly([0, 0.5, -0.25], label="z(2-z)/4")
     out = transfer_check(np.diag([0.5]), f)
@@ -239,6 +246,17 @@ def test_hinf_norm_examples():
     assert hinf_norm(poly([3.5]), 1.0) == pytest.approx(3.5)
     # unit-disc degenerate case
     assert hinf_norm(poly([0, 1]), math.pi / 2) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_hinf_norm_refuses_an_angle_past_the_disc():
+    # every angle >= pi/2 used to be read as the unit disc (this gave 1.0)
+    with pytest.raises(ValueError, match=r"\(0, pi/2\]"):
+        hinf_norm(poly([0, 1]), 2.0)
+
+
+def test_calculus_constant_refuses_an_angle_past_the_disc():
+    with pytest.raises(ValueError, match=r"\(0, pi/2\]"):
+        calculus_constant(np.diag([0.5, 0.2]), 3.0, Hilbert(2), family=SMALL_FAMILY)
 
 
 def test_calculus_constant_scalar_and_normal():

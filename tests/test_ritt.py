@@ -8,7 +8,7 @@ import pytest
 
 from rittcalc import numlin, ritt, stolz
 from rittcalc.numlin import Hilbert, SchattenP, SupSeq
-from rittcalc.ritt import (decay_sequences, increment_bound,
+from rittcalc.ritt import (decay_suprema, increment_bound,
                            mean_ergodic_projection, power_bound,
                            resolvent_sample_points, resolvent_sup,
                            ritt_verdict, spectral_type)
@@ -67,15 +67,21 @@ def test_resolvent_sup_identity():
     assert resolvent_sup(np.eye(3), math.pi / 4, Hilbert(3)) == pytest.approx(1.0)
 
 
+def test_resolvent_sup_refuses_an_angle_past_the_disc():
+    # every angle >= pi/2 used to be read as the unit disc (this gave 1.67)
+    with pytest.raises(ValueError, match=r"\(0, pi/2\]"):
+        resolvent_sup(np.diag([0.5, 0.2]), 2.0, Hilbert(2))
+
+
 def test_decay_sequences_examples():
-    assert decay_sequences(np.zeros((2, 2)), Hilbert(2), 10) == (1.0, 1.0, 1.0, 1.0)
-    assert decay_sequences(np.eye(2), Hilbert(2), 10) == (1.0, 0.0, 0.0, 0.0)
+    assert decay_suprema(np.zeros((2, 2)), Hilbert(2), 10) == (1.0, 1.0, 1.0, 1.0)
+    assert decay_suprema(np.eye(2), Hilbert(2), 10) == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_decay_sequences_stabilize():
     T = np.diag([0.5, 0.9])
-    a = decay_sequences(T, Hilbert(2), 100)
-    b = decay_sequences(T, Hilbert(2), 200)
+    a = decay_suprema(T, Hilbert(2), 100)
+    b = decay_suprema(T, Hilbert(2), 200)
     assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-12
 
 
@@ -222,7 +228,7 @@ def test_power_overflow_mid_block_matches_power_list(monkeypatch):
     with pytest.raises(numlin.PowerOverflow) as ref:
         numlin.mat_power_seq(T, 20)
     assert ref.value.n == 6
-    for call in (lambda: decay_sequences(T, Hilbert(2), 20),
+    for call in (lambda: decay_suprema(T, Hilbert(2), 20),
                  lambda: power_bound(T, Hilbert(2), 20),
                  lambda: increment_bound(T, Hilbert(2), 20)):
         with pytest.raises(numlin.PowerOverflow) as exc:
@@ -236,7 +242,7 @@ def _decay_sequences_peak():
     T = _ritt_matrix(48, 5)
     tracemalloc.start()  # sees the allocations of every thread
     try:
-        decay_sequences(T, numlin.SupSeq(48), 1024)
+        decay_suprema(T, numlin.SupSeq(48), 1024)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -457,13 +463,13 @@ def test_pooled_walk_raises_the_serial_power_overflow(monkeypatch):
 
     for call in (lambda: power_bound(T, Hilbert(2), 40),
                  lambda: increment_bound(T, Hilbert(2), 40),
-                 lambda: decay_sequences(T, Hilbert(2), 40),
-                 lambda: decay_sequences(T, SupSeq(2), 40)):
+                 lambda: decay_suprema(T, Hilbert(2), 40),
+                 lambda: decay_suprema(T, SupSeq(2), 40)):
         assert _at_worker_counts(monkeypatch, overflow(call), 8 * 64) == [16] * 3
     # without a power overflow the product's own error is raised
     def product_error():
         with pytest.raises(ValueError, match="non-finite") as exc:
-            decay_sequences(T, Hilbert(2), 15)
+            decay_suprema(T, Hilbert(2), 15)
         return type(exc.value)
 
     assert _at_worker_counts(monkeypatch, product_error, 8 * 64) == [ValueError] * 3

@@ -151,3 +151,86 @@ def test_one_contour_type():
         "nodes", "tangents", "weights", "r_max"]
     assert c.r_max == math.inf and c.tail_factor(1.0) == 0.0
     assert sc.r_max == 50.0
+
+
+def _same_bits(a, b):
+    return np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def _mirrored(up, low, nodes, tangents, weights):
+    # the lower piece is the reversed conjugate of the upper one, run backward
+    return (_same_bits(nodes[low][::-1], nodes[up].conj())
+            and _same_bits(tangents[low][::-1], -tangents[up].conj())
+            and _same_bits(weights[low][::-1], weights[up]))
+
+
+@pytest.mark.parametrize("beta", [0.3, math.pi / 4, math.pi / 3, 1.2, 1.5])
+def test_boundary_contour_is_conjugate_symmetric_bit_for_bit(beta):
+    mesh = MeshSpec()
+    for _ in range(5):
+        c = boundary_contour(beta, mesh)
+        m = len(c.nodes)
+        k = (m - mesh.arc_panels * mesh.points_per_panel) // 2  # nodes on a segment
+        assert _mirrored(slice(0, k), slice(m - k, m), c.nodes, c.tangents, c.weights)
+        mesh = mesh.refined()
+
+
+@pytest.mark.parametrize("nu, r_max", [(0.5, 10.0), (1.0, 1e7), (1.4, 50.0)])
+def test_sector_contour_rays_are_conjugate_symmetric_bit_for_bit(nu, r_max):
+    mesh = MeshSpec(segment_panels=90, arc_panels=1, points_per_panel=10,
+                    grading_ratio=0.5, min_panel=1e-14)
+    for _ in range(3):
+        sc = sector_contour(nu, r_max, mesh)
+        k = len(sc.nodes) // 2
+        assert _mirrored(slice(0, k), slice(k, 2 * k), sc.nodes, sc.tangents, sc.weights)
+        mesh = mesh.refined()
+
+
+@pytest.mark.parametrize("beta, counts", [
+    (math.pi / 4, [560, 1260, 2240, 3600, 6240]),
+    (math.pi / 3, [560, 1260, 2200, 3550, 6180]),
+])
+def test_boundary_contour_node_counts_per_level(beta, counts):
+    mesh, got = MeshSpec(), []
+    for _ in counts:
+        got.append(len(boundary_contour(beta, mesh).nodes))
+        mesh = mesh.refined()
+    assert got == counts
+
+
+@pytest.mark.parametrize("gamma", [0.4, 1.0, math.pi / 2])
+def test_boundary_param_points_are_the_piece_formulas_bit_for_bit(gamma):
+    pieces = stolz.boundary_param(gamma, 64)
+    if gamma == math.pi / 2:
+        ((th, circle, _),) = pieces
+        assert _same_bits(circle(th), np.exp(1j * th))
+        return
+    (s, upper, _), (s_low, lower, _), (th, arc, _) = pieces
+    tp, tm = tangent_points(gamma)
+    assert _same_bits(s, s_low)
+    assert _same_bits(upper(s), 1.0 + s * (tp - 1.0))
+    assert _same_bits(lower(s), 1.0 + s * (tm - 1.0))
+    assert _same_bits(arc(th), math.sin(gamma) * np.exp(1j * th))
+    assert th[0] == math.pi / 2 - gamma and th[-1] == 3 * math.pi / 2 + gamma
+
+
+@pytest.mark.parametrize("gamma", [0.0, -0.1, math.pi / 2 + 1e-12, 2.0, 3.0,
+                                   math.inf, math.nan])
+def test_boundary_param_rejects_an_angle_outside_the_range(gamma):
+    with pytest.raises(ValueError, match=r"\(0, pi/2\]"):
+        stolz.boundary_param(gamma)
+    with pytest.raises(ValueError, match=r"\(0, pi/2\]"):
+        stolz.boundary_samples(gamma)
+
+
+@pytest.mark.parametrize("per_piece", [0, -3])
+def test_boundary_param_rejects_an_empty_sample(per_piece):
+    # per_piece 0 used to give empty grids, so resolvent_sup read 0.0
+    with pytest.raises(ValueError, match="per_piece >= 1"):
+        stolz.boundary_param(0.5, per_piece)
+
+
+@pytest.mark.parametrize("r_max", [math.inf, math.nan, 0.0, -1.0])
+def test_sector_contour_rejects_a_bad_radius(r_max):
+    with pytest.raises(ValueError, match="r_max must be positive and finite"):
+        sector_contour(1.0, r_max)

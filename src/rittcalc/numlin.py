@@ -109,7 +109,10 @@ class PowerOverflow(OverflowError):
 # every value of ``op_norms``), ``op_norm(M)``, ``scaled_resolvent_norms(T, z)``
 # (the norms of (z_j - 1) R(z_j, T) for one block of nodes), and the two
 # halves of the square-function accumulator, ``square_term(y, side)`` and
-# ``square_norm(acc)``, which take one element or a stack of them.
+# ``square_norm(acc)``, which take one element or a stack of them.  The
+# non-Euclidean models also answer ``square_witness(S, side)``: a Boyd-ascent
+# maximizer of ||S x|| / ||x||, S a stack of square-function terms read as one
+# operator into the model's square-sum target.
 # Inputs are checked by the public functions below.
 
 class _Pointwise:
@@ -223,7 +226,29 @@ class LpWeighted(_Pointwise):
 
     def _ascent_kernels(self):
         # the ascent only runs on D A D^-1, so it takes the unweighted kernels
-        return (lambda V: _lp_norms(V, self.p)), _lp_dual_maps
+        p, q = self.p, self.p / (self.p - 1.0)
+        return ((lambda V: _lp_norms(V, p)), (lambda V: _lp_dual_maps(V, p)),
+                (lambda V: _lp_dual_maps(V, q)))
+
+    def _square_kernels(self):
+        """Norms and duality map of unweighted l^p(l^2), the target of the
+        square-function stack: y_ki g_i^(p-2), g_i = (sum_k |y_ki|^2)^(1/2)."""
+        p = self.p
+
+        def dual_map(Y):
+            Yk, g = _term_norms(Y, self.dim)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = np.where(g > 0, g ** (p - 2.0), 0.0)
+            return (Yk * w[..., None, :]).reshape(Y.shape)
+
+        return (lambda Y: _lp_norms(_term_norms(Y, self.dim)[1], p)), dual_map
+
+    def square_witness(self, S: np.ndarray, side: str) -> np.ndarray:
+        """An element x that the Boyd ascent finds for the largest
+        ||S x|| / ||x||, S the (K, d, d) stack of square-function terms
+        taken into l^p(l^2), run on D S D^-1 and mapped back."""
+        A, D = self._unweighted(S)
+        return _stack_witness(A, self, self._square_kernels()) / D
 
 
 @dataclass(frozen=True)
@@ -296,18 +321,42 @@ class SchattenP:
         return np.sum(ev ** (self.p / 2.0), axis=-1) ** (1.0 / self.p)
 
     def _ascent_kernels(self):
-        return self.norms, self._dual_maps
+        # an element is a one-term column, so the square kernels serve it
+        q = np.inf if self.p == 1.0 else self.p / (self.p - 1.0)
+        n = self.n
+        return (*self._square_kernels("column"),
+                lambda V: _schatten_dual_maps(V.reshape(V.shape[:-1] + (n, n)), q).reshape(V.shape))
 
-    def _dual_maps(self, V: np.ndarray, p: float) -> np.ndarray:
-        """Duality maps of the Schatten-p norm, one stacked SVD for the stack V."""
-        U, s, Vh = np.linalg.svd(V.reshape(V.shape[:-1] + (self.n, self.n)))
-        if p == 1.0:
-            out = U @ Vh  # polar factor: a norming subgradient of the trace norm
-        elif p == np.inf:
-            out = U[..., :, :1] * Vh[..., :1, :]  # top singular dyad
-        else:
-            out = (U * (s[..., None, :] ** (p - 1.0))) @ Vh
-        return out.reshape(V.shape)
+    def _stacked(self, Y: np.ndarray, side: str) -> np.ndarray:
+        """The images Y_k of the flat stack Y (..., K n^2) as one matrix: the
+        column [Y_1; ...; Y_K] or the row [Y_1 ... Y_K]."""
+        n, lead, K = self.n, Y.shape[:-1], Y.shape[-1] // self.dim
+        if side == "column":
+            return Y.reshape(lead + (K * n, n))
+        return np.swapaxes(Y.reshape(lead + (K, n, n)), -3, -2).reshape(lead + (n, K * n))
+
+    def _square_kernels(self, side: str):
+        """Norms and duality map of the S^p norm of the stacked column or row,
+        the target of the square-function stack, from one thin SVD."""
+        p, n = self.p, self.n
+
+        def norms(Y):
+            s = np.linalg.svd(self._stacked(Y, side), compute_uv=False)
+            return np.sum(s ** p, axis=-1) ** (1.0 / p)
+
+        def dual_map(Y):
+            G = _schatten_dual_maps(self._stacked(Y, side), p)
+            if side == "row":
+                G = np.swapaxes(G.reshape(Y.shape[:-1] + (n, Y.shape[-1] // self.dim, n)), -3, -2)
+            return G.reshape(Y.shape)
+
+        return norms, dual_map
+
+    def square_witness(self, S: np.ndarray, side: str) -> np.ndarray:
+        """An element x (flat) that the Boyd ascent finds for the largest
+        ||S x|| / ||x||, S the (K, n^2, n^2) stack of square-function terms
+        taken into the S^p norm of the stacked column or row."""
+        return _stack_witness(S, self, self._square_kernels(side))
 
 
 def _dual_model(space):
@@ -352,6 +401,27 @@ class SupSeq(_Pointwise):
 
     def scaled_resolvent_norms(self, T: np.ndarray, z: np.ndarray) -> np.ndarray:
         return _kernel_resolvent_norms(T, z, self)
+
+    def _ascent_kernels(self):
+        # a vector is a one-term sequence; l^1 maps back by the phase map
+        return self.norms, self._square_kernels()[1], (lambda V: _lp_dual_maps(V, 1.0))
+
+    def _square_kernels(self):
+        """Norms and an argmax subgradient of l^inf(l^2), the target of the
+        square-function stack: y_ki at the first i of the largest
+        g_i = (sum_k |y_ki|^2)^(1/2), zero elsewhere."""
+        def dual_map(Y):
+            Yk, g = _term_norms(Y, self.dim)
+            top = np.arange(self.dim) == np.argmax(g, axis=-1)[..., None]
+            return (Yk * top[..., None, :]).reshape(Y.shape)
+
+        return (lambda Y: np.max(_term_norms(Y, self.dim)[1], axis=-1, initial=0.0)), dual_map
+
+    def square_witness(self, S: np.ndarray, side: str) -> np.ndarray:
+        """An element x that the Boyd ascent finds for the largest
+        ||S x|| / ||x||, S the (K, d, d) stack of square-function terms
+        taken into l^inf(l^2)."""
+        return _stack_witness(S, self, self._square_kernels())
 
 
 SpaceModel = Union[Hilbert, LpWeighted, SchattenP, SupSeq]
@@ -747,24 +817,52 @@ def _lp_dual_maps(V: np.ndarray, p: float) -> np.ndarray:
         return np.where(a > 0, (a ** (p - 1.0)) * (V / a), 0.0)
 
 
+def _term_norms(Y: np.ndarray, d: int):
+    """``(Yk, g)``: the flat stack Y (..., K d) as its K terms (..., K, d)
+    and g_i = (sum_k |y_ki|^2)^(1/2), the pointwise square sums (..., d)."""
+    Yk = Y.reshape(Y.shape[:-1] + (Y.shape[-1] // d, d))
+    return Yk, np.sqrt(np.sum(Yk.real ** 2 + Yk.imag ** 2, axis=-2))
+
+
+def _schatten_dual_maps(M: np.ndarray, p: float) -> np.ndarray:
+    """Duality maps of the Schatten-p norm of every matrix of the stack M
+    (any shape), one stacked thin SVD."""
+    U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    if p == 1.0:
+        return U @ Vh  # polar factor: a norming subgradient of the trace norm
+    if p == np.inf:
+        return U[..., :, :1] * Vh[..., :1, :]  # top singular dyad
+    return (U * (s[..., None, :] ** (p - 1.0))) @ Vh
+
+
 def _top_right_singular(A: np.ndarray) -> np.ndarray:
     """Top right singular vector of each matrix of the stack A, zero where
     the SVD fails (a zero start is skipped by the ascent)."""
     try:
-        return np.linalg.svd(A)[2][:, 0].conj()
+        return np.linalg.svd(A, full_matrices=False)[2][:, 0].conj()
     except np.linalg.LinAlgError:
-        out = np.zeros(A.shape[:2], dtype=complex)
+        out = np.zeros((A.shape[0], A.shape[2]), dtype=complex)
         for j, Aj in enumerate(A):
             with contextlib.suppress(np.linalg.LinAlgError):
-                out[j] = np.linalg.svd(Aj)[2][0].conj()
+                out[j] = np.linalg.svd(Aj, full_matrices=False)[2][0].conj()
         return out
 
 
-def _boyd_ascent(A: np.ndarray, space: SpaceModel):
+def _stack_witness(S: np.ndarray, space: SpaceModel, target) -> np.ndarray:
+    """The ascent witness of the (K, d, d) stack S read as one (K d x d)
+    operator from ``space`` into ``target``."""
+    return _boyd_ascent(S.reshape(1, -1, S.shape[-1]), space, target)[1][0]
+
+
+def _boyd_ascent(A: np.ndarray, space: SpaceModel, target=None):
     """Boyd's norm ascent on every start of every matrix of the stack A.
 
-    ``space`` is an LpWeighted, whose kernels are the unweighted p-norm
-    ones (A is already D A D^-1), or a Schatten-p model.  Each matrix
+    ``space`` is the source model X: an LpWeighted, whose kernels are the
+    unweighted p-norm ones (A is already D A D^-1), a Schatten-p or a sup
+    model.  ``target`` is the pair (norms, duality map) of the space Y
+    the (m, N, d) stack maps into; by default Y = X (N = d).  A step maps
+    x to A x, takes the duality map g of A x in Y, and the next start is
+    the duality map of X* at A^* g.  Each matrix
     gets the same starts: the ones vector, its top right singular vector
     (one stacked SVD) and ``ASCENT_RESTARTS`` Philox(``ASCENT_SEED``)
     random vectors.  The starts sit in the rows of an (m, S, d) array, so
@@ -779,10 +877,9 @@ def _boyd_ascent(A: np.ndarray, space: SpaceModel):
     and the first iterate that attained it (the unnormalized ones vector
     when the value is 0).
     """
-    p = space.p
-    q = np.inf if p == 1.0 else p / (p - 1.0)
-    norms, dual_map = space._ascent_kernels()
-    m, d, _ = A.shape
+    norms, dual_map, predual_map = space._ascent_kernels()
+    target_norms, target_dual_map = target or (norms, dual_map)
+    m, _, d = A.shape
     AT = np.ascontiguousarray(A.transpose(0, 2, 1))  # rows: x @ A^T = (A x)^T
     AC = A.conj()                                    # rows: g @ conj(A) = (A^* g)^T
 
@@ -811,7 +908,7 @@ def _boyd_ascent(A: np.ndarray, space: SpaceModel):
             break
         Xa, lv = X[rows], live[rows]
         Y = Xa @ AT[rows]
-        val = norms(Y)
+        val = target_norms(Y)
         up = lv & (val > best[rows])
         if up.any():
             j, s = np.nonzero(up)
@@ -819,7 +916,7 @@ def _boyd_ascent(A: np.ndarray, space: SpaceModel):
             wit[rows[j], s] = Xa[j, s]
         go = lv & ~((val <= prev[rows] * (1.0 + 1e-13)) | (val == 0.0))
         prev[rows] = val
-        Xn = dual_map(dual_map(Y, p) @ AC[rows], q)
+        Xn = predual_map(target_dual_map(Y) @ AC[rows])
         nx = norms(Xn)
         go &= nx > 0
         X[rows] = normalized(Xn, nx, go)

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from . import funcalc, numlin, ritt
-from .numlin import (Hilbert, LpWeighted, SchattenP, SpaceModel, as_matrix,
+from .numlin import (Hilbert, LpWeighted, SchattenP, SpaceModel, as_matrix, as_operator,
                      check_vector, vec_norm)
 
 __all__ = [
@@ -172,7 +172,7 @@ def square_function(T, x, space: SpaceModel, cfg: Optional[SFConfig] = None) -> 
     is flagged truncated.  Terms that grow raise DivergenceError.
     """
     cfg = cfg or SFConfig()
-    T = as_matrix(T, square=True)
+    T = as_operator(T, space)
     y = check_vector(x, space).reshape(1, -1)
     return _square_sums(T, y, space, cfg, _effective_radius(T)[0])[0]
 
@@ -388,13 +388,27 @@ def sf_constant(T, m: int, space: SpaceModel,
     reads the same series Gram form and runs power iteration from
     max(trials // 50, 4) random starts at once, the columns of one block,
     so it cross-checks the eigensolver, not the series.  Other models
-    have only method "auto": ``trials`` random unit vectors, evaluated in
-    one stacked square-function loop and scanned in draw order, then a
-    hill climb from the best; a lower bound (flagged by construction, not
-    by value).  The spectral radius is taken once per call.  ``trials``
-    must be at least 1 wherever random starts are drawn.
+    have only method "auto", the norm of x -> (k^(m-1/2) T^(k-1)(I-T)^m
+    x)_k from the space into its square-sum target, bounded from below:
+
+    - a scan of ``trials`` random unit vectors in one stacked
+      square-function loop gives a floor and the series length n, the
+      largest term count of its rows;
+    - one Boyd ascent (:func:`numlin._boyd_ascent`, each step one GEMM)
+      runs on the stack of the first n terms, cut to the leading terms
+      that fit in ``numlin.RESOLVENT_BLOCK_BYTES``, with the target's
+      norm and duality map from the model (``square_witness``);
+    - the value is the larger of the scan's best ratio and the square
+      function of the ascent's witness over its norm, summed under the
+      same tail rule as the scan.
+
+    So it is a lower bound, the ratio of a concrete vector (flagged by
+    construction, not by value), from two stacked square-function loops.
+    The spectral radius is taken once per call.  ``trials`` must be at
+    least 1 wherever random starts are drawn.  T must act on the model:
+    ShapeError otherwise.
     """
-    T = as_matrix(T, square=True)
+    T = as_operator(T, space)
     cfg = cfg or SFConfig(m=m)
     if cfg.m != m:
         cfg = dataclasses.replace(cfg, m=m)
@@ -413,23 +427,26 @@ def sf_constant(T, m: int, space: SpaceModel,
         X = _unit_starts(rng, max(trials // 50, 4), T.shape[0]).T
         return math.sqrt(_top_rayleigh(_series_gram(T, m, rho), X))
 
-    def ratio(x):
-        nx = vec_norm(x, space)
-        if nx == 0:
-            return 0.0
-        return _square_sums(T, x[None], space, cfg, rho)[0].value / nx
-
     U = _unit_starts(rng, trials, space.dim)
-    nx = space.norms(U)
-    sf = [rep.value for rep in _square_sums(T, U, space, cfg, rho)]
-    best, best_x = 0.0, None
-    for i in range(trials):  # the strict > of the draw-order scan
-        r = sf[i] / nx[i] if nx[i] != 0 else 0.0
-        if r > best:
-            best, best_x = r, U[i]
-    if best_x is not None:
-        best = max(best, _polish_ratio(ratio, best_x, seed=seed + 1)[0])
-    return float(best)
+    reps = _square_sums(T, U, space, cfg, rho)
+    best = max(rep.value / nx for rep, nx in zip(reps, space.norms(U)))
+    x = space.square_witness(_square_stack(T, m, max(rep.n_terms for rep in reps)), cfg.side)
+    witness = _square_sums(T, x[None], space, cfg, rho)[0].value / space.norms(x)
+    return float(max(best, witness))
+
+
+def _square_stack(T: np.ndarray, m: int, n: int) -> np.ndarray:
+    """S_k = k^(m-1/2) T^(k-1) (I-T)^m for k = 1..n, shape (n, d, d), from
+    one walk of :func:`numlin.power_blocks`; past
+    ``numlin.RESOLVENT_BLOCK_BYTES`` only the leading terms that fit."""
+    d = T.shape[0]
+    n = max(1, min(n, numlin.RESOLVENT_BLOCK_BYTES // (16 * d * d)))
+    Am = np.linalg.matrix_power(np.eye(d, dtype=complex) - T, m)
+    S = np.empty((n, d, d), dtype=complex)
+    for s, P in numlin.power_blocks(T, n - 1):
+        np.matmul(P, Am, out=S[s:s + len(P)])
+    S *= (np.arange(1, n + 1, dtype=float) ** (m - 0.5))[:, None, None]
+    return S
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,29 @@ def test_frac_power_eigen_oracle_and_additivity():
     assert np.linalg.norm(third @ twothird - (np.eye(4) - T), 2) <= 1e-6
 
 
+_S3 = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, -1.5], [0.3, 0.0, 1.0]])
+FRAC_ORACLE_CASES = {
+    "jordan-block": np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]]),
+    # a Jordan block at 0.6 and 0.2 + 0.3i, behind a non-unitary similarity
+    "jordan-like": _S3 @ np.array([[0.6, 1.0, 0.0], [0.0, 0.6, 0.0], [0.0, 0.0, 0.2 + 0.3j]])
+    @ np.linalg.inv(_S3),
+}
+
+
+@pytest.mark.parametrize("name", list(FRAC_ORACLE_CASES))
+def test_frac_power_against_a_40_digit_square_root(name):
+    # no eigendecomposition exists for these; mpmath's principal sqrtm(I - T)
+    # is the oracle, held to the 1e-7 of the frac-power criterion
+    import mpmath
+
+    T = FRAC_ORACLE_CASES[name]
+    with mpmath.workdps(40):
+        R = mpmath.sqrtm(mpmath.eye(3) - mpmath.matrix(
+            [[mpmath.mpc(complex(v)) for v in row] for row in T]))
+        oracle = np.array([[complex(R[i, j]) for j in range(3)] for i in range(3)])
+    assert np.linalg.norm(frac_power(T, 0.5).value - oracle, 2) <= 1e-7
+
+
 @pytest.mark.parametrize("d", [(1.0, 0.5, 0.2 + 0.1j), (1.0, 1.0, 0.6j, -0.4)])
 @pytest.mark.parametrize("similar", [False, True])
 @pytest.mark.parametrize("delta", [0.5, 1.0 / 3.0])

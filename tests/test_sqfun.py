@@ -826,6 +826,162 @@ def test_sf_constant_scans_the_trials_in_draw_order():
         assert np.allclose(row, v / np.linalg.norm(v), rtol=1e-15, atol=0)
 
 
+SHAPE_MODELS = [Hilbert(2), LpWeighted(3.0, (1.0, 2.0)), SupSeq(2), SchattenP(3.0, 1)]
+
+
+@pytest.mark.parametrize("space", SHAPE_MODELS, ids=["hilbert", "lp3", "sup", "schatten3"])
+def test_square_function_routes_refuse_an_operator_of_another_size(space):
+    # a 3x3 operator on a model of dimension 2 (Schatten 1x1: dimension 1)
+    T = 0.5 * np.eye(3)
+    sizes = rf"operator of size 3 on space of dimension {space.dim}"
+    methods = ("auto", "gram", "maximize") if isinstance(space, Hilbert) else ("auto",)
+    for method in methods:
+        with pytest.raises(numlin.ShapeError, match=sizes):
+            sf_constant(T, 1, space, trials=5, method=method)
+    with pytest.raises(numlin.ShapeError, match=sizes):
+        square_function(T, np.ones(space.dim), space)
+
+
+def _diagonal_sf(t, m):
+    """max_i c_i, c_i the square-function constant of the scalar t_i:
+    c^2 = |1-t|^(2m) sum_k k^(2m-1) r^(k-1), r = |t|^2, in closed form."""
+    r = np.abs(t) ** 2
+    if m == 1:
+        c = np.abs(1 - t) / (1 - r)
+    else:
+        c = np.abs(1 - t) ** 2 * np.sqrt(1 + 4 * r + r ** 2) / (1 - r) ** 2
+    return float(np.max(c))
+
+
+DIAGONALS = {"real": np.array([0.5, 0.9, 0.2]),
+             "complex": np.array([0.3 + 0.4j, -0.5, 0.7j])}
+DIAGONAL_MODELS = {
+    "lp1.5": LpWeighted(1.5, (1.0,) * 3), "lp1.5-weighted": LpWeighted(1.5, (0.5, 2.0, 1.3)),
+    "lp3": LpWeighted(3.0, (1.0,) * 3), "lp3-weighted": LpWeighted(3.0, (2.0, 0.4, 1.0)),
+    "lp4": LpWeighted(4.0, (1.0,) * 3), "lp4-weighted": LpWeighted(4.0, (0.7, 1.0, 3.0)),
+    "sup": SupSeq(3),
+}
+
+
+@pytest.mark.parametrize("model", list(DIAGONAL_MODELS))
+@pytest.mark.parametrize("diag", list(DIAGONALS))
+@pytest.mark.parametrize("m", [1, 2])
+def test_sf_constant_of_a_diagonal_operator_is_the_closed_form(model, diag, m):
+    # ||S x|| = ||(c_i x_i)_i|| on these models, so the constant is max_i c_i,
+    # attained at a unit vector (at the ones vector on sup)
+    t = DIAGONALS[diag]
+    C = sf_constant(np.diag(t), m, DIAGONAL_MODELS[model], trials=100, seed=0)
+    assert C == pytest.approx(_diagonal_sf(t, m), rel=1e-12, abs=0.0)
+
+
+def _load_bench_workloads():
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules["bench_workloads"] = mod  # its dataclasses look the module up
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _bench_sf_operator():
+    """T4 and its weighted lp:3 model as the benchmark's sf_constant op builds them."""
+    wl = _load_bench_workloads()
+    frng = wl._rng(0, 5)
+    T4 = wl.ritt_matrix(frng, 4, vcond=5.0, radius=0.8)
+    return T4, LpWeighted(3.0, tuple(float(v) for v in frng.uniform(0.5, 2.0, size=4)))
+
+
+# sf_constant(T, m, space, trials=100, seed=0, cfg) as the trial scan and
+# hill climb gave it before the ascent replaced the climb (commit 99a9517)
+SF_FLOORS = {
+    "lp1.5-weighted": ((11, 1, LpWeighted(1.5, (0.5, 1.0, 2.0, 1.5)), None), 2.7924331748134907),
+    "lp3-weighted": ((12, 1, LpWeighted(3.0, (1.0, 0.3, 2.5, 0.8)), None), 2.8434069329382456),
+    "lp4-weighted-m2": ((13, 2, LpWeighted(4.0, (2.0, 1.0, 0.5, 1.2)), None), 1.8455702115216468),
+    "schatten3-column": ((14, 1, SchattenP(3.0, 2), SFConfig(side="column")), 0.9515957968628415),
+    "schatten3-row": ((14, 1, SchattenP(3.0, 2), SFConfig(side="row")), 0.9497897491484287),
+    "schatten1.5-column": ((16, 1, SchattenP(3.0, 2).dual(), SFConfig(side="column")),
+                           1.7630602252795484),
+    "sup": ((15, 1, SupSeq(4), None), 2.6685631364552043),
+    "sup-m2": ((17, 2, SupSeq(4), None), 1.2974353114549761),
+}
+
+
+@pytest.mark.parametrize("name", list(SF_FLOORS))
+def test_sf_constant_is_no_lower_than_the_hill_climb(name):
+    (seed, m, space, cfg), floor = SF_FLOORS[name]
+    assert sf_constant(ritt_instance(seed), m, space, trials=100, seed=0, cfg=cfg) >= \
+        floor * (1 - 1e-12)
+
+
+def test_sf_constant_dual_and_bench_cases_are_no_lower_than_the_hill_climb():
+    # the dual-model cases of test_sf_constant_duality_pair and the bench op
+    T = ritt_instance(4)
+    assert sf_constant(T.T, 1, Hilbert(4).dual()) >= 2.9653369474996607 * (1 - 1e-12)
+    dual = LpWeighted(3.0, (1.0, 2.0)).dual()
+    assert sf_constant(np.diag([0.5, 0.8]), 1, dual, trials=50, seed=0) >= \
+        0.6666660778992216 * (1 - 1e-12)
+    T4, lp3 = _bench_sf_operator()
+    assert sf_constant(T4, 1, lp3, trials=100, seed=0) >= 1.6299362734796605 * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("space", [LpWeighted(3.0, (0.5, 1.0, 2.0, 1.5)), SupSeq(4),
+                                   SchattenP(3.0, 2)], ids=["lp3", "sup", "schatten3"])
+def test_sf_constant_sums_two_stacks(monkeypatch, space):
+    # the trial scan and the ascent's witness; no per-vector climb
+    calls = []
+    sums = sqfun._square_sums
+
+    def counted(T, Y, *args):
+        calls.append(len(Y))
+        return sums(T, Y, *args)
+
+    monkeypatch.setattr(sqfun, "_square_sums", counted)
+    sf_constant(ritt_instance(3), 1, space, trials=30, seed=1)
+    assert calls == [30, 1]
+
+
+def test_sf_constant_ascent_on_the_bench_operator_stops_before_the_product_cap(monkeypatch):
+    T4, lp3 = _bench_sf_operator()
+    products = []
+    kernels = LpWeighted._square_kernels
+
+    def counted(self):
+        norms, dual_map = kernels(self)
+
+        def counted_map(Y):
+            products.append(1)
+            return dual_map(Y)
+
+        return norms, counted_map
+
+    monkeypatch.setattr(LpWeighted, "_square_kernels", counted)
+    assert sf_constant(T4, 1, lp3, trials=100, seed=0) > 0
+    assert 0 < len(products) < 200
+
+
+def test_sf_constant_holds_a_capped_stack_on_a_slow_operator():
+    # dim 64, spectral radius 0.99: the scan runs to about 2700 terms (170 MB
+    # as a stack); the ascent keeps the RESOLVENT_BLOCK_BYTES of them that fit
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    V = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    T = V @ np.diag(np.linspace(0.1, 0.99, 64).astype(complex)) @ np.linalg.inv(V)
+    space = LpWeighted(3.0, (1.0,) * 64)
+    tracemalloc.start()
+    try:
+        C = sf_constant(T, 1, space, trials=10, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert C > 0
+    assert peak <= 8 * numlin.RESOLVENT_BLOCK_BYTES
+
+
 # -- Gram operator against a 40-digit series -----------------------------------
 
 def _mp_gram(T, m):

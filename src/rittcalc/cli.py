@@ -69,12 +69,16 @@ def load_matrix(path: str, square: bool = False) -> np.ndarray:
 def parse_space(spec: str, dim: int):
     """Space spec: hilbert | lp:P[:w1,w2,...] | schatten:P:N | sup.
 
-    The model must act on vectors of length ``dim``, the matrix size.
+    The model must act on vectors of length ``dim``, the matrix size.  A
+    field past the ones its kind takes is refused, not ignored.
     """
     parts = spec.split(":")
     kind = parts[0].lower()
-    if kind not in ("hilbert", "lp", "schatten", "sup"):
+    fields = {"hilbert": 1, "lp": 3, "schatten": 3, "sup": 1}.get(kind)
+    if fields is None:
         raise IngestError(f"unknown space spec {spec!r}")
+    if len(parts) > fields:
+        raise IngestError(f"bad space spec {spec!r}: trailing fields {parts[fields:]}")
     try:
         if kind == "hilbert":
             space = Hilbert(dim)

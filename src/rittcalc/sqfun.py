@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import funcalc, numlin, ritt
 from .numlin import (Hilbert, LpWeighted, SchattenP, SpaceModel, as_matrix, as_operator,
@@ -173,91 +172,55 @@ def square_function(T, x, space: SpaceModel, cfg: Optional[SFConfig] = None) -> 
     """
     cfg = cfg or SFConfig()
     T = as_operator(T, space)
-    y = check_vector(x, space).reshape(1, -1)
-    return _square_sums(T, y, space, cfg, _effective_radius(T)[0])[0]
+    y = check_vector(x, space).reshape(-1)
+    return _square_sums(T, y, space, cfg, _effective_radius(T)[0])
 
 
-def _any(flags) -> bool:
-    # a lone row's flags are numpy scalars: their truth value skips a reduction
-    return bool(flags.any() if flags.ndim else flags)
+def _square_sums(T: np.ndarray, y: np.ndarray, space: SpaceModel, cfg: SFConfig,
+                 rho: float) -> SFReport:
+    """The :func:`square_function` report of the flat element y.
 
-
-def _square_sums(T: np.ndarray, Y: np.ndarray, space: SpaceModel, cfg: SFConfig,
-                 rho: float) -> list:
-    """The :func:`square_function` report of every row of the stack Y.
-
-    One loop over k serves the whole stack: every row keeps its own
-    growth, tail and zero tests, and leaves the stack when it stops.  A
-    row whose terms grow raises DivergenceError at the first bad k of the
-    stack.  Products are taken as ``Y @ T.T``, which for a lone row is the
-    GEMV of ``T @ y``, so a one-row stack is bit-identical to the
-    one-vector loop; rows of a taller stack agree with it to rounding.
-    Only a one-row stack reports its terms (``per_k``), so a stack holds
-    no history.
+    The geometric tail a_k rho_t / (1 - rho_t) ends the sum only once k
+    passes dim T, which bounds the index of any nilpotent part of T (whose
+    terms the spectral radius does not see); a zero next iterate ends it
+    at any k.  32 growing terms in a row, the last 1e6 above the first,
+    raise DivergenceError.
     """
-    m = cfg.m
-    A = np.eye(T.shape[0], dtype=complex) - T
+    m, d = cfg.m, T.shape[0]
+    A = np.eye(d, dtype=complex) - T
     for _ in range(m):
-        Y = Y @ A.T
-    TT = T.T
+        y = A @ y
 
-    r = len(Y)
-    rows = np.arange(r)  # the report each row of the stack belongs to
-    tail_out = np.empty(r)
-    n_terms = np.full(r, cfg.n_max)
-    truncated = np.ones(r, dtype=bool)
+    acc = 0.0  # sum of k^(2m-1) space.square_term(y_k); the first term sets its shape
     per_k = []
-    acc, prev, grow, tail = 0.0, math.inf, 0, np.full(r, math.inf)
+    grow = 0
     k = 0
-    while True:
+    tail = math.inf
+    truncated = True
+    while k < cfg.n_max:
         k += 1
-        # a lone row goes into the models as one element, so it keeps the
-        # single-element kernels (a BLAS dot); its scalar or one-element
-        # results broadcast like a one-row stack's
-        V = Y[0] if len(Y) == 1 else Y
-        a_k = k ** (m - 0.5) * space.norms(V)
-        acc = acc + k ** (2 * m - 1) * space.square_term(V, cfg.side)
-        if k == 1:
-            elem = np.shape(acc)[r > 1:]  # the shape of one row's accumulator
-            acc_out = np.empty((r,) + elem, dtype=acc.dtype)
-            big = 1e6 * np.maximum(a_k, 1e-290)
-        if r == 1:
-            per_k.append(a_k)
+        a_k = k ** (m - 0.5) * float(space.norms(y))
+        per_k.append(a_k)
+        acc += k ** (2 * m - 1) * space.square_term(y, cfg.side)
 
-        # 32 growing terms in a row, the last 1e6 above the first
-        grow = (grow + 1) * ((a_k > prev * (1.0 + 1e-12)) & (a_k > 1e-290))
-        if k > 32 and _any((grow >= 32) & (a_k > big)):
+        grow = grow + 1 if k > 1 and a_k > per_k[-2] * (1.0 + 1e-12) and a_k > 1e-290 else 0
+        if grow >= 32 and a_k > 1e6 * max(per_k[0], 1e-290):
             raise DivergenceError(k)
-        prev = a_k
 
-        rho_t = rho * math.exp((m - 0.5) / max(k, 1))
+        rho_t = rho * math.exp((m - 0.5) / k)
         if rho < 1.0 - 1e-12 and rho_t < 1.0:
             tail = a_k * rho_t / (1.0 - rho_t)
-            stop = tail <= cfg.tail_tol  # a zero term has a zero tail
-        else:
-            stop = a_k == 0.0
-        last = k >= cfg.n_max
-        if last or _any(stop):
-            a, t, st = (np.broadcast_to(v, rows.shape) for v in (a_k, tail, stop))
-            done = np.ones(len(rows), dtype=bool) if last else st
-            out = rows[done]
-            acc_out[out] = np.reshape(acc, (len(rows),) + elem)[done]
-            tail_out[out] = np.where(a[done] == 0.0, 0.0,
-                                     np.where(np.isfinite(t[done]), t[done], a[done]))
-            n_terms[out] = k
-            truncated[out] = ~st[done]
-            if last or st.all():
-                break
-            keep = ~st
-            Y, acc, prev, grow, tail, big, rows = (
-                v[keep] for v in (Y, acc, prev, grow, tail, big, rows))
-        Y = Y @ TT
+        y = T @ y
+        if not y.any():  # every later term is zero
+            tail, truncated = 0.0, False
+            break
+        if k > d and tail <= cfg.tail_tol:
+            truncated = False
+            break
 
-    values = np.atleast_1d(space.square_norm(acc_out[0] if r == 1 else acc_out))
-    return [SFReport(value=float(values[i]), tail_bound=float(tail_out[i]),
-                     n_terms=int(n_terms[i]), truncated=bool(truncated[i]),
-                     per_k=np.array(per_k) if r == 1 else None)
-            for i in range(r)]
+    return SFReport(value=float(space.square_norm(acc)),
+                    tail_bound=float(tail if np.isfinite(tail) else per_k[-1]),
+                    n_terms=k, truncated=truncated, per_k=np.array(per_k))
 
 
 def gram_operator(T, m: int = 1) -> np.ndarray:
@@ -303,28 +266,18 @@ def _unit_starts(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
-def _series_gram(T: np.ndarray, m: int, rho: float) -> np.ndarray:
-    """sum_{k<=n} k^(2m-1) B_k^H B_k, B_k = T^(k-1) A^m, A = I - T.
+def _series_len(T: np.ndarray, Am: np.ndarray, m: int, rho: float) -> int:
+    """Terms n of the series sum_k k^(2m-1) ||T^(k-1) A^m x||^2, A^m = Am.
 
     n doubles from max(64, the n with rho^(2n) <= GRAM_TAIL_TOL) until the
-    geometric tail n^(2m-1) ||B_n||_2^2 rho_t^2 / (1 - rho_t^2), rho_t =
-    rho e^((2m-1)/(2n)), is at most GRAM_TAIL_TOL.  The first
-    min(n, GRAM_HEAD) terms come from one walk of :func:`numlin.power_blocks`,
-    one GEMM per block.  Past the head the weighted sums W_p(c) =
-    sum_{k<=c} k^p (T^(k-1))^H (A^m)^H A^m T^(k-1), p < 2m, double together:
-    W_p(2c) = W_p(c) + (T^c)^H [sum_{q<=p} binom(p, q) c^(p-q) W_q(c)] T^c,
-    so any rho < 1 costs log n steps.  Each step carries the rounding of
-    W(c) through T^c, which costs digits on a non-normal T with rho near 1,
-    so the walk serves every series it can.  A^m goes in before the sum,
-    so no fixed vector of T has to cancel afterwards.  rho is the spectral
-    radius off the fixed space; DivergenceError unless rho < 1, or past
-    GRAM_N_MAX terms.
+    geometric tail n^(2m-1) ||T^(n-1) A^m||_2^2 rho_t^2 / (1 - rho_t^2),
+    rho_t = rho e^((2m-1)/(2n)), is at most GRAM_TAIL_TOL.  rho is the
+    spectral radius off the fixed space; DivergenceError unless rho < 1,
+    or past GRAM_N_MAX terms.
     """
     if rho >= 1.0 - 1e-12:
         raise DivergenceError(0, "spectral radius off the fixed space is not < 1 "
                                  f"(rho={rho:.6f})")
-    d = T.shape[0]
-    Am = np.linalg.matrix_power(np.eye(d, dtype=complex) - T, m)
     n = max(64, math.ceil(math.log(GRAM_TAIL_TOL) / (2.0 * math.log(rho))) if rho > 0 else 0)
     while True:
         if n > GRAM_N_MAX:
@@ -332,8 +285,27 @@ def _series_gram(T: np.ndarray, m: int, rho: float) -> np.ndarray:
         rho_t = rho * math.exp((2 * m - 1) / (2.0 * n))
         b_n = n ** (2 * m - 1) * np.linalg.norm(np.linalg.matrix_power(T, n - 1) @ Am, 2) ** 2
         if rho_t < 1.0 and b_n * rho_t**2 / (1.0 - rho_t**2) <= GRAM_TAIL_TOL:
-            break
+            return n
         n *= 2
+
+
+def _series_gram(T: np.ndarray, m: int, rho: float) -> np.ndarray:
+    """sum_{k<=n} k^(2m-1) B_k^H B_k, B_k = T^(k-1) A^m, A = I - T, n from
+    :func:`_series_len`.
+
+    The first min(n, GRAM_HEAD) terms come from one walk of
+    :func:`numlin.power_blocks`, one GEMM per block.  Past the head the
+    weighted sums W_p(c) = sum_{k<=c} k^p (T^(k-1))^H (A^m)^H A^m T^(k-1),
+    p < 2m, double together:
+    W_p(2c) = W_p(c) + (T^c)^H [sum_{q<=p} binom(p, q) c^(p-q) W_q(c)] T^c,
+    so any rho < 1 costs log n steps.  Each step carries the rounding of
+    W(c) through T^c, which costs digits on a non-normal T with rho near 1,
+    so the walk serves every series it can.  A^m goes in before the sum,
+    so no fixed vector of T has to cancel afterwards.
+    """
+    d = T.shape[0]
+    Am = np.linalg.matrix_power(np.eye(d, dtype=complex) - T, m)
+    n = _series_len(T, Am, m, rho)
     c = min(n, GRAM_HEAD)
     weights = range(2 * m) if n > c else [2 * m - 1]  # the doubling needs every p
     W = {p: np.zeros((d, d), dtype=complex) for p in weights}
@@ -389,24 +361,22 @@ def sf_constant(T, m: int, space: SpaceModel,
     max(trials // 50, 4) random starts at once, the columns of one block,
     so it cross-checks the eigensolver, not the series.  Other models
     have only method "auto", the norm of x -> (k^(m-1/2) T^(k-1)(I-T)^m
-    x)_k from the space into its square-sum target, bounded from below:
+    x)_k from the space into its square-sum target, bounded from below.
+    The stack S of its first n terms (:func:`_square_stack`) is read twice:
 
-    - a scan of ``trials`` random unit vectors in one stacked
-      square-function loop gives a floor and the series length n, the
-      largest term count of its rows;
+    - ``trials`` random unit vectors pushed through S, their square sums
+      taken by the model's own ``square_term``/``square_norm``, give a
+      floor;
     - one Boyd ascent (:func:`numlin._boyd_ascent`, each step one GEMM)
-      runs on the stack of the first n terms, cut to the leading terms
-      that fit in ``numlin.RESOLVENT_BLOCK_BYTES``, with the target's
-      norm and duality map from the model (``square_witness``);
-    - the value is the larger of the scan's best ratio and the square
-      function of the ascent's witness over its norm, summed under the
-      same tail rule as the scan.
+      runs on S with the target's norm and duality map from the model
+      (``square_witness``);
+    - the value is the larger of the floor and the square function of
+      the ascent's witness over its norm, summed by :func:`_square_sums`.
 
     So it is a lower bound, the ratio of a concrete vector (flagged by
-    construction, not by value), from two stacked square-function loops.
-    The spectral radius is taken once per call.  ``trials`` must be at
-    least 1 wherever random starts are drawn.  T must act on the model:
-    ShapeError otherwise.
+    construction, not by value).  The spectral radius is taken once per
+    call.  ``trials`` must be at least 1 wherever random starts are
+    drawn.  T must act on the model: ShapeError otherwise.
     """
     T = as_operator(T, space)
     cfg = cfg or SFConfig(m=m)
@@ -428,25 +398,38 @@ def sf_constant(T, m: int, space: SpaceModel,
         return math.sqrt(_top_rayleigh(_series_gram(T, m, rho), X))
 
     U = _unit_starts(rng, trials, space.dim)
-    reps = _square_sums(T, U, space, cfg, rho)
-    best = max(rep.value / nx for rep, nx in zip(reps, space.norms(U)))
-    x = space.square_witness(_square_stack(T, m, max(rep.n_terms for rep in reps)), cfg.side)
-    witness = _square_sums(T, x[None], space, cfg, rho)[0].value / space.norms(x)
+    S = _square_stack(T, m, rho, cfg.n_max)
+    best = np.max(_stack_square_norms(S, U, space, cfg.side) / space.norms(U))
+    x = space.square_witness(S, cfg.side)
+    witness = _square_sums(T, x, space, cfg, rho).value / space.norms(x)
     return float(max(best, witness))
 
 
-def _square_stack(T: np.ndarray, m: int, n: int) -> np.ndarray:
+def _square_stack(T: np.ndarray, m: int, rho: float, n_max: int) -> np.ndarray:
     """S_k = k^(m-1/2) T^(k-1) (I-T)^m for k = 1..n, shape (n, d, d), from
-    one walk of :func:`numlin.power_blocks`; past
-    ``numlin.RESOLVENT_BLOCK_BYTES`` only the leading terms that fit."""
+    one walk of :func:`numlin.power_blocks`: n is the series length of
+    :func:`_series_len`, cut at ``numlin.resolvent_block_len(d)`` and at
+    n_max."""
     d = T.shape[0]
-    n = max(1, min(n, numlin.RESOLVENT_BLOCK_BYTES // (16 * d * d)))
     Am = np.linalg.matrix_power(np.eye(d, dtype=complex) - T, m)
+    n = min(_series_len(T, Am, m, rho), numlin.resolvent_block_len(d), n_max)
     S = np.empty((n, d, d), dtype=complex)
     for s, P in numlin.power_blocks(T, n - 1):
         np.matmul(P, Am, out=S[s:s + len(P)])
     S *= (np.arange(1, n + 1, dtype=float) ** (m - 0.5))[:, None, None]
     return S
+
+
+def _stack_square_norms(S: np.ndarray, U: np.ndarray, space: SpaceModel,
+                        side: str) -> np.ndarray:
+    """The square-sum norm of S u for every row u of U, the images of one
+    block of terms at a time within ``numlin.RESOLVENT_BLOCK_BYTES``."""
+    step = max(1, numlin.RESOLVENT_BLOCK_BYTES // (16 * U.size))
+    acc = 0.0
+    for s in range(0, len(S), step):
+        Y = U @ np.swapaxes(S[s:s + step], -1, -2)  # (terms, rows): S_k u
+        acc = acc + np.sum(space.square_term(Y, side), axis=0)
+    return space.square_norm(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -631,15 +614,18 @@ def r_bound_lower(Ts: Sequence, space: SpaceModel, trials: int = 200,
                   seed: int = 0) -> float:
     """Lower bound for the R-bound of a finite operator family.
 
-    Maximizes rad({T_k x_k}) / rad({x_k}) over random tuples; on the
-    Euclidean model the ratio is a generalized Rayleigh quotient of the
-    block-diagonal of T_k* T_k, so a power-iteration polish makes the
-    bound sharp (there, the R-bound equals sup_k ||T_k||).
+    A one-slot tuple attains ||T_k||, so max_k ||T_k|| is a floor; on the
+    Euclidean model it is the R-bound itself.  Elsewhere rad({T_k x_k}) /
+    rad({x_k}) is maximized over random tuples and the best one polished
+    by a hill climb.
     """
     ops = [numlin.as_operator(Tk, space) for Tk in Ts]
     K = len(ops)
     if K == 0:
         return 0.0
+    floor = float(numlin.op_norms(ops, space).max())
+    if isinstance(space, Hilbert):
+        return floor
     d = space.dim
     rng = np.random.Generator(np.random.Philox(key=seed))
 
@@ -657,20 +643,14 @@ def r_bound_lower(Ts: Sequence, space: SpaceModel, trials: int = 200,
         r = ratio(tup)
         if r > best:
             best, best_tup = r, tup
-
-    if isinstance(space, Hilbert):
-        # exact polish: the squared ratio is the Rayleigh quotient of blockdiag(T_k^H T_k)
-        v = np.concatenate(best_tup) if best_tup is not None else rng.normal(size=K * d) + 0j
-        G = scipy.linalg.block_diag(*(Tk.conj().T @ Tk for Tk in ops))
-        best = max(best, math.sqrt(_top_rayleigh(G, (v / np.linalg.norm(v))[:, None])))
-    elif best_tup is not None:
+    if best_tup is not None:
         flat = np.concatenate(best_tup)
 
         def flat_ratio(u):
             return ratio([u[k * d:(k + 1) * d] for k in range(K)])
 
         best = max(best, _polish_ratio(flat_ratio, flat, seed=seed + 1)[0])
-    return best
+    return max(floor, best)
 
 
 # ---------------------------------------------------------------------------

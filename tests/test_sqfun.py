@@ -58,9 +58,13 @@ def test_square_function_other_models():
 
 
 def test_square_function_divergence_detected():
+    # the 32nd growing term in a row is the first bad k
     with pytest.raises(sqfun.DivergenceError) as exc:
         square_function(np.diag([1.5]), [1.0], Hilbert(1), SFConfig(n_max=4000))
-    assert exc.value.k > 1
+    assert exc.value.k == 33
+    with pytest.raises(sqfun.DivergenceError) as exc:
+        square_function(np.diag([1.5, 0.5]), [1.0, 1.0], Hilbert(2), SFConfig(n_max=4000))
+    assert exc.value.k == 33
 
 
 def test_square_function_schatten_column_vs_row():
@@ -98,6 +102,8 @@ GRAM_ROUTE_CALLS = {
     "series-1": lambda T: gram_operator(T, 1),
     "series-2": lambda T: gram_operator(T, 2),
     "maximize": lambda T: sf_constant(T, 1, Hilbert(2), method="maximize"),
+    # off Hilbert space the stack takes its length from the Gram series rule
+    "sf-lp3": lambda T: sf_constant(T, 1, LpWeighted(3.0, (1.0, 1.0)), trials=5),
 }
 
 
@@ -290,6 +296,25 @@ def test_r_bound_on_hilbert_is_the_largest_norm(K):
         Ts = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(K)]
         rb = r_bound_lower(Ts, Hilbert(d), trials=20, seed=K)
         assert rb == pytest.approx(max(np.linalg.norm(Tk, 2) for Tk in Ts), rel=1e-12, abs=0)
+
+
+R_BOUND_MODELS = {"lp3": LpWeighted(3.0, (1.0, 2.0, 0.5, 1.0)),
+                  "lp1.5": LpWeighted(1.5, (1.0,) * 4), "sup": SupSeq(4),
+                  "schatten3": SchattenP(3.0, 2)}
+
+
+@pytest.mark.parametrize("model", list(R_BOUND_MODELS))
+def test_r_bound_is_no_lower_than_the_largest_norm(model):
+    # a one-slot tuple attains ||T_k||, so every R-bound is at least max_k ||T_k||;
+    # the random tuples alone reached 0.61-0.98 of it off Hilbert space
+    from rittcalc.numlin import op_norm
+
+    space = R_BOUND_MODELS[model]
+    rng = np.random.default_rng(70)
+    for K in (2, 3):
+        Ts = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(K)]
+        rb = r_bound_lower(Ts, space, trials=10, seed=K)
+        assert rb >= max(op_norm(Tk, space).value for Tk in Ts)
 
 
 # -- quadratic / matricial ratios -------------------------------------------
@@ -655,7 +680,7 @@ def test_stacked_rad_rad_norm_matches_the_pairwise_loop(space, shape):
     assert rad_rad_norm(grid, space).value == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
-# -- stacked square sums and the stacked constants ---------------------------
+# -- the one-vector loop and the constants off Hilbert space ------------------
 
 def _parent_square_function(T, x, space, cfg):
     """square_function as the one-vector loop it was before stacking, verbatim."""
@@ -733,44 +758,6 @@ def test_square_function_is_the_parent_loop_bit_for_bit(space, side):
             _parent_square_function(T, x, space, SFConfig(side=side))[:4]
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(STACK_CASES),
-       m=st.sampled_from([1, 2]), rows=st.integers(2, 7),
-       tail_exp=st.integers(8, 13), n_max=st.sampled_from([3, 40, 20000]))
-def test_every_row_of_a_stack_is_its_one_row_call(seed, case, m, rows, tail_exp, n_max):
-    space, side = case
-    rng = np.random.default_rng(seed)
-    T = ritt_instance(seed % 1000, lam_hi=float(rng.uniform(0.3, 0.97)))
-    Y = rng.normal(size=(rows, 4)) + 1j * rng.normal(size=(rows, 4))
-    Y[rng.integers(rows)] = 0.0  # a zero row leaves the stack at k = 1
-    cfg = SFConfig(m=m, side=side, tail_tol=10.0 ** -tail_exp, n_max=n_max)
-    reps = sqfun._square_sums(T, Y, space, cfg, sqfun._effective_radius(T)[0])
-    assert len(reps) == rows
-    # a GEMM rounds unlike the one-row GEMV; the difference grows along the
-    # powers by at most the eigenvector condition number of T per step
-    kappa = np.linalg.cond(np.linalg.eig(T)[1])
-    for y, rep in zip(Y, reps):
-        one = square_function(T, y, space, cfg)
-        assert rep.n_terms == one.n_terms and rep.truncated == one.truncated
-        rel = max(1e-14, 2 * rep.n_terms * np.finfo(float).eps * kappa)
-        assert rep.value == pytest.approx(one.value, rel=rel, abs=0.0)
-        assert rep.tail_bound == pytest.approx(one.tail_bound, rel=rel, abs=0.0)
-        assert rep.per_k is None and len(one.per_k) == one.n_terms
-
-
-def test_stacked_divergence_has_the_first_bad_k_of_its_row():
-    with pytest.raises(sqfun.DivergenceError) as one:
-        square_function(np.diag([1.5]), [1.0], Hilbert(1), SFConfig(n_max=4000))
-    assert one.value.k == 33
-    T = np.diag([1.5, 0.5])
-    Y = np.array([[0.0, 1.0], [0.0, -2.0], [1.0, 1.0], [0.0, 3.0j]])
-    with pytest.raises(sqfun.DivergenceError) as stack:
-        sqfun._square_sums(T, Y, Hilbert(2), SFConfig(n_max=4000), sqfun._effective_radius(T)[0])
-    with pytest.raises(sqfun.DivergenceError) as row:
-        square_function(T, Y[2], Hilbert(2), SFConfig(n_max=4000))
-    assert stack.value.k == row.value.k == 33
-
-
 def test_sf_constant_maximize_on_the_identity_is_zero():
     with np.errstate(all="raise"):
         assert sf_constant(np.eye(3), 1, Hilbert(3), method="maximize") == 0.0
@@ -809,7 +796,7 @@ def test_sf_constant_takes_the_spectral_radius_once(monkeypatch):
 
 
 def test_sf_constant_scans_the_trials_in_draw_order():
-    # the stacked scan picks the same best start as the one-at-a-time loop
+    # the floor pushes the starts drawn as the one-at-a-time loop drew them
     T = ritt_instance(7, lam_hi=0.8)
     space = LpWeighted(3.0, (0.5, 1.0, 2.0, 1.5))
     rng = np.random.Generator(np.random.Philox(key=3))
@@ -928,20 +915,109 @@ def test_sf_constant_dual_and_bench_cases_are_no_lower_than_the_hill_climb():
     assert sf_constant(T4, 1, lp3, trials=100, seed=0) >= 1.6299362734796605 * (1 - 1e-12)
 
 
+def _counted(monkeypatch, name):
+    calls = []
+    fun = getattr(sqfun, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fun(*args)
+
+    monkeypatch.setattr(sqfun, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("space", [LpWeighted(3.0, (0.5, 1.0, 2.0, 1.5)), SupSeq(4),
                                    SchattenP(3.0, 2)], ids=["lp3", "sup", "schatten3"])
-def test_sf_constant_sums_two_stacks(monkeypatch, space):
-    # the trial scan and the ascent's witness; no per-vector climb
-    calls = []
-    sums = sqfun._square_sums
-
-    def counted(T, Y, *args):
-        calls.append(len(Y))
-        return sums(T, Y, *args)
-
-    monkeypatch.setattr(sqfun, "_square_sums", counted)
+def test_sf_constant_walks_one_stack_and_sums_one_witness(monkeypatch, space):
+    # the trial floor and the ascent read one stack; only the witness is summed
+    stacks = _counted(monkeypatch, "_square_stack")
+    sums = _counted(monkeypatch, "_square_sums")
     sf_constant(ritt_instance(3), 1, space, trials=30, seed=1)
-    assert calls == [30, 1]
+    assert len(stacks) == 1
+    assert len(sums) == 1 and sums[0][1].shape == (space.dim,)
+
+
+def test_gram_series_and_square_stack_share_one_length_rule(monkeypatch):
+    lengths = []
+    series_len = sqfun._series_len
+
+    def recorded(*args):
+        lengths.append(series_len(*args))
+        return lengths[-1]
+
+    monkeypatch.setattr(sqfun, "_series_len", recorded)
+    T = ritt_instance(5, lam_hi=0.97)
+    rho = sqfun._effective_radius(T)[0]
+    sqfun._series_gram(T, 2, rho)
+    assert len(sqfun._square_stack(T, 2, rho, 20000)) == lengths[1] == lengths[0] > 64
+    # cut at the block length of the resolvents and at n_max
+    assert len(sqfun._square_stack(T, 2, rho, 100)) == 100
+    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", 16 * 16 * 50)
+    assert len(sqfun._square_stack(T, 2, rho, 20000)) == numlin.resolvent_block_len(4) == 50
+
+
+def test_sf_constant_floor_holds_one_block_of_images():
+    # dim 4, spectral radius 0.99: about 3000 terms; 500 trials pushed through
+    # the whole stack at once would hold about 96 MB of images
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+    V = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    T = V @ np.diag([0.2, 0.5, 0.9, 0.99]).astype(complex) @ np.linalg.inv(V)
+    space = LpWeighted(3.0, (1.0, 0.5, 2.0, 1.0))
+    tracemalloc.start()
+    try:
+        C = sf_constant(T, 1, space, trials=500, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert C > 0
+    assert peak <= 8 * numlin.RESOLVENT_BLOCK_BYTES
+
+
+NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_square_function_of_a_nilpotent_operator_sums_past_its_radius():
+    # rho = 0, but T y != 0: the geometric tail alone stopped this sum at k = 1
+    rep = square_function(NILPOTENT, [0.0, 1.0], Hilbert(2))
+    assert rep.value == pytest.approx(2.0, rel=1e-15)
+    assert (rep.n_terms, rep.tail_bound, rep.truncated) == (2, 0.0, False)
+    x = np.array([0.3, -1.2j])
+    q = math.sqrt(float(np.vdot(x, gram_operator(NILPOTENT, 2) @ x).real))
+    assert square_function(NILPOTENT, x, Hilbert(2), SFConfig(m=2)).value == \
+        pytest.approx(q, rel=1e-14)
+
+
+def _cross_model_case(T, m, space, cfg=None):
+    exact = sf_constant(T, m, Hilbert(T.shape[0]))
+    C = sf_constant(T, m, space, trials=20, seed=0, cfg=cfg)
+    assert C <= exact * (1 + 1e-12)
+    assert C == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6), m=st.sampled_from([1, 2]),
+       model=st.sampled_from(["lp2", "schatten2-column", "schatten2-row"]))
+def test_sf_constant_at_p_2_is_the_hilbert_gram_value(seed, dim, m, model):
+    # l^2 with unit weights and Schatten-2 on either side are Hilbert spaces,
+    # so the ascent's lower bound must reach the exact Gram value
+    if model == "lp2":
+        space, cfg = LpWeighted(2.0, (1.0,) * dim), None
+    else:
+        space, cfg = SchattenP(2.0, 2), SFConfig(side=model.split("-")[1])
+        dim = 4
+    T = ritt_instance(seed % 10**6, dim=dim, lam_hi=0.9)
+    _cross_model_case(T, m, space, cfg)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_sf_constant_of_a_nilpotent_operator_is_the_hilbert_gram_value(m):
+    _cross_model_case(NILPOTENT, m, LpWeighted(2.0, (1.0, 1.0)))
+    jordan = np.kron(np.eye(2), NILPOTENT)
+    for side in ("column", "row"):
+        _cross_model_case(jordan, m, SchattenP(2.0, 2), SFConfig(side=side))
 
 
 def test_sf_constant_ascent_on_the_bench_operator_stops_before_the_product_cap(monkeypatch):

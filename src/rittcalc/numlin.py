@@ -967,8 +967,10 @@ def _spectral_norms(A: np.ndarray) -> np.ndarray:
 
 
 def _spectral_op_norm(M: np.ndarray) -> OpNormResult:
-    s, _, Vh = svd(M, factors=True)
-    val = float(s[0])
+    # the value is the stacked route's, so op_norm and op_norms agree bit
+    # for bit; the factors give only the witness
+    _, _, Vh = svd(M, factors=True)
+    val = float(_spectral_norms(M[None])[0])
     return OpNormResult(value=val, upper=val, exact=True, witness=Vh[0].conj())
 
 

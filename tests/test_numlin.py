@@ -596,6 +596,18 @@ def test_op_norms_match_op_norm(space):
         numlin.op_norms(stack[:, :3, :3], space)
 
 
+@pytest.mark.parametrize("space", [Hilbert(3), SchattenP(2.0, 2)], ids=repr)
+def test_spectral_op_norm_is_the_stacked_value(space):
+    # one spectral-norm route: the factored SVD gives only the witness
+    rng = np.random.default_rng(46)
+    d = space.dim
+    for _ in range(200):
+        M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        r = op_norm(M, space)
+        assert r.value == numlin.op_norms(M[None], space)[0] == r.upper
+        assert abs(_attained(M, r.witness, space) - r.value) <= 1e-12 * r.value
+
+
 def test_ritt_verdicts_unchanged_on_gallery():
     cfg = ritt.RittConfig(N=64)
     for name, T in GALLERY.items():

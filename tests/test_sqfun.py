@@ -601,14 +601,14 @@ def _pairwise_rad_rad_norm(x_grid, space):
 
 def _record_block_heights(monkeypatch):
     heights = []
-    blocks = sqfun._sign_blocks
+    build = sqfun._sign_block
 
-    def recording(K, height):
-        for block in blocks(K, height):
-            heights.append(block.shape[0])
-            yield block
+    def recording(table, start):
+        block = build(table, start)
+        heights.append(block.shape[0])
+        return block
 
-    monkeypatch.setattr(sqfun, "_sign_blocks", recording)
+    monkeypatch.setattr(sqfun, "_sign_block", recording)
     return heights
 
 
@@ -632,13 +632,52 @@ def test_streamed_rad_norm_is_bit_identical_to_the_full_product(monkeypatch, spa
         assert set(heights) == {min(rows_per_block, 1 << (K - 1))}
 
 
+def _at_worker_counts(monkeypatch, fn):
+    out = []
+    for workers in (1, 3):
+        monkeypatch.setattr(sqfun.numlin, "_worker_count", lambda w=workers: w)
+        out.append(fn())
+    return out
+
+
+# 2- and 4-row blocks stop at K = 13 (2048 and 1024 blocks): at K = 17 a
+# case took 3-8 s, and the streamed test above runs those on the default pool
+@pytest.mark.parametrize("K, rows_per_block",
+                         [(K, None) for K in (2, 9, 13, 17, 20)]
+                         + [(K, h) for h in (2, 4) for K in (2, 9, 13)])
+@pytest.mark.parametrize("space", PROTOCOL_SPACES, ids=repr)
+def test_pooled_rad_norm_does_not_depend_on_the_worker_count(monkeypatch, space, K,
+                                                            rows_per_block):
+    rng = np.random.default_rng(200 + K)
+    xs = list(rng.normal(size=(K, 4)) + 1j * rng.normal(size=(K, 4)))
+    if rows_per_block:
+        monkeypatch.setattr(sqfun.numlin, "RESOLVENT_BLOCK_BYTES",
+                            rows_per_block * (8 * (K + K) + 16 * 4))
+    one, three = _at_worker_counts(monkeypatch, lambda: rad_norm(xs, space).value)
+    assert one == three
+
+
+def test_pooled_rad_rad_norm_does_not_depend_on_the_worker_count(monkeypatch):
+    rng = np.random.default_rng(22)
+    space = LpWeighted(3.0, (0.3, 1.0, 4.0, 1.2))
+    grid = rng.normal(size=(9, 8, 4)) + 1j * rng.normal(size=(9, 8, 4))
+    xs = list(rng.normal(size=(20, 4)) + 1j * rng.normal(size=(20, 4)))
+    heights = _record_block_heights(monkeypatch)
+    one, three = _at_worker_counts(monkeypatch, lambda: (rad_rad_norm(grid, space).value,
+                                                         rad_norm(xs, space).value))
+    assert one == three
+    # 16 blocks of 2048 patterns and 128 of 4096, at each worker count
+    assert sorted(set(heights)) == [2048, 4096] and len(heights) == 2 * (16 + 128)
+
+
 @pytest.mark.parametrize("K", range(1, 14))
 def test_sign_patterns_are_the_concatenated_blocks(K):
     full = _full_sign_patterns(K)
     assert np.array_equal(sqfun.sign_patterns(K), full)
     P = 1 << (K - 1)
     for height in (h for h in (2, 4, 64, P) if h <= P):
-        blocks = list(sqfun._sign_blocks(K, height))
+        table = sqfun._sign_table(K, height)
+        blocks = [sqfun._sign_block(table, start) for start in range(0, P, height)]
         assert all(b.shape == (height, K) for b in blocks)
         assert np.array_equal(np.concatenate(blocks), full)
 

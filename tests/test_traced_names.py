@@ -9,7 +9,7 @@ import numpy as np
 
 import rittcalc
 import rittcalc.cli  # noqa: F401  (the package does not import it; the benchmark does)
-from rittcalc import funcalc, numlin, ritt
+from rittcalc import funcalc, numlin, ritt, sqfun
 from rittcalc.numlin import Hilbert, LpWeighted, SchattenP, SupSeq
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -39,8 +39,8 @@ def test_every_traced_name_resolves_on_rittcalc():
 
 
 def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
-    # the tracer's span stack is not thread-safe: the resolvent workers must
-    # call none of the traced functions
+    # the tracer's span stack is not thread-safe: the resolvent, decay and
+    # enumeration workers must call none of the traced functions
     threads = []
     for mod_name, attr in _traced():
         owner = getattr(rittcalc, mod_name)
@@ -88,6 +88,19 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
         monkeypatch.setattr(type(space), "op_norm_ceilings", ceiling_thread)
         ritt.ritt_verdict(T, space, ritt.RittConfig(N=16, resolvent_per_piece=2))
         ritt.decay_profiles(T, space, 32)
+    # rad_norm at K = 10 on lp:3 takes 32 blocks of 16 patterns, rad_rad_norm
+    # on a 3 x 4 grid 2 blocks of 16; the blocks are built on workers
+    enumeration = set()
+
+    def sign_block(*args, _fn=sqfun._sign_block):
+        enumeration.add(threading.get_ident())
+        return _fn(*args)
+
+    monkeypatch.setattr(sqfun, "_sign_block", sign_block)
+    lp3 = LpWeighted(3.0, (1.0, 2.0, 0.5, 1.5))
+    X = rng.normal(size=(10, 4)) + 1j * rng.normal(size=(10, 4))
+    sqfun.rad_norm(list(X), lp3)
+    sqfun.rad_rad_norm(rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4)), lp3)
     V = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     T12 = V @ np.diag(np.linspace(-0.4, 0.8, 12)) @ np.linalg.inv(V)
     monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", 50 * 16 * 144)  # 12 x 12: 50 nodes
@@ -98,3 +111,4 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
     assert workers - {caller}
     assert decay - {caller}
     assert ceilings - {caller}
+    assert enumeration - {caller}

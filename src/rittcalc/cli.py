@@ -16,6 +16,7 @@ stderr, 2 usage errors, 3 ingestion errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -440,9 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: the parser of this process, built on the first call of :func:`main`
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except IngestError as exc:

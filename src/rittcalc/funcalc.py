@@ -81,10 +81,11 @@ class ContourSpectrumError(ValueError):
         self.rcond = rcond
 
 
-def _node_resolvents(T: np.ndarray, nodes: np.ndarray, what: str) -> np.ndarray:
-    """numlin.resolvents, with a refused node raised as ContourSpectrumError."""
+def _node_resolvents(U: np.ndarray, nodes: np.ndarray, what: str) -> np.ndarray:
+    """numlin.triangular_resolvents, with a refused node raised as
+    ContourSpectrumError."""
     try:
-        return numlin.resolvents(T, nodes)
+        return numlin.triangular_resolvents(U, nodes)
     except numlin.SingularMatrixError as exc:
         raise ContourSpectrumError(f"{what} node too close to the spectrum: {exc}",
                                    node=exc.node, rcond=1.0 / exc.cond_estimate) from exc
@@ -272,13 +273,17 @@ class CalcReport:
         return sanitize(d)
 
 
-def _cauchy_sum(contour: stolz.Contour, R: np.ndarray, phi: HolomorphicFn) -> np.ndarray:
-    """(1 / 2 pi i) sum_j w_j t_j phi(z_j) R_j, with R_j the resolvent at
-    the node z_j: the quadrature of the Cauchy integral of phi."""
+def _cauchy_sum(Q: np.ndarray, contour: stolz.Contour, X: np.ndarray,
+                phi: HolomorphicFn) -> np.ndarray:
+    """(1 / 2 pi i) sum_j w_j t_j phi(z_j) R_j, the quadrature of the Cauchy
+    integral of phi, with R_j = Q X_j Q^H the resolvent at the node z_j
+    and X the triangular stack of :func:`numlin.triangular_resolvents`: the
+    sum is taken in Schur coordinates and transformed back once."""
     vals = np.asarray(phi(contour.nodes), dtype=complex)
     coeff = contour.weights * contour.tangents * vals / (2j * math.pi)
+    n = Q.shape[0]
     # fixed-order reduction over nodes
-    return np.tensordot(coeff, R, axes=(0, 0))
+    return Q @ (X.reshape(n * n, -1) @ coeff).reshape(n, n) @ Q.conj().T
 
 
 def _check_separation(nodes: np.ndarray, eigs: np.ndarray, what: str) -> None:
@@ -294,9 +299,11 @@ def _check_separation(nodes: np.ndarray, eigs: np.ndarray, what: str) -> None:
 class ContourCalculus:
     """Shared contour machinery for one operator at one angle.
 
-    Resolvents are computed once per mesh level and reused across
-    functions, so applying a whole test family costs one resolvent
-    sweep.  The final contour sum runs in a fixed sequential order for
+    The operator under the contour is reduced to its complex Schur form
+    once; each mesh level stores the triangular resolvents of every node,
+    reused across functions, so applying a whole test family costs one
+    triangular sweep per level and one back-transform per sum.  The
+    final contour sum runs in a fixed sequential order for
     reproducibility.  A semisimple eigenvalue 1 is split off with the
     mean ergodic projection P, so the contour runs on T - P; a
     defective one raises ContourSpectrumError.
@@ -341,7 +348,8 @@ class ContourCalculus:
                 self._A_eigs = np.where(one, 0.0, self.eigs)
         self._vertex_under_contour = bool(
             np.any(np.abs(self._A_eigs - 1.0) <= VERTEX_CLUSTER))
-        self._levels: list = []  # (contour, resolvents (m,n,n))
+        self._U, self._Q = numlin.schur(self._A)
+        self._levels: list = []  # (contour, triangular resolvents (n,n,m))
 
     def _level(self, k: int):
         while len(self._levels) <= k:
@@ -349,9 +357,9 @@ class ContourCalculus:
             for _ in range(len(self._levels)):
                 mesh = mesh.refined()
             contour = stolz.boundary_contour(self.beta, mesh)
-            R = _node_resolvents(self._A, contour.nodes, "quadrature")
+            X = _node_resolvents(self._U, contour.nodes, "quadrature")
             _check_separation(contour.nodes, self._A_eigs, "quadrature")
-            self._levels.append((contour, R))
+            self._levels.append((contour, X))
         return self._levels[k]
 
     def _check_admissible(self, phi: HolomorphicFn):
@@ -373,13 +381,13 @@ class ContourCalculus:
     def apply(self, phi: HolomorphicFn) -> CalcReport:
         """phi(T) with a two-mesh (coarse vs refined) error estimate."""
         self._check_admissible(phi)
-        coarse = _cauchy_sum(*self._level(0), phi)
+        coarse = _cauchy_sum(self._Q, *self._level(0), phi)
         best = coarse
         est = math.inf
         used = 0
         converged = False
         for k in range(1, REFINE_ROUNDS + 1):
-            fine = _cauchy_sum(*self._level(k), phi)
+            fine = _cauchy_sum(self._Q, *self._level(k), phi)
             est = float(np.linalg.norm(fine - best, 2))
             best = fine
             used = k
@@ -440,9 +448,10 @@ def scaling_convergence(T, phi: HolomorphicFn,
 # ---------------------------------------------------------------------------
 
 def _sector_quad(A: np.ndarray, f: HolomorphicFn, contour: stolz.Contour) -> np.ndarray:
-    R = _node_resolvents(A, contour.nodes, "sector")
-    _check_separation(contour.nodes, numlin.eig(A).eigenvalues, "sector")
-    return _cauchy_sum(contour, R, f)
+    U, Q = numlin.schur(A)
+    X = _node_resolvents(U, contour.nodes, "sector")
+    _check_separation(contour.nodes, np.diag(U), "sector")
+    return _cauchy_sum(Q, contour, X, f)
 
 
 def transfer_check(T, f: HolomorphicFn, nu: Optional[float] = None,

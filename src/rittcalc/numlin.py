@@ -45,6 +45,8 @@ __all__ = [
     "eig",
     "solve",
     "resolvents",
+    "schur",
+    "triangular_resolvents",
     "resolvent_block_len",
     "node_block_len",
     "map_in_order",
@@ -61,6 +63,12 @@ SOLVE_TOL = 1e-10
 RCOND_MIN = 1e-14
 #: bytes of n x n complex matrices that :func:`resolvents` handles per block
 RESOLVENT_BLOCK_BYTES = 2 * 1024 * 1024
+#: the largest n whose triangular resolvents come from one back-substitution
+#: over every node; above it one LAPACK ztrtri per node is faster
+SWEEP_MAX_DIM = 16
+#: bytes of n x n complex matrices whose triangular-resolvent guards are
+#: checked at once, a slice that stays in cache
+GUARD_BYTES = 256 * 1024
 #: random starts of the Boyd ascent, after the ones vector and the top
 #: right singular vector, and the Philox key of their stream
 ASCENT_RESTARTS = 8
@@ -76,7 +84,7 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """Raised when a linear system is singular to working tolerance.
 
     ``node`` is the shift z of the refused system z I - T when the error
-    comes from :func:`resolvents`.
+    comes from :func:`resolvents` or :func:`triangular_resolvents`.
     """
 
     def __init__(self, msg: str, cond_estimate: float = np.inf,
@@ -730,6 +738,120 @@ def _guarded_inverses(M: np.ndarray, z: np.ndarray) -> np.ndarray:
     if over.any():
         j = int(np.argmax(over))
         _refuse(f"residual {resid[j]:.3e} exceeds tolerance {target:.3e}", z[j], rcond[j])
+    return X
+
+
+def schur(M) -> tuple:
+    """Complex Schur form ``(U, Q)``: M = Q U Q^H, U upper triangular, Q unitary."""
+    M = as_matrix(M, square=True)
+    try:
+        return scipy.linalg.schur(M, output="complex")
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        raise EigNonConvergence(f"Schur form did not converge: {exc}") from exc
+
+
+def triangular_resolvents(U, nodes) -> np.ndarray:
+    """Resolvents (z_j I - U)^-1 of an upper-triangular U for every node
+    z_j, nodes last: shape (n, n, m), each slice upper triangular.
+
+    With T = Q U Q^H from :func:`schur`, R(z_j, T) = Q X[..., j] Q^H, so a
+    linear combination of resolvents needs one back-transform.  Every node
+    keeps the guards of :func:`resolvents`, read off the triangular
+    system: the exact reciprocal condition number
+    ``1 / (||z I - U||_1 ||X||_1)`` must reach ``RCOND_MIN``, and the
+    residual ``||I - (z I - U) X||_F``, from one GEMM per slice of
+    ``GUARD_BYTES``, is refused above both ``SOLVE_TOL * ||I||_F`` and the
+    roundoff floor ``64 eps ||I||_F / rcond``.  Back-substitution is
+    backward stable, so no refinement runs.  A refused node raises
+    :class:`SingularMatrixError` carrying the first refused node, an rcond
+    refusal before a residual one.  Everything runs in the caller's
+    thread: on the node pool the sweep ran slower at every n measured,
+    its numpy and LAPACK calls being too short to give up the interpreter
+    lock for long.  Every node is computed alone, so the values do not
+    depend on the other nodes of the call.
+    """
+    U = as_matrix(U, square=True)
+    if np.any(np.tril(U, -1)):
+        raise ValueError("triangular_resolvents needs an upper-triangular matrix")
+    z = np.asarray(nodes, dtype=complex).reshape(-1)
+    n = U.shape[0]
+    X = _triangular_inverses(U, z)
+    rcond, resid = np.empty(z.size), np.empty(z.size)
+    # column sums of |z I - U|: the pivot and the column of U above it
+    col = np.abs(z - np.diag(U)[:, None]) + np.abs(np.triu(U, 1)).sum(axis=0)[:, None]
+    # at least 16 nodes a slice: shorter rows of nodes make slow numpy loops
+    step = max(16, GUARD_BYTES // (16 * n * n))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for s in range(0, z.size, step):
+            b = slice(s, s + step)
+            Xb = X[:, :, b]
+            rcond[b] = 1.0 / (col[:, b].max(axis=0) * np.abs(Xb).sum(axis=0).max(axis=0))
+            # I - (z I - U) X = I + U X - z X
+            R = (U @ Xb.reshape(n, -1)).reshape(Xb.shape)
+            R -= Xb * z[b]
+            R[range(n), range(n)] += 1.0
+            # squares of the real and imaginary parts, interleaved per node
+            Rf = R.reshape(n * n, -1).view(float)
+            sq = np.einsum("ak,ak->k", Rf, Rf)
+            resid[b] = np.sqrt(sq[0::2] + sq[1::2])
+    bad = ~(rcond >= RCOND_MIN)  # NaN counts as refused
+    if bad.any():
+        j = int(np.argmax(bad))
+        _refuse(f"singular to tolerance, rcond below {RCOND_MIN:.1e}", z[j], rcond[j])
+    target = SOLVE_TOL * math.sqrt(n)  # sqrt(n) = ||I||_F
+    over = resid > np.maximum(target, 64.0 * _EPS * math.sqrt(n) / rcond)
+    if over.any():
+        j = int(np.argmax(over))
+        _refuse(f"residual {resid[j]:.3e} exceeds tolerance {target:.3e}", z[j], rcond[j])
+    return X
+
+
+_ztrtri = scipy.linalg.get_lapack_funcs("trtri", dtype=complex)
+
+
+def _triangular_inverses(U: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(z_j I - U)^-1, nodes last, for the nodes z.
+
+    Up to ``SWEEP_MAX_DIM`` the rows are back-substituted from the last,
+    over every node at once.  A complex coefficient multiplies by its
+    real and by its imaginary part apart, and the pivots by the reciprocal
+    in real arithmetic: each product is then one rounding of a real
+    product, whatever loop numpy picks for the shape of the arrays, so a
+    node's values do not depend on the other nodes of the call.  Larger n
+    take one ``ztrtri`` per node; an exactly singular node is left NaN,
+    for the rcond guard to refuse.
+    """
+    n, m = U.shape[0], z.size
+    d = z - np.diag(U)[:, None]  # the diagonal of z_j I - U, (n, m)
+    if n > SWEEP_MAX_DIM:
+        X = np.empty((n, n, m), dtype=complex)
+        # LAPACK's column-major copy of z I - U is the lower-triangular
+        # transpose, and the inverse comes back transposed as well
+        Mt = np.asfortranarray(-U.T)
+        buf = np.empty((64, n, n), dtype=complex)
+        for s in range(0, m, 64):  # to nodes last 64 nodes at a time
+            k = min(64, m - s)
+            for j in range(k):
+                np.fill_diagonal(Mt, d[:, s + j])
+                inv, info = _ztrtri(Mt, lower=1)
+                buf[j] = inv.T if info == 0 else np.nan
+            X[:, :, s:s + k] = np.moveaxis(buf[:k], 0, -1)
+        return X
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = d.real * d.real + d.imag * d.imag
+        re = d.real / s
+        im = np.zeros((n, m), dtype=complex)
+        im.imag = -d.imag / s
+    X = np.zeros((n, n, m), dtype=complex)
+    X[range(n), range(n)] = re + im
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(n - 2, -1, -1):
+            acc = np.zeros((n - 1 - i, m), dtype=complex)
+            for r in range(i + 1, n):
+                tail, row = acc[r - i - 1:], X[r, r:]
+                tail += U[i, r].real * row
+                tail += complex(0.0, U[i, r].imag) * row
+            X[i, i + 1:] = acc * re[i] + acc * im[i]
     return X
 
 

@@ -323,16 +323,20 @@ def spectral_type(T) -> float:
     """
     T = as_matrix(T, square=True)
     tol1 = eigenvalue_one_tolerance(T)
+    lams = [complex(lam) for lam in numlin.eig(T).eigenvalues]
+    lams = [lam for lam in lams if abs(lam - 1.0) > tol1]
+    if any(abs(lam) >= 1.0 - 1e-11 for lam in lams):
+        return NOT_STOLZ
+    # z lies in closure(B(gamma)) once |z| <= sin(gamma), so asin|z| bounds
+    # min_angle(z) from above (1e-15 covers the bisection's last step): the
+    # largest bounds go first, and once a bound cannot raise the maximum
+    # neither can any later one
     worst = 0.0
-    for lam in numlin.eig(T).eigenvalues:
-        lam = complex(lam)
-        if abs(lam - 1.0) <= tol1:
-            continue
-        if abs(lam) >= 1.0 - 1e-11:
-            return NOT_STOLZ
-        worst = max(worst, stolz.min_angle(lam))
-        if worst == NOT_STOLZ:
+    for bound, lam in sorted(((math.asin(abs(lam)) + 1e-15, lam) for lam in lams),
+                             key=lambda item: -item[0]):
+        if bound <= worst:
             break
+        worst = max(worst, stolz.min_angle(lam))
     return worst
 
 

@@ -135,6 +135,18 @@ def test_ingestion_error_exit_3(tdir):
     assert run(["analyze", bad]) == 3
 
 
+def test_main_builds_its_parser_once_per_process(tdir):
+    cli._parser.cache_clear()
+    for i, extra in enumerate((["--seed", 5], [])):
+        assert run(["analyze", tdir / "T.json", "--out", tdir / f"{i}.json",
+                    "--no-timestamp", "--N", 16, *extra]) == 0
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # the second call sees the defaults, not the options of the first
+    assert load(tdir / "0.json")["seed"] == 5
+    assert load(tdir / "1.json")["seed"] == 0xC0FFEE
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["bogus-subcommand"])

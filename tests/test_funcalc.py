@@ -409,6 +409,82 @@ def test_calc_report_flags_missed_quadrature_target():
     assert ok.converged and 1 <= ok.refine_rounds <= funcalc.REFINE_ROUNDS
 
 
+def _conditioned(seed, lams, vcond):
+    """V diag(lams) V^-1 with cond(V) = vcond."""
+    rng = np.random.default_rng(seed)
+    n = len(lams)
+    Q1 = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    Q2 = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    V = Q1 @ np.diag(np.geomspace(1.0, vcond, n)) @ Q2
+    return V @ np.diag(np.asarray(lams, dtype=complex)) @ np.linalg.inv(V)
+
+
+#: Jordan-like, non-normal, ill-conditioned and split-eigenvalue-1 operators
+CONTOUR_CASES = {
+    "jordan3": 0.5 * np.eye(3) + np.diag([1.0, 1.0], 1),
+    "shifted-nilpotent": 0.5 * np.eye(2) + np.array([[0.0, 10.0], [0.0, 0.0]]),
+    "vcond50-dim6": _conditioned(5, [0.7, 0.3 + 0.2j, 0.3 - 0.2j, -0.2, 0.1, 0.4j], 50.0),
+    "split-one": _conditioned(6, [1.0, 0.6, 0.2 + 0.3j, -0.3], 5.0),
+}
+
+
+def _mp_matrix_function(T, num, den=None):
+    """num(T) den(T)^-1 (ascending coefficients) in 40-digit arithmetic."""
+    import mpmath
+
+    n = T.shape[0]
+    with mpmath.workdps(40):
+        A = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in T])
+
+        def horner(c):
+            out = mpmath.zeros(n, n)
+            for ck in c[::-1]:
+                out = out * A + mpmath.mpc(complex(ck)) * mpmath.eye(n)
+            return out
+
+        val = horner(num) if den is None else horner(num) * horner(den) ** -1
+        return np.array(val.tolist(), dtype=complex)
+
+
+@pytest.mark.parametrize("name", sorted(CONTOUR_CASES))
+def test_contour_matches_a_40_digit_oracle(name):
+    # polynomials vanishing at 1 and the rational (1 - z) / (2.5 - z),
+    # |phi| <= |1 - z| / 1.5 on the disc, against exact evaluation at T
+    T = CONTOUR_CASES[name]
+    c = np.array([0.0, 0.4 - 0.3j, -1.2, 0.5j, 0.7])
+    c[0] = -c.sum()
+    cases = [(c, None), (np.convolve([0, 0, 0, 1.0], [1.0, -2.0, 1.0]), None),
+             (np.array([1.0, -1.0]), np.array([2.5, -1.0]))]
+    calc = ContourCalculus(T)
+    for num, den in cases:
+        if den is None:
+            phi = poly(num)
+        else:
+            phi = funcalc.rational(num, den)
+            phi.h0_certificate = (1.0 / 1.5, 1.0)
+        rep = calc.apply(phi)
+        oracle = _mp_matrix_function(T, num, den)
+        err = np.linalg.norm(rep.value - oracle, 2) / np.linalg.norm(oracle, 2)
+        assert rep.converged and err <= 1e-9, (name, phi.label, err)
+
+
+@pytest.mark.parametrize("name", sorted(CONTOUR_CASES))
+def test_contour_sums_match_the_lu_route(name):
+    # the Schur-coordinate sum of every level against the same quadrature
+    # over the stacked LU resolvents
+    T = CONTOUR_CASES[name]
+    c = np.array([0.0, 0.4 - 0.3j, -1.2, 0.5j, 0.7])
+    c[0] = -c.sum()
+    phi = poly(c)
+    calc = ContourCalculus(T)
+    for k in range(3):
+        contour, X = calc._level(k)
+        coeff = contour.weights * contour.tangents * phi(contour.nodes) / (2j * math.pi)
+        lu = np.tensordot(coeff, numlin.resolvents(calc._A, contour.nodes), axes=(0, 0))
+        got = funcalc._cauchy_sum(calc._Q, contour, X, phi)
+        assert np.linalg.norm(got - lu, 2) <= 1e-12 * np.linalg.norm(lu, 2), (name, k)
+
+
 def test_contour_near_singular_node_is_loud():
     # the pseudospectrum of a large Jordan block reaches the contour
     J = np.array([[0.5, 1e9], [0.0, 0.5]])

@@ -412,6 +412,100 @@ def test_resolvents_refuse_residual_above_roundoff_floor(monkeypatch):
     assert exc.value.node == 0.9
 
 
+# ---------------------------------------------------------------------------
+# triangular resolvents in Schur coordinates
+# ---------------------------------------------------------------------------
+
+#: one dimension per route of the triangular sweep: the back-substitution
+#: over every node up to SWEEP_MAX_DIM, one ztrtri per node above it
+SWEEP_DIMS = (5, numlin.SWEEP_MAX_DIM + 3)
+
+
+def _schur_case(n):
+    T = _similar(11, np.linspace(-0.4, 0.8, n) + 0.1j * np.sin(np.arange(n)))
+    U, Q = numlin.schur(T)
+    beta = 0.5 * (ritt.spectral_type(T) + np.pi / 2)
+    return T, U, Q, ritt.resolvent_sample_points(T, beta, per_piece=6)
+
+
+@pytest.mark.parametrize("n", SWEEP_DIMS)
+def test_triangular_resolvents_match_per_node_solve(n):
+    T, U, Q, nodes = _schur_case(n)
+    assert np.allclose(Q @ U @ Q.conj().T, T, atol=1e-12 * np.linalg.norm(T))
+    X = numlin.triangular_resolvents(U, nodes)
+    assert X.shape == (n, n, nodes.size)
+    I = np.eye(n)
+    for j, z in enumerate(nodes):
+        ref = solve(z * I - U, I)
+        assert np.linalg.norm(X[..., j] - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert not np.tril(X[..., j], -1).any()
+    # back in the original coordinates, against the LU kernel
+    R = numlin.resolvents(T, nodes)
+    back = np.einsum("ab,bcm,dc->mad", Q, X, Q.conj())
+    assert np.max(np.linalg.norm(back - R, axis=(1, 2)) / np.linalg.norm(R, axis=(1, 2))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", SWEEP_DIMS)
+def test_triangular_resolvents_are_bit_identical_across_blocks_and_workers(monkeypatch, n):
+    # every product of the sweep is one rounding of a real product, so a
+    # node's bits do not depend on the other nodes of the call: slices of
+    # any length, one-node calls included, give the whole call's bits, and
+    # neither the block length nor the worker count enters
+    _, U, _, nodes = _schur_case(n)
+    whole = numlin.triangular_resolvents(U, nodes)
+    for step in (1, 2, 3, 7):
+        parts = [numlin.triangular_resolvents(U, nodes[s:s + step])
+                 for s in range(0, nodes.size, step)]
+        assert np.array_equal(np.concatenate(parts, axis=2), whole), step
+    for block_bytes in (16 * n * n, 5 * 16 * n * n):  # blocks of one and of five nodes
+        monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", block_bytes)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(numlin, "_worker_count", lambda w=workers: w)
+            assert np.array_equal(numlin.triangular_resolvents(U, nodes), whole)
+    assert numlin.triangular_resolvents(U, []).shape == (n, n, 0)
+
+
+def test_triangular_resolvents_refuse_residual_above_roundoff_floor(monkeypatch):
+    # a sweep that is off by 1e-3 everywhere
+    exact = numlin._triangular_inverses
+    monkeypatch.setattr(numlin, "_triangular_inverses", lambda U, z: exact(U, z) + 1e-3)
+    with pytest.raises(numlin.SingularMatrixError, match="residual") as exc:
+        numlin.triangular_resolvents(np.diag([0.5, 0.2]), [0.9, 2.0])
+    assert exc.value.node == 0.9
+
+
+@pytest.mark.parametrize("n", SWEEP_DIMS)
+def test_triangular_resolvents_refuse_the_first_node_an_rcond_refusal_first(monkeypatch, n):
+    _, U, _, _ = _schur_case(n)
+    nodes = 0.95 * np.exp(1j * np.linspace(0.1, 6.0, 30))
+    nodes[[12, 20]] = U[1, 1], U[0, 0]  # exactly singular
+    exact = numlin._triangular_inverses
+
+    def off_at_5(U, z):  # a residual refusal ahead of both
+        X = exact(U, z)
+        X[..., z == nodes[5]] += 1e-3
+        return X
+
+    monkeypatch.setattr(numlin, "_triangular_inverses", off_at_5)
+    with pytest.raises(numlin.SingularMatrixError, match="rcond below") as exc:
+        numlin.triangular_resolvents(U, nodes)
+    assert exc.value.node == nodes[12] and exc.value.cond_estimate > 1e300
+    nodes[[12, 20]] = 0.3j, -0.3j
+    with pytest.raises(numlin.SingularMatrixError, match="residual") as exc:
+        numlin.triangular_resolvents(U, nodes)
+    assert exc.value.node == nodes[5]
+
+
+def test_triangular_resolvents_refuse_near_singular_and_non_triangular_input():
+    # the pseudospectrum of a large Jordan block reaches the node
+    J = np.array([[0.5, 1e9], [0.0, 0.5]])
+    with pytest.raises(numlin.SingularMatrixError) as exc:
+        numlin.triangular_resolvents(J, [0.9, 0.5 + 0.3j])
+    assert exc.value.node == 0.9 and 1.0 / exc.value.cond_estimate < numlin.RCOND_MIN
+    with pytest.raises(ValueError, match="upper-triangular"):
+        numlin.triangular_resolvents(J.T, [0.9])
+
+
 #: the five norm models on dimension 4
 MODELS = [Hilbert(4), LpWeighted(3.0, (1.0, 2.0, 0.5, 1.5)),
           SchattenP(2.0, 2), SchattenP(3.0, 2), SupSeq(4)]

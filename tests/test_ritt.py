@@ -41,6 +41,45 @@ def test_spectral_type_examples():
     assert spectral_type(np.diag([-1.0])) == stolz.NOT_STOLZ
 
 
+def _ref_spectral_type(T):
+    """The loop that bisected every eigenvalue, in eigenvalue order."""
+    tol1 = ritt.eigenvalue_one_tolerance(T)
+    worst = 0.0
+    for lam in numlin.eig(T).eigenvalues:
+        lam = complex(lam)
+        if abs(lam - 1.0) <= tol1:
+            continue
+        if abs(lam) >= 1.0 - 1e-11:
+            return stolz.NOT_STOLZ
+        worst = max(worst, stolz.min_angle(lam))
+        if worst == stolz.NOT_STOLZ:
+            break
+    return worst
+
+
+def test_spectral_type_is_the_full_bisection_bit_for_bit():
+    # skipping the eigenvalues whose bound asin|z| cannot raise the maximum
+    # leaves the value unchanged, on spectra in the disc, on the segment,
+    # at 1, near the circle, at 0 and outside the disc
+    rng = np.random.default_rng(12)
+    for trial in range(100):
+        n = int(rng.integers(2, 50))
+        lams = 0.95 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+        kind = trial % 5
+        if kind == 1:  # the segment [0, 1], 1 itself and a cluster of equal moduli
+            lams[: n // 2] = rng.uniform(0.0, 1.0, size=n // 2)
+            lams[0], lams[-1] = 1.0, 0.5 * np.exp(0.3j)
+            lams[-2] = 0.5 * np.exp(-0.3j)
+        elif kind == 2:  # near the circle
+            lams[0] = (1.0 - 2e-11) * np.exp(1j * rng.uniform(0.1, 6.0))
+        elif kind == 3:  # outside the disc
+            lams[-1] = 1.01 * np.exp(1j * rng.uniform(0.1, 6.0))
+        elif kind == 4:  # tiny and zero
+            lams[:3] = 0.0, 1e-14j, 5e-13
+        U = np.diag(lams) + 0.1 * np.triu(rng.normal(size=(n, n)), 1)
+        assert spectral_type(U) == _ref_spectral_type(U), trial
+
+
 def test_resolvent_sup_scalar_zero():
     # dense-grid oracle over the same sample family
     beta = math.pi / 6

@@ -68,9 +68,10 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
     rng = np.random.default_rng(2)
     V = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     T = V @ np.diag([0.5, 0.3 + 0.2j, -0.4, 0.8]) @ np.linalg.inv(V)
+    # 28 nodes: blocks of 5 on the pool
     for space in (Hilbert(4), LpWeighted(3.0, (1.0, 2.0, 0.5, 1.5)),
                   SchattenP(2.0, 2), SchattenP(3.0, 2), SupSeq(4)):
-        ritt.resolvent_sup(T, 1.2, space, per_piece=2)
+        ritt.resolvent_sup(T, 1.2, space, per_piece=6)
     # the verdict's walk of 33 powers takes slices of 5, whose ceilings are
     # taken on workers; the rows of decay_profiles are normed on workers
     decay, ceilings = set(), set()
@@ -101,10 +102,20 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
     X = rng.normal(size=(10, 4)) + 1j * rng.normal(size=(10, 4))
     sqfun.rad_norm(list(X), lp3)
     sqfun.rad_rad_norm(rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4)), lp3)
-    V = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    T12 = V @ np.diag(np.linspace(-0.4, 0.8, 12)) @ np.linalg.inv(V)
-    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", 50 * 16 * 144)  # 12 x 12: 50 nodes
-    funcalc.ContourCalculus(T12, beta=math.pi / 4).apply(funcalc.poly([1.0, -1.0]))
+    # the contour's triangular sweeps run in the caller's thread, at any
+    # block length, on both of their routes
+    sweeps = set()
+
+    def sweep(*args, _fn=numlin._triangular_inverses):
+        sweeps.add(threading.get_ident())
+        return _fn(*args)
+
+    monkeypatch.setattr(numlin, "_triangular_inverses", sweep)
+    for n in (12, numlin.SWEEP_MAX_DIM + 4):
+        V = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        Tn = V @ np.diag(np.linspace(-0.4, 0.8, n)) @ np.linalg.inv(V)
+        monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", 50 * 16 * n * n)  # 50 nodes
+        funcalc.ContourCalculus(Tn, beta=math.pi / 4).apply(funcalc.poly([1.0, -1.0]))
 
     caller = threading.get_ident()
     assert threads and set(threads) == {caller}
@@ -112,3 +123,4 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
     assert decay - {caller}
     assert ceilings - {caller}
     assert enumeration - {caller}
+    assert sweeps == {caller}

@@ -63,9 +63,6 @@ SOLVE_TOL = 1e-10
 RCOND_MIN = 1e-14
 #: bytes of n x n complex matrices that :func:`resolvents` handles per block
 RESOLVENT_BLOCK_BYTES = 2 * 1024 * 1024
-#: the largest n whose triangular resolvents come from one back-substitution
-#: over every node; above it one LAPACK ztrtri per node is faster
-SWEEP_MAX_DIM = 16
 #: bytes of n x n complex matrices whose triangular-resolvent guards are
 #: checked at once, a slice that stays in cache
 GUARD_BYTES = 256 * 1024
@@ -806,37 +803,19 @@ def triangular_resolvents(U, nodes) -> np.ndarray:
     return X
 
 
-_ztrtri = scipy.linalg.get_lapack_funcs("trtri", dtype=complex)
-
-
 def _triangular_inverses(U: np.ndarray, z: np.ndarray) -> np.ndarray:
     """(z_j I - U)^-1, nodes last, for the nodes z.
 
-    Up to ``SWEEP_MAX_DIM`` the rows are back-substituted from the last,
-    over every node at once.  A complex coefficient multiplies by its
-    real and by its imaginary part apart, and the pivots by the reciprocal
-    in real arithmetic: each product is then one rounding of a real
-    product, whatever loop numpy picks for the shape of the arrays, so a
-    node's values do not depend on the other nodes of the call.  Larger n
-    take one ``ztrtri`` per node; an exactly singular node is left NaN,
-    for the rcond guard to refuse.
+    The rows are back-substituted from the last, over every node at
+    once.  A complex coefficient multiplies by its real and by its
+    imaginary part apart, and the pivots by the reciprocal in real
+    arithmetic: each product is then one rounding of a real product,
+    whatever loop numpy picks for the shape of the arrays, so a node's
+    values do not depend on the other nodes of the call.  An exactly
+    singular node is left non-finite, for the rcond guard to refuse.
     """
     n, m = U.shape[0], z.size
     d = z - np.diag(U)[:, None]  # the diagonal of z_j I - U, (n, m)
-    if n > SWEEP_MAX_DIM:
-        X = np.empty((n, n, m), dtype=complex)
-        # LAPACK's column-major copy of z I - U is the lower-triangular
-        # transpose, and the inverse comes back transposed as well
-        Mt = np.asfortranarray(-U.T)
-        buf = np.empty((64, n, n), dtype=complex)
-        for s in range(0, m, 64):  # to nodes last 64 nodes at a time
-            k = min(64, m - s)
-            for j in range(k):
-                np.fill_diagonal(Mt, d[:, s + j])
-                inv, info = _ztrtri(Mt, lower=1)
-                buf[j] = inv.T if info == 0 else np.nan
-            X[:, :, s:s + k] = np.moveaxis(buf[:k], 0, -1)
-        return X
     with np.errstate(divide="ignore", invalid="ignore"):
         s = d.real * d.real + d.imag * d.imag
         re = d.real / s

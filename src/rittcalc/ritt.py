@@ -365,29 +365,73 @@ def resolvent_sup(T, beta: float, space: SpaceModel, per_piece: int = 48) -> flo
     (worst ratio 0.9996 in 4500 Hilbert, Schatten-2 and sup cases, 0.9991
     in 80 lp:3 and Schatten-3 cases).
 
-    Sample points inside the spectrum tolerance are skipped with a
-    warning.  The model's ``scaled_resolvent_norms`` norms the rest, each
-    alone, in one :func:`rittcalc.numlin.map_node_blocks` pass, so the
-    value does not depend on the blocks or the workers.  Hilbert and
-    Schatten-2 take |lam - 1| / sigma_min(lam I - T) from a stacked SVD
-    and refuse a node whose sigma_min / sigma_max is below
-    ``numlin.RCOND_MIN``; the other models take the guarded inverses of
-    :func:`rittcalc.numlin.resolvents`.  A refusal raises
-    :class:`rittcalc.numlin.SingularMatrixError` naming the node and its
-    rcond; an SVD that does not converge raises
+    This is the one-beta case of the resolvent stage that
+    :func:`ritt_verdict` runs over all its betas at once.  Sample points
+    inside the spectrum tolerance are skipped with a warning.  The model's
+    ``scaled_resolvent_norms`` norms the rest, each alone, in blocks of
+    :func:`rittcalc.numlin.node_block_len` on
+    :func:`rittcalc.numlin.map_in_order`, so the value does not depend on
+    the blocks or the workers.  Hilbert and Schatten-2 take
+    |lam - 1| / sigma_min(lam I - T) from a stacked SVD and refuse a node
+    whose sigma_min / sigma_max is below ``numlin.RCOND_MIN``; the other
+    models take the guarded inverses of :func:`rittcalc.numlin.resolvents`.
+    A refusal raises :class:`rittcalc.numlin.SingularMatrixError` naming
+    the node and its rcond; an SVD that does not converge raises
     :class:`rittcalc.numlin.EigNonConvergence`.
     """
+    (value,) = _resolvent_stage(T, [beta], space, per_piece)
+    if isinstance(value, numlin.SingularMatrixError):
+        raise value
+    return value
+
+
+def _resolvent_stage(T, betas, space: SpaceModel, per_piece: int) -> list:
+    """The :func:`resolvent_sup` of T at every beta of ``betas``, in one
+    pass: per beta its float, or the SingularMatrixError that refused it.
+
+    No beta means no work.  Otherwise the spectrum is taken once, every
+    beta's sample points are built in the caller's thread, and those
+    inside the spectrum tolerance are dropped.  Each beta's nodes are cut
+    into blocks of :func:`rittcalc.numlin.node_block_len` for the nodes of
+    all betas, no block crossing a beta, and every block runs in one
+    :func:`rittcalc.numlin.map_in_order` call.  A block returns its
+    refusal, so a refusal at one beta does not stop the others; any other
+    error is raised, the first in block order.  Read back in beta order,
+    a beta takes the first refusal of its blocks in block order, or else
+    the maximum of its block maxima, a NaN block maximum passed over,
+    after the warning for its skipped points.
+    """
+    if not betas:
+        return []
     T = numlin.as_operator(T, space)
     eigs = numlin.eig(T).eigenvalues
-    lam = resolvent_sample_points(T, beta, per_piece)
-    near = np.abs(lam[:, None] - eigs[None, :]).min(axis=1) <= 1e-12 * (1.0 + np.abs(lam))
-    lam = lam[~near]
-    block_maxima = numlin.map_node_blocks(
-        lambda b: float(space.scaled_resolvent_norms(T, lam[b]).max()), lam.size, T.shape[0])
-    if near.any():
-        warnings.warn(f"resolvent_sup skipped {np.count_nonzero(near)} sample points inside "
-                      "the spectrum tolerance")
-    return max([0.0, *block_maxima])  # a NaN block maximum is passed over
+    nodes, skipped = [], []
+    for beta in betas:
+        lam = resolvent_sample_points(T, beta, per_piece)
+        near = np.abs(lam[:, None] - eigs[None, :]).min(axis=1) <= 1e-12 * (1.0 + np.abs(lam))
+        nodes.append(lam[~near])
+        skipped.append(np.count_nonzero(near))
+    step = numlin.node_block_len(sum(lam.size for lam in nodes), T.shape[0])
+    blocks = [(k, slice(s, s + step)) for k, lam in enumerate(nodes)
+              for s in range(0, lam.size, step)]
+
+    def block_max(block):
+        k, b = block
+        try:
+            return float(space.scaled_resolvent_norms(T, nodes[k][b]).max())
+        except numlin.SingularMatrixError as exc:
+            return exc
+
+    maxima = numlin.map_in_order(block_max, blocks)
+    out = []
+    for k in range(len(betas)):
+        mine = [v for (j, _), v in zip(blocks, maxima) if j == k]
+        refusal = next((v for v in mine if isinstance(v, numlin.SingularMatrixError)), None)
+        if refusal is None and skipped[k]:
+            warnings.warn(f"resolvent_sup skipped {skipped[k]} sample points inside "
+                          "the spectrum tolerance")
+        out.append(max([0.0, *mine]) if refusal is None else refusal)
+    return out
 
 
 def mean_ergodic_projection(T) -> np.ndarray:
@@ -515,16 +559,15 @@ def ritt_verdict(T, space: Optional[SpaceModel] = None,
             stable = False
             reasons.append(f"{name} grew from {a:.6g} (N={cfg.N}) to {b:.6g} (N={2*cfg.N})")
 
+    betas = [alpha + (math.pi / 2 - alpha) * f for f in cfg.beta_fracs]
+    betas = [beta for beta in betas if alpha < beta < math.pi / 2]
     res = {}
-    for f in cfg.beta_fracs:
-        beta = alpha + (math.pi / 2 - alpha) * f
-        if beta <= alpha or beta >= math.pi / 2:
-            continue
-        try:
-            res[round(beta, 12)] = resolvent_sup(T, beta, space, cfg.resolvent_per_piece)
-        except numlin.SingularMatrixError as exc:
+    for beta, value in zip(betas, _resolvent_stage(T, betas, space, cfg.resolvent_per_piece)):
+        if isinstance(value, numlin.SingularMatrixError):
             # the message names the refused node and its rcond
             stable = False
-            reasons.append(f"resolvent_sup at beta={beta:.6g} refused: {exc}")
+            reasons.append(f"resolvent_sup at beta={beta:.6g} refused: {value}")
+        else:
+            res[round(beta, 12)] = value
 
     return report(sup_2N, "ritt" if stable else "inconclusive", res)

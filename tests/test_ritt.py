@@ -671,3 +671,69 @@ def test_verdict_norms_few_decay_matrices(monkeypatch):
     monkeypatch.undo()
     rows = ritt.decay_profiles(T, Hilbert(32), 2 * N)
     assert list(rep.decay) == [float(r.max()) for r in rows]
+
+
+# ---------------------------------------------------------------------------
+# the verdict's resolvent stage: every beta's nodes in one pooled pass
+# ---------------------------------------------------------------------------
+
+#: a Jordan-like pair whose pseudospectrum swallows the nodes of the first
+#: verdict beta only, on every pool model
+REFUSING_FIRST_BETA = np.kron(np.eye(2), np.array([[0.5, 2.5e6], [0.0, 0.5]]))
+
+
+def _one_beta_calls(T, space, cfg):
+    """The verdict's betas, each through the public one-beta call: a value,
+    or the SingularMatrixError it raised."""
+    alpha = spectral_type(T)
+    out = []
+    for f in cfg.beta_fracs:
+        beta = alpha + (math.pi / 2 - alpha) * f
+        try:
+            out.append((beta, resolvent_sup(T, beta, space, cfg.resolvent_per_piece)))
+        except numlin.SingularMatrixError as exc:
+            out.append((beta, exc))
+    return out
+
+
+@pytest.mark.parametrize("space", POOL_MODELS, ids=repr)
+def test_verdict_resolvent_stage_is_the_one_beta_calls_bit_for_bit(monkeypatch, space):
+    # 28 nodes per beta, 84 in all: blocks of 5 on the small block bytes,
+    # each beta's last block partial; the default block holds one beta
+    cfg = ritt.RittConfig(N=8, resolvent_per_piece=6)
+    for T, refused in ((_ritt_matrix(4, 31), 0), (REFUSING_FIRST_BETA, 1)):
+        calls = _one_beta_calls(T, space, cfg)
+        want_res = {round(b, 12): v.hex() for b, v in calls if isinstance(v, float)}
+        want_reasons = [f"resolvent_sup at beta={b:.6g} refused: {v}"
+                        for b, v in calls if not isinstance(v, float)]
+        assert len(want_reasons) == refused and want_res
+        for rep in _at_worker_counts(monkeypatch, lambda: ritt_verdict(T, space, cfg)):
+            assert {b: v.hex() for b, v in rep.resolvent_sup.items()} == want_res
+            assert [r for r in rep.reasons if "refused" in r] == want_reasons
+        monkeypatch.undo()
+
+
+def test_verdict_takes_the_spectrum_once_and_no_stage_without_betas(monkeypatch):
+    eigs, pools = [], []
+    eig, pool = numlin.eig, numlin._pool
+
+    def counted_eig(*args, **kwargs):
+        eigs.append(1)
+        return eig(*args, **kwargs)
+
+    def counted_pool(workers):
+        pools.append(workers)
+        return pool(workers)
+
+    monkeypatch.setattr(numlin, "eig", counted_eig)
+    monkeypatch.setattr(numlin, "_pool", counted_pool)
+    monkeypatch.setattr(numlin, "_worker_count", lambda: 2)
+    # with 118 nodes per beta on 32 x 32 operators the three betas take 12
+    # blocks on the pool, and the walk of 33 powers fits in one block
+    T = _ritt_matrix(32, 36)
+    rep = ritt_verdict(T, Hilbert(32), ritt.RittConfig(N=16, beta_fracs=()))
+    assert rep.resolvent_sup == {}
+    assert len(eigs) == 1 and pools == []  # spectral_type's eig only
+    rep = ritt_verdict(T, Hilbert(32), ritt.RittConfig(N=16))
+    assert len(rep.resolvent_sup) == 3
+    assert len(eigs) == 3 and pools  # spectral_type's and the stage's

@@ -224,3 +224,48 @@ def test_resolvent_sup_skips_a_node_on_the_spectrum(model):
     assert [str(w.message) for w in caught] == [
         "resolvent_sup skipped 1 sample points inside the spectrum tolerance"]
     assert value.hex() == ref.hex()
+
+
+def _recorded(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = call()
+    return value, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_verdict_warns_once_per_unrefused_beta_in_beta_order(monkeypatch, model):
+    # the spectral type is pinned at 0, so the verdict's betas are pi/2
+    # times 0.25, 0.5, 0.75, and eigenvalues planted on their nodes are
+    # skipped; the warnings are those of the one-beta calls in beta order
+    space, per_piece, cfg = MODELS[model], 6, ritt.RittConfig(N=8, resolvent_per_piece=6)
+    betas = [math.pi / 2 * f for f in cfg.beta_fracs]
+    lam = [ritt.resolvent_sample_points(np.zeros((4, 4)), b, per_piece) for b in betas]
+    monkeypatch.setattr(ritt, "spectral_type", lambda T: 0.0)
+    # 84 nodes in blocks of 5 on two workers
+    _small_blocks(monkeypatch, block_len=22)
+    monkeypatch.setattr(numlin, "_worker_count", lambda: 2)
+    skip = "resolvent_sup skipped {} sample points inside the spectrum tolerance"
+
+    def one_beta(T, beta):
+        return _recorded(lambda: ritt.resolvent_sup(T, beta, space, per_piece))[0].hex()
+
+    # one node of beta 1 and two of beta 3
+    T = np.diag([lam[0][18], lam[2][14], lam[2][18], 0.1])
+    rep, caught = _recorded(lambda: ritt.ritt_verdict(T, space, cfg))
+    assert caught == [skip.format(1), skip.format(2)]
+    want = {round(b, 12): one_beta(T, b) for b in betas}
+    assert {b: v.hex() for b, v in rep.resolvent_sup.items()} == want
+    # a Jordan pair on a node of beta 1 refuses that beta, which then
+    # warns of nothing, and one node each of betas 2 and 3
+    T = np.zeros((4, 4), dtype=complex)
+    T[:2, :2] = [[lam[0][18], 2e6], [0.0, lam[0][18]]]
+    T[2, 2], T[3, 3] = lam[1][14], lam[2][14]
+    with pytest.raises(numlin.SingularMatrixError):
+        ritt.resolvent_sup(T, betas[0], space, per_piece)
+    rep, caught = _recorded(lambda: ritt.ritt_verdict(T, space, cfg))
+    assert caught == [skip.format(1), skip.format(1)]
+    assert [r for r in rep.reasons if "refused" in r][0].startswith(
+        f"resolvent_sup at beta={betas[0]:.6g} refused: ")
+    want = {round(b, 12): one_beta(T, b) for b in betas[1:]}
+    assert {b: v.hex() for b, v in rep.resolvent_sup.items()} == want

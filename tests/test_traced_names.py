@@ -55,10 +55,10 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
 
         monkeypatch.setattr(owner, name, recording)
     # the workers' own entry points, to see that the pool is used
-    workers = set()
+    workers = {}
     for name in ("_guarded_inverses", "_singular_resolvent_norms"):
-        def on_worker(*args, _fn=getattr(numlin, name), **kwargs):
-            workers.add(threading.get_ident())
+        def on_worker(*args, _fn=getattr(numlin, name), _name=name, **kwargs):
+            workers.setdefault(_name, set()).add(threading.get_ident())
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(numlin, name, on_worker)
@@ -72,9 +72,12 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
     for space in (Hilbert(4), LpWeighted(3.0, (1.0, 2.0, 0.5, 1.5)),
                   SchattenP(2.0, 2), SchattenP(3.0, 2), SupSeq(4)):
         ritt.resolvent_sup(T, 1.2, space, per_piece=6)
+    pooled = set().union(*workers.values())
     # the verdict's walk of 33 powers takes slices of 5, whose ceilings are
-    # taken on workers; the rows of decay_profiles are normed on workers
+    # taken on workers; the rows of decay_profiles are normed on workers,
+    # and the verdict's three betas of 10 nodes take blocks of 5 on workers
     decay, ceilings = set(), set()
+    workers.clear()
 
     def decay_norms(*args, _fn=ritt.op_norms):
         decay.add(threading.get_ident())
@@ -116,7 +119,8 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
 
     caller = threading.get_ident()
     assert threads and set(threads) == {caller}
-    assert workers - {caller}
+    assert pooled - {caller}
+    assert workers["_singular_resolvent_norms"] - {caller}
     assert decay - {caller}
     assert ceilings - {caller}
     assert enumeration - {caller}

@@ -59,7 +59,8 @@ __all__ = [
 
 QUAD_TARGET_REL = 1e-8
 REFINE_ROUNDS = 4
-VERTEX_CLUSTER = 1e-6
+#: the vertex disc, which holds every eigenvalue that ritt counts as 1
+VERTEX_CLUSTER = ritt._ONE_TOL_MAX
 MIN_CERT_S = 0.5
 
 
@@ -313,7 +314,8 @@ class ContourCalculus:
                  gamma: Optional[float] = None,
                  mesh: Optional[MeshSpec] = None):
         self.T = as_matrix(T, square=True)
-        self.alpha = ritt.spectral_type(self.T)
+        self.eigs, one = ritt._spectrum(self.T)
+        self.alpha = ritt._stolz_type(self.eigs, one)
         if self.alpha == NOT_STOLZ:
             raise ContourSpectrumError("spectrum lies in no Stolz closure")
         if beta is None:
@@ -327,7 +329,6 @@ class ContourCalculus:
             raise ContourSpectrumError(f"beta={beta:.6g} outside (0, pi/2)")
         self.beta = float(beta)
         self.mesh0 = mesh or MeshSpec()
-        self.eigs = numlin.eig(self.T).eigenvalues
         self._vertex_in_spectrum = bool(
             np.any(np.abs(self.eigs - 1.0) <= VERTEX_CLUSTER))
         # a semisimple eigenvalue 1 is split off, since the quadrature
@@ -337,15 +338,13 @@ class ContourCalculus:
         self._P = None
         self._A = self.T  # the operator under the contour
         self._A_eigs = self.eigs
-        if self._vertex_in_spectrum:
-            one = np.abs(self.eigs - 1.0) <= ritt.eigenvalue_one_tolerance(self.T)
-            if one.any():
-                try:
-                    self._P = ritt.mean_ergodic_projection(self.T)
-                except numlin.SingularMatrixError as exc:
-                    raise ContourSpectrumError(f"contour calculus: {exc}") from exc
-                self._A = self.T - self._P
-                self._A_eigs = np.where(one, 0.0, self.eigs)
+        if one.any():  # inside the vertex disc: the tolerance is capped there
+            try:
+                self._P = ritt.mean_ergodic_projection(self.T)
+            except numlin.SingularMatrixError as exc:
+                raise ContourSpectrumError(f"contour calculus: {exc}") from exc
+            self._A = self.T - self._P
+            self._A_eigs = np.where(one, 0.0, self.eigs)
         self._vertex_under_contour = bool(
             np.any(np.abs(self._A_eigs - 1.0) <= VERTEX_CLUSTER))
         self._U, self._Q = numlin.schur(self._A)
@@ -447,11 +446,15 @@ def scaling_convergence(T, phi: HolomorphicFn,
 # sectorial transfer
 # ---------------------------------------------------------------------------
 
-def _sector_quad(A: np.ndarray, f: HolomorphicFn, contour: stolz.Contour) -> np.ndarray:
+def _sector_quad(A: np.ndarray, f: HolomorphicFn, contour: stolz.Contour,
+                 zr: complex) -> tuple:
+    """The sector quadrature of f at A and |zr| ||R(zr, A)||_2, both from
+    one Schur form A = Q U Q^H (||R(zr, A)||_2 = ||X(zr)||_2) and the sweep."""
     U, Q = numlin.schur(A)
     X = _node_resolvents(U, contour.nodes, "sector")
     _check_separation(contour.nodes, np.diag(U), "sector")
-    return _cauchy_sum(Q, contour, X, f)
+    Xr = _node_resolvents(U, [zr], "sector")[..., 0]
+    return _cauchy_sum(Q, contour, X, f), abs(zr) * float(np.linalg.norm(Xr, 2))
 
 
 def transfer_check(T, f: HolomorphicFn, nu: Optional[float] = None,
@@ -490,10 +493,8 @@ def transfer_check(T, f: HolomorphicFn, nu: Optional[float] = None,
                                        min_panel=1e-14)
         sc = stolz.sector_contour(nu, r_max, mesh)
         # resolvent scale on the outer truncation circle
-        zr = r_max * cmath.exp(1j * nu)
-        c_res = float(np.linalg.norm(zr * numlin.resolvents(A, [zr])[0], 2))
+        lhs, c_res = _sector_quad(A, f, sc, r_max * cmath.exp(1j * nu))
         tail = c * c_res * sc.tail_factor(s)
-        lhs = _sector_quad(A, f, sc)
 
     phi = HolomorphicFn(evaluator=lambda z: f(1.0 - np.asarray(z, dtype=complex)),
                         kind="closure", h0_certificate=f.h0_certificate,
@@ -647,18 +648,19 @@ def calculus_constant(T, gamma: float, space: SpaceModel,
     max over the polynomial family of ||phi(T)|| / sup_{B(gamma)} |phi|;
     polynomials are evaluated directly so no contour admissibility is
     needed.  gamma = pi/2 gives the polynomial-boundedness diagnostic
-    over the unit disc.
+    over the unit disc.  The norms come from one stacked
+    :func:`rittcalc.numlin.op_norms` call over the family.
     """
     T = as_matrix(T, square=True)
     fam = family if family is not None else default_test_family(seed)
     fun = _poly_stack(fam)
-    best = 0.0
-    for phi, denom in zip(fam, _boundary_sup(lambda z: _modulus(fun, z), gamma, 256)):
-        if denom <= 0:
-            continue
-        num = numlin.op_norm(eval_poly(T, phi), space).value
-        best = max(best, num / float(denom))
-    return best
+    denoms = _boundary_sup(lambda z: _modulus(fun, z), gamma, 256)
+    kept = [(phi, float(d)) for phi, d in zip(fam, denoms) if d > 0]
+    if not kept:
+        return 0.0
+    # one stacked op_norms: each value is op_norm's, bit for bit
+    nums = numlin.op_norms(np.stack([eval_poly(T, phi) for phi, _ in kept]), space)
+    return float(max([0.0, *(num / d for num, (_, d) in zip(nums, kept))]))
 
 
 def evenodd_split(phi: HolomorphicFn):

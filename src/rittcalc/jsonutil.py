@@ -12,8 +12,8 @@ __all__ = ["sanitize", "matrix_to_json", "matrix_from_json"]
 def sanitize(obj):
     """Recursively convert numpy scalars/arrays and infinities for JSON.
 
-    Infinite angles render as the string "not-Stolz"; complex scalars as
-    [re, im] pairs; arrays as nested lists.
+    Non-finite floats render as the strings "inf", "-inf" and "nan";
+    complex scalars as [re, im] pairs; arrays as nested lists.
     """
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
@@ -26,11 +26,7 @@ def sanitize(obj):
         return [z.real, z.imag]
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
-        if math.isinf(x):
-            return "not-Stolz" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-        return x
+        return x if math.isfinite(x) else str(x)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):

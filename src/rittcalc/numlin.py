@@ -50,7 +50,6 @@ __all__ = [
     "resolvent_block_len",
     "node_block_len",
     "map_in_order",
-    "map_node_blocks",
     "svd",
     "vec_norm",
     "op_norm",
@@ -61,7 +60,7 @@ __all__ = [
 
 SOLVE_TOL = 1e-10
 RCOND_MIN = 1e-14
-#: bytes of n x n complex matrices that :func:`resolvents` handles per block
+#: bytes of n x n complex matrices in one block of nodes or powers
 RESOLVENT_BLOCK_BYTES = 2 * 1024 * 1024
 #: bytes of n x n complex matrices whose triangular-resolvent guards are
 #: checked at once, a slice that stays in cache
@@ -567,7 +566,7 @@ def solve(M, B, tol: float = SOLVE_TOL, rcond_min: float = RCOND_MIN) -> np.ndar
 
 
 def resolvent_block_len(n: int) -> int:
-    """Nodes per block of :func:`resolvents` for n x n operators."""
+    """Nodes or powers of n x n operators per ``RESOLVENT_BLOCK_BYTES`` block."""
     return max(1, RESOLVENT_BLOCK_BYTES // (16 * n * n))
 
 
@@ -642,49 +641,23 @@ def map_in_order(fn, items) -> list:
         wait(futures)
 
 
-def map_node_blocks(fn, m: int, n: int) -> list:
-    """``[fn(b) for b in blocks]`` over the partition of m nodes of n x n
-    operators into slices of :func:`node_block_len`, the last one partial,
-    through :func:`map_in_order`.
-
-    One block runs in the caller's thread, several run on one worker
-    thread per CPU.  As long as ``fn`` computes every node independently
-    of its block neighbours the results, and the first refusal, are the
-    same on every machine.
-    """
-    step = node_block_len(m, n)
-    return map_in_order(fn, [slice(s, min(s + step, m)) for s in range(0, m, step)])
-
-
 def resolvents(T, nodes) -> np.ndarray:
     """Stacked resolvents (z_j I - T)^-1 for every node z_j, shape (m, n, n).
 
-    Nodes are inverted by stacked LU solves, block by block of
-    :func:`map_node_blocks` (one worker per CPU when there are several
-    blocks), and each block writes its slice of one preallocated output,
-    so a worker's temporaries never exceed one block.  Every node keeps
-    the guards of :func:`solve`: the reciprocal condition number
+    One stacked LU solve in the caller's thread (``ritt.resolvent_sup``
+    calls it per block of nodes on the pool).  Every node keeps the
+    guards of :func:`solve`: the reciprocal condition number
     ``1 / (||M||_1 ||X||_1)``, exact because X is the full inverse, must
     reach ``RCOND_MIN``; up to 3 rounds of iterative refinement drive the
     residual to ``SOLVE_TOL * ||I||_F``, and the roundoff floor
     ``64 eps ||I||_F / rcond`` is the most that is accepted.  Every node
-    is computed alone, so the values do not depend on the blocks.  A
-    refused node raises :class:`SingularMatrixError` carrying that node:
-    within a block an rcond refusal comes before a residual one, and the
-    first refusing block wins.
+    is computed alone, so its values do not depend on the other nodes.
+    The first refused node raises :class:`SingularMatrixError` (see
+    :func:`_refuse_first`).
     """
     T = as_matrix(T, square=True)
     z = np.asarray(nodes, dtype=complex).reshape(-1)
-    n = T.shape[0]
-    I = np.eye(n, dtype=complex)
-    out = np.empty((z.size, n, n), dtype=complex)
-
-    def invert(b):
-        zb = z[b]
-        out[b] = _guarded_inverses(zb[:, None, None] * I - T, zb)
-
-    map_node_blocks(invert, z.size, n)
-    return out
+    return _guarded_inverses(z[:, None, None] * np.eye(T.shape[0], dtype=complex) - T, z)
 
 
 def _stacked_inverse(M: np.ndarray) -> np.ndarray:
@@ -702,24 +675,36 @@ def _stacked_inverse(M: np.ndarray) -> np.ndarray:
         return X
 
 
-def _refuse(detail: str, z: complex, rcond: float):
-    rcond = float(rcond) if np.isfinite(rcond) else 0.0
-    raise SingularMatrixError(f"resolvent node z={complex(z):.6g}: {detail} (rcond={rcond:.3e})",
-                              cond_estimate=1.0 / max(rcond, np.finfo(float).tiny),
-                              node=complex(z))
+def _refuse_first(z: np.ndarray, rcond: np.ndarray, resid: Optional[np.ndarray] = None,
+                  n: int = 0, norm: str = "") -> None:
+    """The one refusal of the resolvent guards: SingularMatrixError at the
+    first node z_j whose ``norm`` rcond is below ``RCOND_MIN`` (NaN too), or
+    else, given the Frobenius residuals of the n x n inverses, whose ``resid``
+    is above both ``SOLVE_TOL ||I||_F`` and ``64 eps ||I||_F / rcond``."""
+    bad = ~(rcond >= RCOND_MIN)  # NaN counts as refused
+    by_rcond = bad.any()
+    if resid is not None and not by_rcond:
+        target = SOLVE_TOL * math.sqrt(n)  # sqrt(n) = ||I||_F
+        bad = resid > np.maximum(target, 64.0 * _EPS * math.sqrt(n) / rcond)
+    if not bad.any():
+        return
+    j = int(np.argmax(bad))
+    detail = (f"singular to tolerance, {norm}rcond below {RCOND_MIN:.1e}" if by_rcond
+              else f"residual {resid[j]:.3e} exceeds tolerance {target:.3e}")
+    r = float(rcond[j]) if np.isfinite(rcond[j]) else 0.0
+    raise SingularMatrixError(f"resolvent node z={complex(z[j]):.6g}: {detail} (rcond={r:.3e})",
+                              cond_estimate=1.0 / max(r, np.finfo(float).tiny),
+                              node=complex(z[j]))
 
 
 def _guarded_inverses(M: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Inverses of the stack M (one block) under the guards of :func:`solve`."""
+    """Inverses of the stack M under the guards of :func:`solve`, rcond first."""
     n = M.shape[-1]
     I = np.eye(n, dtype=complex)
     X = _stacked_inverse(M)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rcond = 1.0 / (np.abs(M).sum(axis=1).max(axis=1) * np.abs(X).sum(axis=1).max(axis=1))
-    bad = ~(rcond >= RCOND_MIN)  # NaN counts as refused
-    if bad.any():
-        j = int(np.argmax(bad))
-        _refuse(f"singular to tolerance, rcond below {RCOND_MIN:.1e}", z[j], rcond[j])
+    _refuse_first(z, rcond)
     target = SOLVE_TOL * math.sqrt(n)  # sqrt(n) = ||I||_F
     R = I - M @ X
     resid = np.linalg.norm(R, axis=(1, 2))
@@ -730,11 +715,7 @@ def _guarded_inverses(M: np.ndarray, z: np.ndarray) -> np.ndarray:
         X[todo] += np.linalg.solve(M[todo], R[todo])
         R[todo] = I - M[todo] @ X[todo]
         resid[todo] = np.linalg.norm(R[todo], axis=(1, 2))
-    floor = 64.0 * _EPS * math.sqrt(n) / rcond
-    over = resid > np.maximum(target, floor)
-    if over.any():
-        j = int(np.argmax(over))
-        _refuse(f"residual {resid[j]:.3e} exceeds tolerance {target:.3e}", z[j], rcond[j])
+    _refuse_first(z, rcond, resid, n)
     return X
 
 
@@ -791,15 +772,7 @@ def triangular_resolvents(U, nodes) -> np.ndarray:
             Rf = R.reshape(n * n, -1).view(float)
             sq = np.einsum("ak,ak->k", Rf, Rf)
             resid[b] = np.sqrt(sq[0::2] + sq[1::2])
-    bad = ~(rcond >= RCOND_MIN)  # NaN counts as refused
-    if bad.any():
-        j = int(np.argmax(bad))
-        _refuse(f"singular to tolerance, rcond below {RCOND_MIN:.1e}", z[j], rcond[j])
-    target = SOLVE_TOL * math.sqrt(n)  # sqrt(n) = ||I||_F
-    over = resid > np.maximum(target, 64.0 * _EPS * math.sqrt(n) / rcond)
-    if over.any():
-        j = int(np.argmax(over))
-        _refuse(f"residual {resid[j]:.3e} exceeds tolerance {target:.3e}", z[j], rcond[j])
+    _refuse_first(z, rcond, resid, n)
     return X
 
 
@@ -860,10 +833,7 @@ def _singular_resolvent_norms(T: np.ndarray, z: np.ndarray) -> np.ndarray:
     smin = s[:, -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         rcond = smin / s[:, 0]
-    bad = ~(rcond >= RCOND_MIN)
-    if bad.any():
-        j = int(np.argmax(bad))
-        _refuse(f"singular to tolerance, 2-norm rcond below {RCOND_MIN:.1e}", z[j], rcond[j])
+    _refuse_first(z, rcond, norm="2-norm ")
     return np.abs(z - 1.0) / smin
 
 

@@ -44,11 +44,22 @@ __all__ = [
 #: dilation factor of the resolvent sample layer just outside the Stolz boundary
 RESOLVENT_DILATION = 1.0 + 1e-4
 VERTEX_EXCLUSION = 1e-8
+#: the largest eigenvalue-1 tolerance, ``funcalc.VERTEX_CLUSTER``: every
+#: eigenvalue counted as 1 lies in the vertex disc of the contour calculus
+_ONE_TOL_MAX = 1e-6
 
 
 def eigenvalue_one_tolerance(T: np.ndarray) -> float:
-    """Clustering tolerance: |lam - 1| below this counts as eigenvalue 1."""
-    return 1e-10 * (1.0 + float(np.linalg.norm(T, 2)))
+    """Clustering tolerance: |lam - 1| at most this counts as eigenvalue 1:
+    1e-10 (1 + ||T||_2), capped at 1e-6 so a large ||T|| counts no far one."""
+    return min(1e-10 * (1.0 + float(np.linalg.norm(T, 2))), _ONE_TOL_MAX)
+
+
+def _spectrum(T: np.ndarray) -> tuple:
+    """``(eigs, one)``: the :func:`rittcalc.numlin.eig` eigenvalues of the
+    matrix T and the mask of those within :func:`eigenvalue_one_tolerance` of 1."""
+    eigs = numlin.eig(T).eigenvalues
+    return eigs, np.abs(eigs - 1.0) <= eigenvalue_one_tolerance(T)
 
 
 class _DecayWalk:
@@ -321,10 +332,12 @@ def spectral_type(T) -> float:
     closure tolerance of the angle bisection smears angles by more than
     the verdict margin, so the classification would be noise.
     """
-    T = as_matrix(T, square=True)
-    tol1 = eigenvalue_one_tolerance(T)
-    lams = [complex(lam) for lam in numlin.eig(T).eigenvalues]
-    lams = [lam for lam in lams if abs(lam - 1.0) > tol1]
+    return _stolz_type(*_spectrum(as_matrix(T, square=True)))
+
+
+def _stolz_type(eigs: np.ndarray, one: np.ndarray) -> float:
+    """:func:`spectral_type` of the spectrum ``(eigs, one)`` of :func:`_spectrum`."""
+    lams = [complex(lam) for lam in eigs[~one]]
     if any(abs(lam) >= 1.0 - 1e-11 for lam in lams):
         return NOT_STOLZ
     # z lies in closure(B(gamma)) once |z| <= sin(gamma), so asin|z| bounds
@@ -379,19 +392,22 @@ def resolvent_sup(T, beta: float, space: SpaceModel, per_piece: int = 48) -> flo
     the node and its rcond; an SVD that does not converge raises
     :class:`rittcalc.numlin.EigNonConvergence`.
     """
-    (value,) = _resolvent_stage(T, [beta], space, per_piece)
+    T = numlin.as_operator(T, space)
+    (value,) = _resolvent_stage(T, [beta], space, per_piece, numlin.eig(T).eigenvalues)
     if isinstance(value, numlin.SingularMatrixError):
         raise value
     return value
 
 
-def _resolvent_stage(T, betas, space: SpaceModel, per_piece: int) -> list:
-    """The :func:`resolvent_sup` of T at every beta of ``betas``, in one
-    pass: per beta its float, or the SingularMatrixError that refused it.
+def _resolvent_stage(T: np.ndarray, betas, space: SpaceModel, per_piece: int,
+                     eigs: np.ndarray) -> list:
+    """The :func:`resolvent_sup` of T, an operator on ``space`` with the
+    eigenvalues ``eigs``, at every beta of ``betas``, in one pass: per
+    beta its float, or the SingularMatrixError that refused it.
 
-    No beta means no work.  Otherwise the spectrum is taken once, every
-    beta's sample points are built in the caller's thread, and those
-    inside the spectrum tolerance are dropped.  Each beta's nodes are cut
+    No beta means no work.  Otherwise every beta's sample points are
+    built in the caller's thread, and those inside the spectrum
+    tolerance are dropped.  Each beta's nodes are cut
     into blocks of :func:`rittcalc.numlin.node_block_len` for the nodes of
     all betas, no block crossing a beta, and every block runs in one
     :func:`rittcalc.numlin.map_in_order` call.  A block returns its
@@ -403,8 +419,6 @@ def _resolvent_stage(T, betas, space: SpaceModel, per_piece: int) -> list:
     """
     if not betas:
         return []
-    T = numlin.as_operator(T, space)
-    eigs = numlin.eig(T).eigenvalues
     nodes, skipped = [], []
     for beta in betas:
         lam = resolvent_sample_points(T, beta, per_piece)
@@ -501,7 +515,7 @@ class RittReport:
         return sanitize({
             "power_bound": self.power_bound,
             "increment_bound": self.increment_bound,
-            "type_alpha": self.type_alpha,
+            "type_alpha": "not-Stolz" if self.type_alpha == NOT_STOLZ else self.type_alpha,
             "resolvent_sup": [[b, v] for b, v in sorted(self.resolvent_sup.items())],
             "decay": list(self.decay),
             "verdict": self.verdict,
@@ -524,7 +538,8 @@ def ritt_verdict(T, space: Optional[SpaceModel] = None,
     T = as_matrix(T, square=True)
     space = space or Hilbert(T.shape[0])
     cfg = config or RittConfig()
-    alpha = spectral_type(T)
+    eigs, one = _spectrum(T)
+    alpha = _stolz_type(eigs, one)
     reasons: list = []
     not_ritt = alpha == NOT_STOLZ or alpha >= math.pi / 2 - cfg.type_margin
     if not_ritt:
@@ -562,7 +577,7 @@ def ritt_verdict(T, space: Optional[SpaceModel] = None,
     betas = [alpha + (math.pi / 2 - alpha) * f for f in cfg.beta_fracs]
     betas = [beta for beta in betas if alpha < beta < math.pi / 2]
     res = {}
-    for beta, value in zip(betas, _resolvent_stage(T, betas, space, cfg.resolvent_per_piece)):
+    for beta, value in zip(betas, _resolvent_stage(T, betas, space, cfg.resolvent_per_piece, eigs)):
         if isinstance(value, numlin.SingularMatrixError):
             # the message names the refused node and its rcond
             stable = False

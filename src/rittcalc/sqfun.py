@@ -153,14 +153,9 @@ def _effective_radius(T: np.ndarray) -> tuple:
     :func:`ritt.mean_ergodic_projection` raises SingularMatrixError, so
     no square-function route sums a series that grows without bound.
     """
-    tol1 = ritt.eigenvalue_one_tolerance(T)
-    rho, near_one = 0.0, False
-    for lam in numlin.eig(T).eigenvalues:
-        if abs(lam - 1.0) > tol1:
-            rho = max(rho, abs(lam))
-        else:
-            near_one = True
-    return rho, (ritt.mean_ergodic_projection(T) if near_one else np.zeros_like(T))
+    eigs, one = ritt._spectrum(T)
+    rho = max([0.0, *(abs(lam) for lam in eigs[~one])])
+    return rho, (ritt.mean_ergodic_projection(T) if one.any() else np.zeros_like(T))
 
 
 def square_function(T, x, space: SpaceModel, cfg: Optional[SFConfig] = None) -> SFReport:

@@ -41,6 +41,18 @@ def test_analyze_report(tdir):
     assert "timestamp" not in rep
 
 
+def test_analyze_renders_an_overflow_as_inf_and_the_angle_as_not_stolz(tmp_path):
+    import scipy.io
+
+    scipy.io.mmwrite(str(tmp_path / "big.mtx"), np.diag([1e300, 0.5]), precision=17)
+    out = tmp_path / "rep.json"
+    assert run(["analyze", tmp_path / "big.mtx", "--out", out, "--no-timestamp"]) == 0
+    res = load(out)["result"]
+    assert res["verdict"] == "not-ritt" and res["type_alpha"] == "not-Stolz"
+    assert res["power_bound"] == res["increment_bound"] == "inf"
+    assert res["decay"] == ["inf"] * 4
+
+
 def test_analyze_reads_matrix_market_complex(tdir):
     out = tdir / "rep.json"
     assert run(["analyze", tdir / "C.mtx", "--out", out, "--no-timestamp",

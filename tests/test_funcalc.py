@@ -209,6 +209,15 @@ def test_contour_calculus_refuses_a_defective_eigenvalue_one():
         eval_contour(T, poly([0, 1, -1]))
 
 
+@pytest.mark.parametrize("lams", [[0.5, 0.3j, -0.2], [1.0, 0.6j, -0.4]], ids=["plain", "one"])
+def test_contour_calculus_takes_the_spectrum_once(monkeypatch, lams):
+    calls = []
+    eig = numlin.eig
+    monkeypatch.setattr(numlin, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
+    calc = ContourCalculus(ritt_instance(6, dim=3, lams=lams))
+    assert len(calls) == 1 and (calc._P is not None) == (1.0 in lams)
+
+
 def test_contour_admissibility_after_the_split():
     # a split-off eigenvalue 1 only asks phi(1) = 0; an eigenvalue near 1
     # that is not split off keeps the vertex under the contour
@@ -246,6 +255,20 @@ def test_transfer_check_builds_its_sector_contour_once(monkeypatch):
     f = funcalc.from_callable(lambda z: z / (1 + z) ** 2, certificate=(1.0, 1.0))
     transfer_check(np.diag([0.5]), f)
     assert len(calls) == 1
+
+
+def test_transfer_check_truncation_resolvent_is_the_lu_one(monkeypatch):
+    # |zr| ||R(zr, A)||_2 comes from the sector's Schur form, not the LU kernel
+    T = ritt_instance(3)
+    f = funcalc.from_callable(lambda z: z / (1 + z) ** 3, certificate=(1.0, 1.0))
+    nu, r_max = 1.2, 1e7
+    zr = r_max * cmath.exp(1j * nu)
+    c_res = abs(zr) * np.linalg.norm(numlin.resolvents(np.eye(4) - T, [zr])[0], 2)
+    mesh = stolz.MeshSpec(segment_panels=20, arc_panels=1, points_per_panel=6)
+    want = c_res * stolz.sector_contour(nu, r_max, mesh).tail_factor(1.0)
+    monkeypatch.setattr(numlin, "resolvents", None)
+    got = transfer_check(T, f, nu=nu, r_max=r_max, sector_mesh=mesh)["truncation_estimate"]
+    assert abs(got - want) <= 1e-14 * want
 
 
 def test_transfer_check_refuses_an_infinite_radius():
@@ -501,7 +524,7 @@ def test_sector_node_on_eigenvalue_is_loud():
     A = np.diag([node, 2.0])
     f = funcalc.from_callable(lambda z: z / (1 + z) ** 2, certificate=(1.0, 1.0))
     with pytest.raises(funcalc.ContourSpectrumError, match="rcond") as exc:
-        funcalc._sector_quad(A, f, contour)
+        funcalc._sector_quad(A, f, contour, 10.0 * np.exp(1j))
     assert exc.value.node == node
     assert exc.value.rcond < numlin.RCOND_MIN
 
@@ -624,11 +647,13 @@ def test_hinf_norm_and_calculus_constant_match_the_scalar_reference(gamma):
            for p in fam]
     assert [hinf_norm(p, gamma, per_piece=256) for p in fam] == ref
     T = ritt_instance(11, dim=3)
-    ref_K = 0.0
-    for phi, denom in zip(fam, ref):
-        if denom > 0:
-            ref_K = max(ref_K, numlin.op_norm(eval_poly(T, phi), Hilbert(3)).value / denom)
-    assert calculus_constant(T, gamma, Hilbert(3), family=fam) == ref_K
+    # the stacked op_norms of calculus_constant against one op_norm a member
+    for space in (Hilbert(3), numlin.LpWeighted(3.0, (1.0, 2.0, 0.5)), numlin.SupSeq(3)):
+        ref_K = 0.0
+        for phi, denom in zip(fam, ref):
+            if denom > 0:
+                ref_K = max(ref_K, numlin.op_norm(eval_poly(T, phi), space).value / denom)
+        assert calculus_constant(T, gamma, space, family=fam) == ref_K, space
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)

@@ -303,21 +303,16 @@ def test_resolvents_match_mpmath_on_jordan_block():
             assert np.linalg.norm(Rz - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_resolvents_partial_last_block(monkeypatch):
+def test_resolvents_do_not_depend_on_the_other_nodes():
     T = NON_NORMAL["similar-complex"]
     nodes = _kernel_nodes(T)[:10]
     whole = numlin.resolvents(T, nodes)
-    # 3 x 3 complex matrices are 144 bytes: blocks of 3 nodes, the last holds 1
-    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", 3 * 144)
-    assert numlin.resolvent_block_len(3) == 3
-    blocked = numlin.resolvents(T, nodes)
-    assert np.array_equal(blocked, whole)
+    assert np.array_equal(numlin.resolvents(T, nodes[7:]), whole[7:])
     assert numlin.resolvents(T, []).shape == (0, 3, 3)
 
 
-def test_resolvents_raise_on_singular_node(monkeypatch):
+def test_resolvents_raise_on_singular_node():
     T = np.diag([0.5, 0.2])
-    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", 2 * 64)  # 2 nodes per block
     with pytest.raises(numlin.SingularMatrixError) as exc:
         numlin.resolvents(T, [0.9, 0.1j, 0.3, 0.5])
     assert exc.value.node == 0.5
@@ -523,56 +518,65 @@ def test_worker_pool_is_bit_identical_to_one_block(monkeypatch, space):
     beta = 0.5 * (ritt.spectral_type(T) + np.pi / 2)
     nodes = ritt.resolvent_sample_points(T, beta, per_piece=6)
     assert nodes.size > 22 and nodes.size % 5 != 0  # several blocks, the last partial
+    # every node is computed alone: a one-node call gives its bits
+    R = numlin.resolvents(T, nodes)
+    assert all(np.array_equal(numlin.resolvents(T, [z])[0], Rz) for z, Rz in zip(nodes, R))
     # the default block length holds every node: one block, the caller's thread
-    ref_R = numlin.resolvents(T, nodes)
     ref_sup = ritt.resolvent_sup(T, beta, space, per_piece=6)
-    for R in _at_worker_counts(monkeypatch, lambda: numlin.resolvents(T, nodes)):
-        assert np.array_equal(R, ref_R)
     for sup in _at_worker_counts(
             monkeypatch, lambda: ritt.resolvent_sup(T, beta, space, per_piece=6)):
         assert sup.hex() == ref_sup.hex()
 
 
+#: a non-exact model: the resolvent stage's blocks take the LU kernel and
+#: the Boyd ascent on the pool
+LP3 = LpWeighted(3.0, (1.0, 2.0, 0.5, 1.5))
+
+
 def test_worker_pool_stress_more_workers_than_cores(monkeypatch):
-    # eight workers write their slices of one output with the interpreter
-    # switching threads every microsecond: a lost or misplaced block shows
+    # eight workers norm the 24 blocks of one resolvent stage with the
+    # interpreter switching threads every microsecond: a lost or misplaced
+    # block maximum shows
     T = _similar(6, [0.5, 0.3 + 0.2j, -0.4, 0.8])
-    nodes = 0.95 * np.exp(1j * np.linspace(0.1, 6.2, 400))
-    ref = numlin.resolvents(T, nodes)
+    ref = ritt.resolvent_sup(T, 1.2, LP3, per_piece=24)
     monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", SMALL_BLOCK_BYTES)
     monkeypatch.setattr(numlin, "_worker_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            assert np.array_equal(numlin.resolvents(T, nodes), ref)
+            assert ritt.resolvent_sup(T, 1.2, LP3, per_piece=24).hex() == ref.hex()
     finally:
         sys.setswitchinterval(interval)
 
 
-def _refusal(monkeypatch, T, nodes):
+def test_worker_pool_raises_the_first_refusing_block(monkeypatch):
+    # two Jordan pairs, each 1e-8 off one sample node (outside the skip
+    # tolerance), refuse that node alone (rcond about 1e-16) in blocks 2
+    # and 4 of the 28 nodes' blocks of 5: the earlier block's is raised
+    nodes = ritt.resolvent_sample_points(np.zeros((4, 4)), 1.2, per_piece=6)
+    T = np.zeros((4, 4), dtype=complex)
+    T[0, 1] = T[2, 3] = 1.0
+    T[0, 0] = T[1, 1] = nodes[22] + 1e-8
+    T[2, 2] = T[3, 3] = nodes[12] + 1e-8
+
     def refused():
         with pytest.raises(numlin.SingularMatrixError) as exc:
-            numlin.resolvents(T, nodes)
+            ritt.resolvent_sup(T, 1.2, LP3, per_piece=6)
         return exc.value.node, str(exc.value)
 
-    return _at_worker_counts(monkeypatch, refused)
-
-
-def test_worker_pool_raises_the_first_refusing_block(monkeypatch):
-    T = np.diag([0.5, 0.2, 0.1, -0.3]).astype(complex)
-    nodes = 0.9 * np.exp(1j * np.linspace(0.0, 6.0, 40))
-    nodes[27] = 0.2   # block 5 of blocks 0-7
-    nodes[36] = 0.5   # block 7
-    got = _refusal(monkeypatch, T, nodes)
+    got = _at_worker_counts(monkeypatch, refused)
     assert got == [got[0]] * 3
-    assert got[0][0] == 0.2 and "rcond" in got[0][1]
+    assert got[0][0] == nodes[12] and "rcond below" in got[0][1]
+    with pytest.raises(numlin.SingularMatrixError) as exc:
+        numlin.resolvents(T, nodes[13:])
+    assert exc.value.node == nodes[22]
 
 
-def test_worker_pool_keeps_the_order_of_refusals_in_a_block(monkeypatch):
-    # block 2 holds a residual refusal (node 10) before an rcond refusal
-    # (node 12); within a block the rcond guard runs first, so node 12 is
-    # the one raised, ahead of a residual refusal in block 3 (node 17)
+def test_resolvents_refuse_the_first_node_an_rcond_refusal_first(monkeypatch):
+    # a residual refusal (node 10) comes before an rcond refusal (node 12);
+    # the rcond guard runs first, so node 12 is the one raised, ahead of
+    # both residual refusals (nodes 10 and 17)
     T = np.diag([0.5, 0.2, 0.1, -0.3]).astype(complex)
     nodes = 0.9 * np.exp(1j * np.linspace(0.0, 6.0, 40))
     nodes[12] = 0.5 + 1e-15  # rcond 3e-15, not exactly singular
@@ -586,32 +590,38 @@ def test_worker_pool_keeps_the_order_of_refusals_in_a_block(monkeypatch):
         return X
 
     monkeypatch.setattr(np.linalg, "solve", off_by_1e3)
-    got = _refusal(monkeypatch, T, nodes)
-    assert got == [got[0]] * 3
-    assert got[0][0] == nodes[12] and "rcond below" in got[0][1]
-    # without the rcond refusal the residual one of block 2 comes first
+
+    def refused():
+        with pytest.raises(numlin.SingularMatrixError) as exc:
+            numlin.resolvents(T, nodes)
+        return exc.value.node, str(exc.value)
+
+    node, msg = refused()
+    assert node == nodes[12] and "rcond below" in msg
+    # without the rcond refusal the first residual one comes first
     nodes[12] = 0.3j
-    got = _refusal(monkeypatch, T, nodes)
-    assert got == [got[0]] * 3
-    assert got[0][0] == nodes[10] and "residual" in got[0][1]
+    node, msg = refused()
+    assert node == nodes[10] and "residual" in msg
 
 
 def test_worker_tasks_see_the_callers_errstate(monkeypatch):
     with np.errstate(divide="raise", over="ignore", under="warn", invalid="call"):
         caller = np.geterr()
         seen = _at_worker_counts(
-            monkeypatch, lambda: numlin.map_node_blocks(lambda b: np.geterr(), 40, 4))
+            monkeypatch, lambda: numlin.map_in_order(lambda k: np.geterr(), range(8)))
     assert all(len(s) == 8 and all(e == caller for e in s) for s in seen)
 
 
-def test_map_node_blocks_partition(monkeypatch):
+def test_node_block_len_partition(monkeypatch):
+    # m items that fit in one block are one block; more take quarter blocks,
+    # whatever the worker count
     monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", SMALL_BLOCK_BYTES)
-    assert numlin.map_node_blocks(lambda b: b, 22, 4) == [slice(0, 22)]
     for workers in (1, 2, 3):
         monkeypatch.setattr(numlin, "_worker_count", lambda w=workers: w)
-        blocks = numlin.map_node_blocks(lambda b: b, 23, 4)
-        assert blocks == [slice(s, min(s + 5, 23)) for s in range(0, 23, 5)]
-    assert numlin.map_node_blocks(lambda b: b, 0, 4) == []
+        assert numlin.node_block_len(22, 4) == 22
+        assert numlin.node_block_len(23, 4) == numlin.node_block_len(400, 4) == 5
+    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", 3 * 256)
+    assert numlin.node_block_len(4, 4) == 1  # a quarter of 3 nodes is still one
 
 
 @pytest.mark.parametrize("workers", [2, 3, 8])
@@ -640,18 +650,17 @@ def test_map_in_order_runs_items_on_workers_in_item_order(monkeypatch, workers):
 
 
 def test_worker_threads_are_kept_and_nested_calls_run_serially(monkeypatch):
-    monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", SMALL_BLOCK_BYTES)
     monkeypatch.setattr(numlin, "_worker_count", lambda: 2)
     seen = set()
 
     def inner(b):
         seen.add(threading.get_ident())
         # a nested call on a worker would wait on the busy pool
-        return numlin.map_node_blocks(lambda c: (b.start, c.start), 40, 4)
+        return numlin.map_in_order(lambda c: (b, c), range(0, 40, 5))
 
     out = []
     runner = threading.Thread(daemon=True, target=lambda: out.extend(
-        numlin.map_node_blocks(inner, 40, 4) for _ in range(5)))
+        numlin.map_in_order(inner, range(0, 40, 5)) for _ in range(5)))
     runner.start()
     runner.join(timeout=60)
     assert not runner.is_alive()

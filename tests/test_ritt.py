@@ -41,6 +41,20 @@ def test_spectral_type_examples():
     assert spectral_type(np.diag([-1.0])) == stolz.NOT_STOLZ
 
 
+def test_a_large_norm_counts_no_far_eigenvalue_as_one():
+    # 1e-10 (1 + ||T||) is 10 here: uncapped, both eigenvalues +-0.5i
+    # counted as 1, the type read 0 and the Gram route refused a
+    # "defective" eigenvalue 1 that T does not have
+    from rittcalc import funcalc, sqfun
+
+    T = np.array([[0.5j, 1e11], [0.0, -0.5j]])
+    assert ritt.eigenvalue_one_tolerance(T) == funcalc.VERTEX_CLUSTER
+    assert spectral_type(T) == stolz.min_angle(0.5j)
+    assert sqfun.sf_constant(T, 1, Hilbert(2)) == pytest.approx(1.8667e11, rel=1e-4)
+    T[0, 1] = 1e3  # the tolerance is 1e-7 and was right before
+    assert spectral_type(T) == stolz.min_angle(0.5j)
+
+
 def _ref_spectral_type(T):
     """The loop that bisected every eigenvalue, in eigenvalue order."""
     tol1 = ritt.eigenvalue_one_tolerance(T)
@@ -190,6 +204,9 @@ def test_report_serializes():
     assert isinstance(d["resolvent_sup"], list)
     rep2 = ritt_verdict(np.diag([-1.0]), config=ritt.RittConfig(N=32))
     assert rep2.to_json_dict()["type_alpha"] == "not-Stolz"
+    # only the angle reads "not-Stolz": any other infinity reads "inf"
+    rep2.power_bound = math.inf
+    assert rep2.to_json_dict()["power_bound"] == "inf"
 
 
 def test_not_ritt_reports_decay_n_used():
@@ -733,7 +750,7 @@ def test_verdict_takes_the_spectrum_once_and_no_stage_without_betas(monkeypatch)
     T = _ritt_matrix(32, 36)
     rep = ritt_verdict(T, Hilbert(32), ritt.RittConfig(N=16, beta_fracs=()))
     assert rep.resolvent_sup == {}
-    assert len(eigs) == 1 and pools == []  # spectral_type's eig only
+    assert len(eigs) == 1 and pools == []
     rep = ritt_verdict(T, Hilbert(32), ritt.RittConfig(N=16))
     assert len(rep.resolvent_sup) == 3
-    assert len(eigs) == 3 and pools  # spectral_type's and the stage's
+    assert len(eigs) == 2 and pools  # the stage reads the verdict's spectrum

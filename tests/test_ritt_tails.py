@@ -241,7 +241,7 @@ def test_verdict_warns_once_per_unrefused_beta_in_beta_order(monkeypatch, model)
     space, per_piece, cfg = MODELS[model], 6, ritt.RittConfig(N=8, resolvent_per_piece=6)
     betas = [math.pi / 2 * f for f in cfg.beta_fracs]
     lam = [ritt.resolvent_sample_points(np.zeros((4, 4)), b, per_piece) for b in betas]
-    monkeypatch.setattr(ritt, "spectral_type", lambda T: 0.0)
+    monkeypatch.setattr(ritt, "_stolz_type", lambda eigs, one: 0.0)
     # 84 nodes in blocks of 5 on two workers
     _small_blocks(monkeypatch, block_len=22)
     monkeypatch.setattr(numlin, "_worker_count", lambda: 2)

@@ -312,9 +312,9 @@ class ContourCalculus:
 
     def __init__(self, T, beta: Optional[float] = None,
                  gamma: Optional[float] = None,
-                 mesh: Optional[MeshSpec] = None):
+                 mesh: Optional[MeshSpec] = None, *, _spectrum=None):
         self.T = as_matrix(T, square=True)
-        self.eigs, one = ritt._spectrum(self.T)
+        self.eigs, one = _spectrum or ritt._spectrum(self.T)  # a caller's, if it has one
         self.alpha = ritt._stolz_type(self.eigs, one)
         if self.alpha == NOT_STOLZ:
             raise ContourSpectrumError("spectrum lies in no Stolz closure")
@@ -471,7 +471,8 @@ def transfer_check(T, f: HolomorphicFn, nu: Optional[float] = None,
     T = as_matrix(T, square=True)
     n = T.shape[0]
     A = np.eye(n, dtype=complex) - T
-    alpha = ritt.spectral_type(T)
+    spectrum = ritt._spectrum(T)
+    alpha = ritt._stolz_type(*spectrum)
     if alpha == NOT_STOLZ:
         raise ContourSpectrumError("spectrum lies in no Stolz closure")
     if nu is None:
@@ -499,7 +500,7 @@ def transfer_check(T, f: HolomorphicFn, nu: Optional[float] = None,
     phi = HolomorphicFn(evaluator=lambda z: f(1.0 - np.asarray(z, dtype=complex)),
                         kind="closure", h0_certificate=f.h0_certificate,
                         label=f"{f.label or 'f'}(1-z)")
-    rhs_report = eval_contour(T, phi, gamma=nu, mesh=stolz_mesh)
+    rhs_report = ContourCalculus(T, gamma=nu, mesh=stolz_mesh, _spectrum=spectrum).apply(phi)
     diff = float(np.linalg.norm(lhs - rhs_report.value, 2))
     return {
         "lhs": lhs,

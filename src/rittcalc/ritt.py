@@ -84,7 +84,8 @@ class _DecayWalk:
             raise ShapeError(f"left has shape {np.shape(left)}, T has {self.T.shape}")
         self.N, self.left = N, left
         A = np.eye(self.T.shape[0], dtype=complex) - self.T
-        self.factor = {2: A @ A, 3: A @ A @ A}
+        with np.errstate(over="ignore", invalid="ignore"):  # run handles what reaches the norms
+            self.factor = {2: A @ A, 3: A @ A @ A}
 
     def terms(self, item, j: int, pick=slice(None)):
         """``(n, M)``: the n of every order-j term of the slice, as floats,
@@ -328,29 +329,21 @@ def spectral_type(T) -> float:
 
     Eigenvalues clustered at 1 contribute 0; any other eigenvalue on or
     outside the unit circle yields ``stolz.NOT_STOLZ``.  Moduli within
-    1e-11 of the circle are clustered onto it: below that distance the
-    closure tolerance of the angle bisection smears angles by more than
-    the verdict margin, so the classification would be noise.
+    1e-11 of the circle are clustered onto it: there the angle, about
+    pi/2 - sqrt(2 (1 - |z|)), has a slope above 2e5 in |z|, and an
+    eigenvalue's error is eps ||T|| at best (far more for a non-normal
+    T), so the classification would be noise.
     """
     return _stolz_type(*_spectrum(as_matrix(T, square=True)))
 
 
 def _stolz_type(eigs: np.ndarray, one: np.ndarray) -> float:
-    """:func:`spectral_type` of the spectrum ``(eigs, one)`` of :func:`_spectrum`."""
-    lams = [complex(lam) for lam in eigs[~one]]
-    if any(abs(lam) >= 1.0 - 1e-11 for lam in lams):
+    """:func:`spectral_type` of the spectrum ``(eigs, one)`` of :func:`_spectrum`:
+    the maximum of :func:`rittcalc.stolz.min_angle` over the eigenvalues not at 1."""
+    lams = eigs[~one]
+    if np.any(np.abs(lams) >= 1.0 - 1e-11):
         return NOT_STOLZ
-    # z lies in closure(B(gamma)) once |z| <= sin(gamma), so asin|z| bounds
-    # min_angle(z) from above (1e-15 covers the bisection's last step): the
-    # largest bounds go first, and once a bound cannot raise the maximum
-    # neither can any later one
-    worst = 0.0
-    for bound, lam in sorted(((math.asin(abs(lam)) + 1e-15, lam) for lam in lams),
-                             key=lambda item: -item[0]):
-        if bound <= worst:
-            break
-        worst = max(worst, stolz.min_angle(lam))
-    return worst
+    return float(np.max(stolz.min_angle(lams), initial=0.0))
 
 
 def resolvent_sample_points(T, beta: float, per_piece: int = 48) -> np.ndarray:

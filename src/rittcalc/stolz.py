@@ -139,34 +139,27 @@ def contains_closure(gamma: float, z: complex, tol: float = 1e-12) -> bool:
     return all(m >= -tol for m in _half_plane_margins(z, gamma))
 
 
-def min_angle(z: complex, tol: float = 1e-12) -> float:
-    """Infimum of gamma with z in closure(B(gamma)), to 1e-10.
+def min_angle(z, tol: float = 1e-12):
+    """Infimum of gamma with z in closure(B(gamma)), exact to rounding.
 
-    Returns 0.0 for the vertex and for the segment [0, 1]; returns
-    ``NOT_STOLZ`` when no Stolz closure contains z (e.g. |z| >= 1 with
-    z != 1).
+    With w = 1 - z the closed tangent triangle holds z exactly when
+    |arg w| <= gamma and Re z >= sin(gamma)^2, possible iff
+    |w| <= cos(arg w), and the disc once sin(gamma) >= |z|: the infimum
+    is min(asin|z|, |arg w|) in the first case and asin|z| otherwise.
+    ``tol`` only snaps z to 0.0 near the vertex and the segment [0, 1];
+    ``NOT_STOLZ`` means no closure holds z (|z| >= 1 off the vertex).
+    An array z gives the angles elementwise.
     """
-    z = complex(z)
-    if abs(z - 1.0) <= tol:
-        return 0.0
-    if abs(z) >= 1.0:  # every Stolz closure sits in the closed unit disc
-        return NOT_STOLZ
-    # gamma -> 0 limit: the hull collapses onto the segment [0, 1]
-    if abs(z.imag) <= tol and -tol <= z.real <= 1.0 + tol:
-        return 0.0
-    hi = math.pi / 2 - 1e-13
-    if not contains_closure(hi, z, tol):
-        return NOT_STOLZ
-    lo = 1e-13
-    if contains_closure(lo, z, tol):
-        return lo
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if contains_closure(mid, z, tol):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    z = np.asarray(z, dtype=complex)
+    w = 1.0 - z
+    r, rho, theta = np.abs(z), np.abs(w), np.abs(np.angle(w))
+    disc = np.arcsin(np.minimum(r, 1.0))
+    gamma = np.select(
+        [rho <= tol, ~(r < 1.0),  # every Stolz closure sits in the closed unit disc
+         (np.abs(z.imag) <= tol) & (-tol <= z.real) & (z.real <= 1.0 + tol),
+         rho <= np.cos(theta)],
+        [0.0, NOT_STOLZ, 0.0, np.minimum(disc, theta)], disc)
+    return float(gamma) if gamma.ndim == 0 else gamma
 
 
 # ---------------------------------------------------------------------------

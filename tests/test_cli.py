@@ -41,7 +41,9 @@ def test_analyze_report(tdir):
     assert "timestamp" not in rep
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_analyze_renders_an_overflow_as_inf_and_the_angle_as_not_stolz(tmp_path):
+    # the overflow is reported in the JSON, with no numpy warning on stderr
     import scipy.io
 
     scipy.io.mmwrite(str(tmp_path / "big.mtx"), np.diag([1e300, 0.5]), precision=17)

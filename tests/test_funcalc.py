@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import time
 
 import numpy as np
@@ -255,6 +256,27 @@ def test_transfer_check_builds_its_sector_contour_once(monkeypatch):
     f = funcalc.from_callable(lambda z: z / (1 + z) ** 2, certificate=(1.0, 1.0))
     transfer_check(np.diag([0.5]), f)
     assert len(calls) == 1
+
+
+def test_transfer_check_takes_the_spectrum_once(monkeypatch):
+    # the angle and the Stolz route's calculus share one eigendecomposition
+    calls = []
+    eig = numlin.eig
+    monkeypatch.setattr(numlin, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
+    f = funcalc.from_callable(lambda z: z / (1 + z) ** 2, certificate=(1.0, 1.0))
+    transfer_check(np.diag([0.5, 0.3]), f)
+    assert len(calls) == 1
+
+
+def test_transfer_check_refusal_messages():
+    f = funcalc.from_callable(lambda z: z / (1 + z) ** 2, certificate=(1.0, 1.0))
+    with pytest.raises(funcalc.ContourSpectrumError,
+                       match="^spectrum lies in no Stolz closure$"):
+        transfer_check(np.diag([0.5, -1.0]), f)
+    for nu in (0.3, math.pi / 2):  # the type of 0.5i is pi/6
+        with pytest.raises(funcalc.ContourSpectrumError, match=re.escape(
+                f"sector angle nu={nu:.6g} must lie in (alpha, pi/2)")):
+            transfer_check(np.diag([0.5j]), f, nu=nu)
 
 
 def test_transfer_check_truncation_resolvent_is_the_lu_one(monkeypatch):

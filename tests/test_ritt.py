@@ -56,7 +56,7 @@ def test_a_large_norm_counts_no_far_eigenvalue_as_one():
 
 
 def _ref_spectral_type(T):
-    """The loop that bisected every eigenvalue, in eigenvalue order."""
+    """The scalar loop: stolz.min_angle of every eigenvalue, in eigenvalue order."""
     tol1 = ritt.eigenvalue_one_tolerance(T)
     worst = 0.0
     for lam in numlin.eig(T).eigenvalues:
@@ -71,10 +71,10 @@ def _ref_spectral_type(T):
     return worst
 
 
-def test_spectral_type_is_the_full_bisection_bit_for_bit():
-    # skipping the eigenvalues whose bound asin|z| cannot raise the maximum
-    # leaves the value unchanged, on spectra in the disc, on the segment,
-    # at 1, near the circle, at 0 and outside the disc
+def test_spectral_type_is_the_scalar_loop_bit_for_bit():
+    # one vectorized maximum over the eigenvalues is the scalar loop's
+    # value, on spectra in the disc, on the segment, at 1, near the
+    # circle, at 0 and outside the disc
     rng = np.random.default_rng(12)
     for trial in range(100):
         n = int(rng.integers(2, 50))

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -44,6 +45,12 @@ def test_min_angle_examples():
     assert abs(min_angle(-0.3) - math.asin(0.3)) <= 1e-10
     assert min_angle(-1.0) == NOT_STOLZ
     assert min_angle(1.0j) == NOT_STOLZ
+    # tol only snaps z to 0 next to the vertex and the segment [0, 1]
+    assert min_angle(1.0 + 5e-13j) == min_angle(0.3 - 1e-12j) == min_angle(-1e-12) == 0.0
+    assert min_angle(0.3 - 2e-12j) > 0.0
+    assert min_angle(0.3 - 2e-12j, tol=1e-11) == 0.0
+    for z in (1.0 + 2e-12, 0.6 + 0.8j, complex(math.nan, 0.0), complex(math.inf, 0.0)):
+        assert min_angle(z) == NOT_STOLZ, z
 
 
 def test_min_angle_is_the_membership_crossing():
@@ -51,6 +58,95 @@ def test_min_angle_is_the_membership_crossing():
     g = min_angle(z)
     assert not contains_closure(g - 1e-8, z)
     assert contains_closure(g + 1e-8, z)
+
+
+def _bisected_min_angle(z, tol=1e-12):
+    """The 64-step bisection on tol-dilated membership that the closed form replaced."""
+    z = complex(z)
+    if abs(z - 1.0) <= tol:
+        return 0.0
+    if abs(z) >= 1.0:
+        return NOT_STOLZ
+    if abs(z.imag) <= tol and -tol <= z.real <= 1.0 + tol:
+        return 0.0
+    hi = math.pi / 2 - 1e-13
+    if not contains_closure(hi, z, tol):
+        return NOT_STOLZ
+    lo = 1e-13
+    if contains_closure(lo, z, tol):
+        return lo
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if contains_closure(mid, z, tol):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _exact_min_angle(z):
+    """40-digit bisection of exact closed membership: the disc |z| <= sin(gamma)
+    or the triangle 1, tp, tm, with no dilation."""
+    with mpmath.workdps(40):
+        z = mpmath.mpc(z.real, z.imag)
+
+        def inside(g):
+            r = mpmath.sin(g)
+            if abs(z) <= r:
+                return True
+            tp = r * mpmath.expj(mpmath.pi / 2 - g)
+            # counterclockwise 1 -> tp -> tm: z on or left of every edge
+            for a, b in ((1, tp), (tp, mpmath.conj(tp)), (mpmath.conj(tp), 1)):
+                d, e = b - a, z - a
+                if d.real * e.imag - d.imag * e.real < 0:
+                    return False
+            return True
+
+        lo, hi = mpmath.mpf(0), mpmath.pi / 2
+        for _ in range(110):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if inside(mid) else (mid, hi)
+        return float(hi)
+
+
+def _closed_form_cases():
+    """Disc-limited, cone-limited and near-vertex points, negative reals and
+    moduli near 1, each with its conjugate."""
+    rng = np.random.default_rng(25)
+    disc = rng.uniform(0.01, 0.95, 30) * np.exp(1j * rng.uniform(math.pi / 2, math.pi, 30))
+    theta = rng.uniform(0.05, 1.2, 30)
+    cone = 1.0 - rng.uniform(0.05, 0.95, 30) * np.cos(theta) * np.exp(1j * theta)
+    theta = rng.uniform(0.01, 1.5, 30)  # |1 - z| <= cos(theta): the cone branch
+    rho = np.minimum(10.0 ** rng.uniform(-9, -1, 30), 0.99 * np.cos(theta))
+    vertex = 1.0 - rho * np.exp(1j * theta)
+    negative = -rng.uniform(0.01, 0.99, 10) + 0j
+    near_one = (1.0 - 10.0 ** -rng.integers(2, 6, 20)) * np.exp(1j * rng.uniform(0.3, math.pi, 20))
+    zs = np.concatenate([disc, cone, vertex, negative, near_one])
+    return np.concatenate([zs, zs.conj()])
+
+
+def test_min_angle_is_the_exact_infimum():
+    zs = _closed_form_cases()
+    got = stolz.min_angle(zs)
+    assert _same_bits(got, [min_angle(z) for z in zs])  # an array is its scalars
+    half = len(zs) // 2
+    assert _same_bits(got[:half], got[half:])  # conjugation symmetry
+    err = [abs(g - _exact_min_angle(z)) for g, z in zip(got, zs)]
+    assert max(err) <= 1e-13
+
+
+def test_min_angle_is_never_below_the_dilated_bisection():
+    # the 1e-12 dilation let the bisection stop short of the infimum,
+    # most near the vertex; the closed form never lies below it
+    rng = np.random.default_rng(26)
+    zs = np.concatenate([
+        _closed_form_cases(),
+        rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400),
+        1.0 - 10.0 ** rng.uniform(-11, -1, 200) * np.exp(1j * rng.uniform(-1.6, 1.6, 200)),
+    ])
+    for z in zs:
+        old, new = _bisected_min_angle(z), min_angle(z)
+        assert new == old == NOT_STOLZ or new >= old - 1e-15, z
 
 
 def test_tangent_points_match_symbolic_form():

@@ -212,8 +212,7 @@ def cmd_sqfun(args) -> int:
     cfg = sqfun.SFConfig(m=args.m, tail_tol=args.tail_tol)
     result: dict = {"space": repr(space), "m": args.m}
     if args.constant:
-        result["sf_constant"] = sqfun.sf_constant(T, args.m, space, seed=args.seed,
-                                                  cfg=cfg)
+        result["sf_constant"] = sqfun.sf_constant(T, args.m, space, cfg=cfg)
     else:
         x = load_matrix(args.x) if args.x else np.ones(T.shape[0], dtype=complex)
         try:  # a row or column holds the flat element
@@ -267,7 +266,8 @@ def cmd_gallery(args) -> int:
         analysis = ritt.ritt_verdict(inst.operator, inst.space,
                                      ritt.RittConfig(N=args.N)).to_json_dict()
     elif args.kind == "markov":
-        inst = lab.gallery_markov(args.n, seed=args.seed, p=args.p, flip=args.flip)
+        inst = (lab.gallery_markov_flip() if args.flip
+                else lab.gallery_markov(args.n, seed=args.seed, p=args.p))
         analysis = ritt.ritt_verdict(inst.operator, inst.space,
                                      ritt.RittConfig(N=args.N)).to_json_dict()
     elif args.kind == "c0-witness":

@@ -46,14 +46,11 @@ __all__ = [
     "eval_contour",
     "frac_power",
     "frac_power_eig",
-    "scaled_calculus",
-    "scaling_convergence",
     "transfer_check",
     "hinf_norm",
     "hinf_vector_norm",
     "hinf_matrix_norm",
     "calculus_constant",
-    "evenodd_split",
     "nevanlinna_diag",
 ]
 
@@ -421,27 +418,6 @@ def frac_power(T, delta: float, beta: Optional[float] = None,
     return eval_contour(T, frac_power_fn(delta), beta=beta, mesh=mesh)
 
 
-def scaled_calculus(T, phi: HolomorphicFn, r: float,
-                    beta: Optional[float] = None,
-                    mesh: Optional[MeshSpec] = None) -> CalcReport:
-    """phi(rT) for 0 < r < 1 (the scaling approximation of phi(T))."""
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie in (0, 1)")
-    T = as_matrix(T, square=True)
-    return eval_contour(r * T, phi, beta=beta, mesh=mesh)
-
-
-def scaling_convergence(T, phi: HolomorphicFn,
-                        rs: Sequence[float] = (0.9, 0.99, 0.999),
-                        beta: Optional[float] = None) -> dict:
-    """||phi(rT) - phi(T)|| for each r; decays as r -> 1 for admissible phi."""
-    base = eval_contour(T, phi, beta=beta).value
-    out = {}
-    for r in rs:
-        out[r] = float(np.linalg.norm(scaled_calculus(T, phi, r, beta=beta).value - base, 2))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # sectorial transfer
 # ---------------------------------------------------------------------------
@@ -459,8 +435,7 @@ def _sector_quad(A: np.ndarray, f: HolomorphicFn, contour: stolz.Contour,
 
 def transfer_check(T, f: HolomorphicFn, nu: Optional[float] = None,
                    r_max: float = 1e7,
-                   sector_mesh: Optional[MeshSpec] = None,
-                   stolz_mesh: Optional[MeshSpec] = None) -> dict:
+                   sector_mesh: Optional[MeshSpec] = None) -> dict:
     """Compare the two independent routes of the transfer identity.
 
     lhs: sectorial boundary integral of f at A = I - T (polynomial f is
@@ -500,7 +475,7 @@ def transfer_check(T, f: HolomorphicFn, nu: Optional[float] = None,
     phi = HolomorphicFn(evaluator=lambda z: f(1.0 - np.asarray(z, dtype=complex)),
                         kind="closure", h0_certificate=f.h0_certificate,
                         label=f"{f.label or 'f'}(1-z)")
-    rhs_report = ContourCalculus(T, gamma=nu, mesh=stolz_mesh, _spectrum=spectrum).apply(phi)
+    rhs_report = ContourCalculus(T, gamma=nu, _spectrum=spectrum).apply(phi)
     diff = float(np.linalg.norm(lhs - rhs_report.value, 2))
     return {
         "lhs": lhs,
@@ -662,14 +637,6 @@ def calculus_constant(T, gamma: float, space: SpaceModel,
     # one stacked op_norms: each value is op_norm's, bit for bit
     nums = numlin.op_norms(np.stack([eval_poly(T, phi) for phi, _ in kept]), space)
     return float(max([0.0, *(num / d for num, (_, d) in zip(nums, kept))]))
-
-
-def evenodd_split(phi: HolomorphicFn):
-    """Unique split phi(z) = phi1(z^2) + z phi2(z^2) by coefficient parity."""
-    if phi.kind != "polynomial":
-        raise ValueError("even/odd split is defined for polynomials")
-    c = phi.coeffs
-    return poly(c[0::2], label=f"{phi.label}:even"), poly(c[1::2], label=f"{phi.label}:odd")
 
 
 def nevanlinna_diag(T, phi: HolomorphicFn, space: SpaceModel, N: int,

@@ -303,8 +303,7 @@ def _choi_matrix(L: np.ndarray, n: int) -> np.ndarray:
     return C
 
 
-def gallery_markov(n: int, seed: int, p: float = 2.0, n_unitaries: int = 3,
-                   flip: bool = False) -> GalleryInstance:
+def gallery_markov(n: int, seed: int, p: float = 2.0, n_unitaries: int = 3) -> GalleryInstance:
     """Random selfadjoint Markov map x -> sum_i p_i (U_i x U_i* + U_i* x U_i)/2.
 
     The symmetrized unitary-conjugation form is unital, trace
@@ -312,11 +311,8 @@ def gallery_markov(n: int, seed: int, p: float = 2.0, n_unitaries: int = 3,
     trace pairing by construction; all four certificates are verified
     numerically and recorded.  If -1 lies in the spectrum of the
     trace-space matrix (to 1e-8) the instance is flagged as not a Ritt
-    candidate.  ``flip=True`` returns the two-point flip analog instead
-    (see :func:`gallery_markov_flip`).
+    candidate, as :func:`gallery_markov_flip` is.
     """
-    if flip:
-        return gallery_markov_flip()
     if n < 2:
         raise ValueError("n must be >= 2")
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -397,7 +393,7 @@ class CoveringError(RuntimeError):
         self.achieved = achieved
 
 
-def c0_growth_witness(n: int, m_cover: int = 2000, seed: int = 0) -> dict:
+def c0_growth_witness(n: int, seed: int = 0) -> dict:
     """Growth of a vector-valued calculus constant on the sup-norm model.
 
     Builds a covering family {y_j} of the real unit ball of l2_n with
@@ -411,8 +407,8 @@ def c0_growth_witness(n: int, m_cover: int = 2000, seed: int = 0) -> dict:
     sqrt(n)/2; its sqrt(n) growth is what rules out a dimension-free
     vector-valued calculus on sup-norm models.
 
-    ``m_cover`` random unit vectors are drawn to estimate the achieved
-    covering constant, which is reported (and must stay <= 2).
+    2000 random unit vectors are drawn to estimate the achieved covering
+    constant, which is reported (and must stay <= 2).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -428,7 +424,7 @@ def c0_growth_witness(n: int, m_cover: int = 2000, seed: int = 0) -> dict:
     ach = np.max(np.linalg.norm(U, axis=1) /
                  np.max(np.abs(U @ Y.T), axis=1))
     rng = np.random.Generator(np.random.Philox(key=seed))
-    sample = rng.normal(size=(max(m_cover, 1), n))
+    sample = rng.normal(size=(2000, n))
     sample /= np.linalg.norm(sample, axis=1, keepdims=True)
     ach = max(ach, float(np.max(1.0 / np.max(np.abs(sample @ Y.T), axis=1))))
     if ach > 2.0 + 1e-12:

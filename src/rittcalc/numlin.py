@@ -517,13 +517,13 @@ def eig(M, vectors: bool = False) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=V, condition_estimate=cond)
 
 
-def solve(M, B, tol: float = SOLVE_TOL, rcond_min: float = RCOND_MIN) -> np.ndarray:
+def solve(M, B) -> np.ndarray:
     """Solve M X = B with a residual guarantee.
 
     Raises :class:`SingularMatrixError` when the reciprocal condition
-    number falls below ``rcond_min``.  After LU solution, iterative
-    refinement drives the residual to ``tol * ||B||`` whenever that is
-    attainable in double precision (i.e. ``tol >= ~eps/rcond``);
+    number falls below ``RCOND_MIN``.  After LU solution, iterative
+    refinement drives the residual to ``SOLVE_TOL * ||B||`` whenever that
+    is attainable in double precision (i.e. ``SOLVE_TOL >= ~eps/rcond``);
     otherwise the roundoff-floor residual ``~eps * ||M|| ||X||`` is
     accepted.
     """
@@ -542,14 +542,14 @@ def solve(M, B, tol: float = SOLVE_TOL, rcond_min: float = RCOND_MIN) -> np.ndar
         lu, piv = scipy.linalg.lu_factor(M)
     gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
     rcond, info = gecon(lu, anorm)
-    if info != 0 or not np.isfinite(rcond) or rcond < rcond_min:
+    if info != 0 or not np.isfinite(rcond) or rcond < RCOND_MIN:
         raise SingularMatrixError(
-            f"matrix singular to tolerance (rcond={rcond:.3e} < {rcond_min:.1e})",
+            f"matrix singular to tolerance (rcond={rcond:.3e} < {RCOND_MIN:.1e})",
             cond_estimate=1.0 / max(rcond, np.finfo(float).tiny),
         )
     X = scipy.linalg.lu_solve((lu, piv), B)
     bnorm = np.linalg.norm(B)
-    target = tol * bnorm
+    target = SOLVE_TOL * bnorm
     for _ in range(3):
         R = B - M @ X
         if np.linalg.norm(R) <= target:

@@ -44,6 +44,10 @@ __all__ = [
 #: dilation factor of the resolvent sample layer just outside the Stolz boundary
 RESOLVENT_DILATION = 1.0 + 1e-4
 VERTEX_EXCLUSION = 1e-8
+#: a spectral type within this of pi/2 rules T out
+TYPE_MARGIN = 1e-6
+#: a supremum that grows by more than this fraction from N to 2N is unstable
+STABILITY_REL = 0.05
 #: the largest eigenvalue-1 tolerance, ``funcalc.VERTEX_CLUSTER``: every
 #: eigenvalue counted as 1 lies in the vertex disc of the contour calculus
 _ONE_TOL_MAX = 1e-6
@@ -477,8 +481,6 @@ def mean_ergodic_projection(T) -> np.ndarray:
 @dataclass(frozen=True)
 class RittConfig:
     N: int = 512
-    type_margin: float = 1e-6
-    stability_rel: float = 0.05
     beta_fracs: tuple = (0.25, 0.5, 0.75)
     resolvent_per_piece: int = 24
 
@@ -534,7 +536,7 @@ def ritt_verdict(T, space: Optional[SpaceModel] = None,
     eigs, one = _spectrum(T)
     alpha = _stolz_type(eigs, one)
     reasons: list = []
-    not_ritt = alpha == NOT_STOLZ or alpha >= math.pi / 2 - cfg.type_margin
+    not_ritt = alpha == NOT_STOLZ or alpha >= math.pi / 2 - TYPE_MARGIN
     if not_ritt:
         reasons.append("spectrum not contained in any Stolz closure with margin"
                        if alpha != NOT_STOLZ else
@@ -563,7 +565,7 @@ def ritt_verdict(T, space: Optional[SpaceModel] = None,
     stable = True
     for name, (a, b) in zip(names, pairs):
         sup_2N.append(b)
-        if not np.isfinite(b) or b > (1.0 + cfg.stability_rel) * max(a, 1e-300):
+        if not np.isfinite(b) or b > (1.0 + STABILITY_REL) * max(a, 1e-300):
             stable = False
             reasons.append(f"{name} grew from {a:.6g} (N={cfg.N}) to {b:.6g} (N={2*cfg.N})")
 

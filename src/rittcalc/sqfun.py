@@ -354,25 +354,21 @@ def sf_constant(T, m: int, space: SpaceModel,
     Euclidean model: exact, the square root of the top eigenvalue of
     :func:`gram_operator` (method "auto" or "gram").  Method "maximize"
     reads the same series Gram form and runs power iteration from
-    max(trials // 50, 4) random starts at once, the columns of one block,
-    so it cross-checks the eigensolver, not the series.  Other models
-    have only method "auto", the norm of x -> (k^(m-1/2) T^(k-1)(I-T)^m
-    x)_k from the space into its square-sum target, bounded from below.
-    The stack S of its first n terms (:func:`_square_stack`) is read twice:
+    max(trials // 50, 4) random starts at once (drawn from ``seed``), the
+    columns of one block, so it cross-checks the eigensolver, not the
+    series.  Other models have only method "auto", the norm of
+    x -> (k^(m-1/2) T^(k-1)(I-T)^m x)_k from the space into its
+    square-sum target, bounded from below by one Boyd ascent
+    (:func:`numlin._boyd_ascent`, each step one GEMM) on the stack of
+    its first n terms (:func:`_square_stack`), with the target's norm and
+    duality map from the model (``square_witness``).  The value is the
+    square function of the ascent's witness over its norm, summed by
+    :func:`_square_sums`: a lower bound, the ratio of a concrete vector,
+    that depends on neither ``trials`` nor ``seed``.
 
-    - ``trials`` random unit vectors pushed through S, their square sums
-      taken by the model's own ``square_term``/``square_norm``, give a
-      floor;
-    - one Boyd ascent (:func:`numlin._boyd_ascent`, each step one GEMM)
-      runs on S with the target's norm and duality map from the model
-      (``square_witness``);
-    - the value is the larger of the floor and the square function of
-      the ascent's witness over its norm, summed by :func:`_square_sums`.
-
-    So it is a lower bound, the ratio of a concrete vector (flagged by
-    construction, not by value).  The spectral radius is taken once per
-    call.  ``trials`` must be at least 1 wherever random starts are
-    drawn.  T must act on the model: ShapeError otherwise.
+    The spectral radius is taken once per call.  ``trials`` must be at
+    least 1 off the exact route.  T must act on the model: ShapeError
+    otherwise.
     """
     T = as_operator(T, space)
     cfg = cfg or SFConfig(m=m)
@@ -387,18 +383,14 @@ def sf_constant(T, m: int, space: SpaceModel,
         return math.sqrt(lam)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
     rho = _effective_radius(T)[0]
     if euclidean:
+        rng = np.random.Generator(np.random.Philox(key=seed))
         X = _unit_starts(rng, max(trials // 50, 4), T.shape[0]).T
         return math.sqrt(_top_rayleigh(_series_gram(T, m, rho), X))
 
-    U = _unit_starts(rng, trials, space.dim)
-    S = _square_stack(T, m, rho, cfg.n_max)
-    best = np.max(_stack_square_norms(S, U, space, cfg.side) / space.norms(U))
-    x = space.square_witness(S, cfg.side)
-    witness = _square_sums(T, x, space, cfg, rho).value / space.norms(x)
-    return float(max(best, witness))
+    x = space.square_witness(_square_stack(T, m, rho, cfg.n_max), cfg.side)
+    return float(_square_sums(T, x, space, cfg, rho).value / space.norms(x))
 
 
 def _square_stack(T: np.ndarray, m: int, rho: float, n_max: int) -> np.ndarray:
@@ -414,18 +406,6 @@ def _square_stack(T: np.ndarray, m: int, rho: float, n_max: int) -> np.ndarray:
         np.matmul(P, Am, out=S[s:s + len(P)])
     S *= (np.arange(1, n + 1, dtype=float) ** (m - 0.5))[:, None, None]
     return S
-
-
-def _stack_square_norms(S: np.ndarray, U: np.ndarray, space: SpaceModel,
-                        side: str) -> np.ndarray:
-    """The square-sum norm of S u for every row u of U, the images of one
-    block of terms at a time within ``numlin.RESOLVENT_BLOCK_BYTES``."""
-    step = max(1, numlin.RESOLVENT_BLOCK_BYTES // (16 * U.size))
-    acc = 0.0
-    for s in range(0, len(S), step):
-        Y = U @ np.swapaxes(S[s:s + step], -1, -2)  # (terms, rows): S_k u
-        acc = acc + np.sum(space.square_term(Y, side), axis=0)
-    return space.square_norm(acc)
 
 
 # ---------------------------------------------------------------------------

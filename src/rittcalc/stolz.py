@@ -18,7 +18,6 @@ points) and are immutable value objects.
 from __future__ import annotations
 
 import cmath
-import io
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -31,15 +30,10 @@ __all__ = [
     "MeshSpec",
     "Contour",
     "tangent_points",
-    "boundary_length",
-    "contains",
-    "contains_closure",
     "min_angle",
     "boundary_contour",
     "sector_contour",
     "contour_moment",
-    "winding_number",
-    "contour_to_csv",
     "boundary_param",
     "boundary_samples",
 ]
@@ -99,44 +93,9 @@ def tangent_points(gamma: float):
     return tp, tp.conjugate()
 
 
-def boundary_length(beta: float) -> float:
-    """Arclength of the Stolz boundary: 2 cos(beta) + sin(beta) (pi + 2 beta)."""
-    _check_angle(beta)
-    return 2.0 * math.cos(beta) + math.sin(beta) * (math.pi + 2.0 * beta)
-
-
 def _check_angle(gamma: float):
     if not 0.0 < gamma < math.pi / 2:
         raise ValueError(f"Stolz angle must lie in (0, pi/2), got {gamma}")
-
-
-def _half_plane_margins(z: complex, gamma: float):
-    """Signed inward distances of z to the three edges of the hull triangle."""
-    tp, tm = tangent_points(gamma)
-    margins = []
-    for a, b in ((1.0 + 0j, tp), (tp, tm), (tm, 1.0 + 0j)):
-        d = b - a
-        # inward normal: interior of the (counterclockwise 1 -> tp -> tm) triangle
-        # lies to the left of each directed edge
-        cross = (d.real * (z.imag - a.imag) - d.imag * (z.real - a.real)) / abs(d)
-        margins.append(cross)
-    return margins
-
-
-def contains(gamma: float, z: complex) -> bool:
-    """Open membership z in B(gamma): inside the disc or the open tangent triangle."""
-    _check_angle(gamma)
-    if abs(z) < math.sin(gamma):
-        return True
-    return all(m > 0.0 for m in _half_plane_margins(z, gamma))
-
-
-def contains_closure(gamma: float, z: complex, tol: float = 1e-12) -> bool:
-    """Closed membership, with a tol-dilation of the domain."""
-    _check_angle(gamma)
-    if abs(z) <= math.sin(gamma) + tol:
-        return True
-    return all(m >= -tol for m in _half_plane_margins(z, gamma))
 
 
 def min_angle(z, tol: float = 1e-12):
@@ -185,10 +144,6 @@ class Contour:
     @property
     def length(self) -> float:
         return float(np.sum(self.weights))
-
-    def integrate_dz(self, values: np.ndarray) -> complex:
-        """Contour integral of node values against dz."""
-        return complex(np.sum(values * self.weights * self.tangents))
 
     def tail_factor(self, s: float) -> float:
         """Geometry factor r_max^(-s) / (pi s) of the outer-truncation error.
@@ -290,21 +245,6 @@ def contour_moment(beta: float, k: int, mesh: Optional[MeshSpec] = None) -> floa
         raise ValueError("k must be >= 1")
     c = boundary_contour(beta, mesh)
     return float(k * np.sum(c.weights * np.abs(c.nodes) ** (k - 1)))
-
-
-def winding_number(contour, z0: complex = 0.0) -> float:
-    """Quadrature winding number of the contour about z0."""
-    vals = 1.0 / (contour.nodes - z0)
-    return (contour.integrate_dz(vals) / (2j * math.pi)).real
-
-
-def contour_to_csv(contour) -> str:
-    """CSV rendering (node re/im, weight, tangent re/im) for plotting."""
-    z, t, buf = contour.nodes, contour.tangents, io.StringIO()
-    np.savetxt(buf, np.column_stack([z.real, z.imag, contour.weights, t.real, t.imag]),
-               fmt="%.17g", delimiter=",", comments="",
-               header="node_re,node_im,weight,tangent_re,tangent_im")
-    return buf.getvalue()
 
 
 def boundary_param(gamma: float, per_piece: int = 512) -> tuple:

@@ -8,12 +8,11 @@ import pytest
 
 from rittcalc import funcalc, numlin, ritt, stolz, verify
 from rittcalc.funcalc import (ContourCalculus, calculus_constant, eval_contour,
-                              eval_poly, evenodd_split, frac_power,
-                              frac_power_eig, frac_power_fn, hinf_norm,
-                              named_function, nevanlinna_diag, poly,
-                              scaled_calculus, scaling_convergence,
-                              transfer_check)
+                              eval_poly, frac_power, frac_power_eig,
+                              frac_power_fn, hinf_norm, named_function,
+                              nevanlinna_diag, poly, transfer_check)
 from rittcalc.numlin import Hilbert
+from test_stolz import contains
 
 T_TRI = np.array([[0.5, 0.3], [0.0, 0.2]])
 
@@ -38,7 +37,7 @@ def test_polynomial_horner_matches_generic_evaluation():
     zs = []
     while len(zs) < 100:
         z = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
-        if stolz.contains(math.pi / 4, z):
+        if contains(math.pi / 4, z):
             zs.append(z)
     ref = np.polynomial.polynomial.polyval(np.array(zs), c)
     got = phi(np.array(zs))
@@ -231,17 +230,6 @@ def test_contour_admissibility_after_the_split():
         eval_contour(np.diag([1.0, 0.5]), poly([1.0]))
 
 
-def test_scaled_calculus():
-    rep = scaled_calculus(np.diag([0.5]), poly([0, 1]), 0.9)
-    assert rep.value[0, 0] == pytest.approx(0.45, abs=1e-10)
-    errs = scaling_convergence(np.diag([0.5]), poly([0, 1, -1]))
-    vals = [errs[r] for r in (0.9, 0.99, 0.999)]
-    assert vals[0] > vals[1] > vals[2]
-    r = 0.9999
-    close = scaling_convergence(np.diag([0.5]), poly([0, 1, -1]), rs=(r,))
-    assert close[r] <= 1e-6
-
-
 def test_transfer_check_scalar_closed_form():
     f = funcalc.from_callable(lambda z: z / (1 + z) ** 2, certificate=(1.0, 1.0))
     out = transfer_check(np.diag([0.5]), f)
@@ -342,29 +330,6 @@ def test_calculus_constant_detects_nonnormality():
     fam = funcalc.default_test_family(seed=0, max_k=8, max_j=1, n_random=5,
                                       random_deg=4, n_fejer=2)
     assert calculus_constant(T, 0.9, Hilbert(2), family=fam) > 1.0
-
-
-def test_evenodd_split_examples():
-    p1, p2 = evenodd_split(poly([0, 0, 0, 1]))  # z^3
-    assert np.allclose(p1.coeffs, [0, 0]) and np.allclose(p2.coeffs, [0, 1])
-    p1, p2 = evenodd_split(poly([1, 1, 1]))  # 1 + z + z^2
-    assert np.allclose(p1.coeffs, [1, 1]) and np.allclose(p2.coeffs, [1])
-
-
-def test_evenodd_split_reconstruction_and_maxmodulus():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        c = rng.normal(size=10) + 1j * rng.normal(size=10)
-        phi = poly(c)
-        p1, p2 = evenodd_split(phi)
-        # coefficientwise exact reconstruction
-        rec = np.zeros(10, dtype=complex)
-        rec[0::2] = p1.coeffs
-        rec[1::2] = p2.coeffs
-        assert np.array_equal(rec, c)
-        h = hinf_norm(phi, math.pi / 2)
-        assert hinf_norm(p1, math.pi / 2) <= h + 1e-9
-        assert hinf_norm(p2, math.pi / 2) <= h + 1e-9
 
 
 def test_nevanlinna_diag_examples():

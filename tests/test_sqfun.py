@@ -834,17 +834,46 @@ def test_sf_constant_takes_the_spectral_radius_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_sf_constant_scans_the_trials_in_draw_order():
-    # the floor pushes the starts drawn as the one-at-a-time loop drew them
-    T = ritt_instance(7, lam_hi=0.8)
-    space = LpWeighted(3.0, (0.5, 1.0, 2.0, 1.5))
-    rng = np.random.Generator(np.random.Philox(key=3))
-    best = 0.0
-    for _ in range(40):
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v = v / np.linalg.norm(v)
-        best = max(best, square_function(T, v, space).value / vec_norm(v, space))
-    assert sf_constant(T, 1, space, trials=40, seed=3) >= best * (1 - 1e-14)
+def _sample_operator(seed, dim, log_vcond, rescale):
+    """V diag(lams) V^-1 with |lams| < 0.9 and cond(V) = 10^log_vcond, or
+    rescaled to spectral radius 0.98."""
+    rng = np.random.default_rng(seed)
+    lams = rng.uniform(0.0, 0.9, dim) * np.exp(1j * rng.uniform(-math.pi, math.pi, dim))
+    Q1, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    Q2, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    V = Q1 @ np.diag(np.logspace(0.0, -log_vcond, dim)) @ Q2
+    T = V @ np.diag(lams) @ np.linalg.inv(V)
+    return T * (0.98 / np.max(np.abs(lams))) if rescale else T
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([1, 2]),
+       p=st.sampled_from([1.2, 1.5, 3.0, 4.0, 6.0]),
+       model=st.sampled_from(["lp", "sup", "schatten-column", "schatten-row"]),
+       dim=st.integers(2, 12), n=st.integers(2, 3), log_vcond=st.floats(0.0, 3.5),
+       rescale=st.booleans())
+def test_sf_constant_is_no_lower_than_twenty_unit_starts(seed, m, p, model, dim, n,
+                                                         log_vcond, rescale):
+    # the ascent witness alone is the value: no random unit vector pushed
+    # through the square function may beat it, and trials/seed change nothing
+    rng = np.random.default_rng(seed)
+    cfg = SFConfig(m=m, side=model.split("-")[-1] if "-" in model else "column")
+    if model == "lp":
+        space = LpWeighted(p, tuple(rng.uniform(0.5, 2.0, dim)))
+    elif model == "sup":
+        space = SupSeq(dim)
+    else:
+        space = SchattenP(p, n)
+    T = _sample_operator(seed, space.dim, log_vcond, rescale)
+    C = sf_constant(T, m, space, trials=20, seed=seed % 7, cfg=cfg)
+    starts = sqfun._unit_starts(np.random.Generator(np.random.Philox(key=seed)), 20, space.dim)
+    best = max(square_function(T, u, space, cfg).value / vec_norm(u, space) for u in starts)
+    assert C >= best * (1 - 1e-14)
+    assert sf_constant(T, m, space, trials=500, seed=seed % 7 + 1, cfg=cfg) == C
+
+
+def test_unit_starts_are_drawn_in_the_loop_order():
+    # the maximize route's starts, drawn as the one-at-a-time loop drew them
     starts = sqfun._unit_starts(np.random.Generator(np.random.Philox(key=3)), 40, 4)
     rng = np.random.Generator(np.random.Philox(key=3))
     for row in starts:
@@ -969,7 +998,7 @@ def _counted(monkeypatch, name):
 @pytest.mark.parametrize("space", [LpWeighted(3.0, (0.5, 1.0, 2.0, 1.5)), SupSeq(4),
                                    SchattenP(3.0, 2)], ids=["lp3", "sup", "schatten3"])
 def test_sf_constant_walks_one_stack_and_sums_one_witness(monkeypatch, space):
-    # the trial floor and the ascent read one stack; only the witness is summed
+    # the ascent reads one stack, and only its witness is summed
     stacks = _counted(monkeypatch, "_square_stack")
     sums = _counted(monkeypatch, "_square_sums")
     sf_constant(ritt_instance(3), 1, space, trials=30, seed=1)
@@ -996,9 +1025,9 @@ def test_gram_series_and_square_stack_share_one_length_rule(monkeypatch):
     assert len(sqfun._square_stack(T, 2, rho, 20000)) == numlin.resolvent_block_len(4) == 50
 
 
-def test_sf_constant_floor_holds_one_block_of_images():
-    # dim 4, spectral radius 0.99: about 3000 terms; 500 trials pushed through
-    # the whole stack at once would hold about 96 MB of images
+def test_sf_constant_on_a_slow_operator_holds_a_few_blocks():
+    # dim 4, spectral radius 0.99: about 3000 terms; the stack and the
+    # ascent's images stay within a few RESOLVENT_BLOCK_BYTES
     import tracemalloc
 
     rng = np.random.default_rng(9)

@@ -7,10 +7,60 @@ import numpy as np
 import pytest
 
 from rittcalc import stolz
-from rittcalc.stolz import (MeshSpec, NOT_STOLZ, boundary_contour,
-                            boundary_length, contains, contains_closure,
+from rittcalc.stolz import (MeshSpec, NOT_STOLZ, _check_angle, boundary_contour,
                             contour_moment, min_angle, sector_contour,
-                            tangent_points, winding_number)
+                            tangent_points)
+
+
+# -- reference geometry: membership, arclength and winding ---------------------
+
+def boundary_length(beta: float) -> float:
+    """Arclength of the Stolz boundary: 2 cos(beta) + sin(beta) (pi + 2 beta)."""
+    _check_angle(beta)
+    return 2.0 * math.cos(beta) + math.sin(beta) * (math.pi + 2.0 * beta)
+
+
+def _half_plane_margins(z: complex, gamma: float):
+    """Signed inward distances of z to the three edges of the hull triangle."""
+    tp, tm = tangent_points(gamma)
+    margins = []
+    for a, b in ((1.0 + 0j, tp), (tp, tm), (tm, 1.0 + 0j)):
+        d = b - a
+        # inward normal: interior of the (counterclockwise 1 -> tp -> tm) triangle
+        # lies to the left of each directed edge
+        cross = (d.real * (z.imag - a.imag) - d.imag * (z.real - a.real)) / abs(d)
+        margins.append(cross)
+    return margins
+
+
+def contains(gamma: float, z: complex) -> bool:
+    """Open membership z in B(gamma): inside the disc or the open tangent triangle."""
+    _check_angle(gamma)
+    if abs(z) < math.sin(gamma):
+        return True
+    return all(m > 0.0 for m in _half_plane_margins(z, gamma))
+
+
+def contains_closure(gamma: float, z: complex, tol: float = 1e-12) -> bool:
+    """Closed membership, with a tol-dilation of the domain."""
+    _check_angle(gamma)
+    if abs(z) <= math.sin(gamma) + tol:
+        return True
+    return all(m >= -tol for m in _half_plane_margins(z, gamma))
+
+
+def integrate_dz(contour, values: np.ndarray) -> complex:
+    """Contour integral of node values against dz."""
+    return complex(np.sum(values * contour.weights * contour.tangents))
+
+
+def winding_number(contour, z0: complex = 0.0) -> float:
+    """Quadrature winding number of the contour about z0."""
+    vals = 1.0 / (contour.nodes - z0)
+    return (integrate_dz(contour, vals) / (2j * math.pi)).real
+
+
+# -- tests ---------------------------------------------------------------------
 
 
 def test_contains_examples():
@@ -227,17 +277,6 @@ def test_contour_moment_mesh_stability_k100():
     a = contour_moment(math.pi / 4, 100)
     b = contour_moment(math.pi / 4, 100, MeshSpec().refined())
     assert abs(a - b) <= 1e-8
-
-
-def test_contour_csv_roundtrip():
-    c = boundary_contour(0.8, MeshSpec(segment_panels=4, arc_panels=2,
-                                       points_per_panel=3))
-    text = stolz.contour_to_csv(c)
-    lines = text.strip().splitlines()
-    assert lines[0] == "node_re,node_im,weight,tangent_re,tangent_im"
-    assert len(lines) == 1 + len(c.nodes)
-    first = [float(v) for v in lines[1].split(",")]
-    assert first[0] == pytest.approx(c.nodes[0].real)
 
 
 def test_one_contour_type():

@@ -297,21 +297,22 @@ def _check_separation(nodes: np.ndarray, eigs: np.ndarray, what: str) -> None:
 class ContourCalculus:
     """Shared contour machinery for one operator at one angle.
 
-    The operator under the contour is reduced to its complex Schur form
-    once; each mesh level stores the triangular resolvents of every node,
-    reused across functions, so applying a whole test family costs one
-    triangular sweep per level and one back-transform per sum.  The
-    final contour sum runs in a fixed sequential order for
-    reproducibility.  A semisimple eigenvalue 1 is split off with the
-    mean ergodic projection P, so the contour runs on T - P; a
-    defective one raises ContourSpectrumError.
+    :func:`rittcalc.ritt._split_one` gives the one Schur form T = Q S Q^H,
+    the mean ergodic projection P = Q B Q^H and the triangular form
+    S - B of T - P, the operator under the contour (S without eigenvalue
+    1); each mesh level stores the triangular resolvents of every node,
+    reused across functions, so a whole test family costs one sweep per
+    level and one back-transform per sum, summed in a fixed order.  A
+    defective eigenvalue 1, or one that the eigenvalues and the ordered
+    Schur form count differently, raises ContourSpectrumError.
     """
 
     def __init__(self, T, beta: Optional[float] = None,
                  gamma: Optional[float] = None,
                  mesh: Optional[MeshSpec] = None, *, _spectrum=None):
         self.T = as_matrix(T, square=True)
-        self.eigs, one = _spectrum or ritt._spectrum(self.T)  # a caller's, if it has one
+        spectrum = _spectrum or ritt._spectrum(self.T)  # a caller's, if it has one
+        self.eigs, one, _ = spectrum
         self.alpha = ritt._stolz_type(self.eigs, one)
         if self.alpha == NOT_STOLZ:
             raise ContourSpectrumError("spectrum lies in no Stolz closure")
@@ -326,25 +327,17 @@ class ContourCalculus:
             raise ContourSpectrumError(f"beta={beta:.6g} outside (0, pi/2)")
         self.beta = float(beta)
         self.mesh0 = mesh or MeshSpec()
-        self._vertex_in_spectrum = bool(
-            np.any(np.abs(self.eigs - 1.0) <= VERTEX_CLUSTER))
-        # a semisimple eigenvalue 1 is split off, since the quadrature
-        # nodes close to the vertex would meet it: with P the mean ergodic
-        # projection, T - P has 0 where T has 1, and an admissible phi
-        # vanishes at 1, so phi(T) = phi(T - P) - phi(0) P
-        self._P = None
-        self._A = self.T  # the operator under the contour
-        self._A_eigs = self.eigs
-        if one.any():  # inside the vertex disc: the tolerance is capped there
-            try:
-                self._P = ritt.mean_ergodic_projection(self.T)
-            except numlin.SingularMatrixError as exc:
-                raise ContourSpectrumError(f"contour calculus: {exc}") from exc
-            self._A = self.T - self._P
-            self._A_eigs = np.where(one, 0.0, self.eigs)
-        self._vertex_under_contour = bool(
-            np.any(np.abs(self._A_eigs - 1.0) <= VERTEX_CLUSTER))
-        self._U, self._Q = numlin.schur(self._A)
+        self._vertex_in_spectrum = bool(np.any(np.abs(self.eigs - 1.0) <= VERTEX_CLUSTER))
+        # a semisimple eigenvalue 1 (inside the vertex disc) is split off,
+        # since the quadrature nodes close to the vertex would meet it:
+        # T - P has 0 where T has 1, and an admissible phi vanishes at 1,
+        # so phi(T) = phi(T - P) - phi(0) P
+        try:
+            self._P, self._U, self._S, self._Q = ritt._split_one(self.T, spectrum)
+        except numlin.SingularMatrixError as exc:
+            raise ContourSpectrumError(f"contour calculus: {exc}") from exc
+        self._A_eigs = np.where(one, 0.0, self.eigs)  # those of T - P
+        self._vertex_under_contour = bool(np.any(np.abs(self._A_eigs - 1.0) <= VERTEX_CLUSTER))
         self._levels: list = []  # (contour, triangular resolvents (n,n,m))
 
     def _level(self, k: int):
@@ -422,11 +415,10 @@ def frac_power(T, delta: float, beta: Optional[float] = None,
 # sectorial transfer
 # ---------------------------------------------------------------------------
 
-def _sector_quad(A: np.ndarray, f: HolomorphicFn, contour: stolz.Contour,
-                 zr: complex) -> tuple:
-    """The sector quadrature of f at A and |zr| ||R(zr, A)||_2, both from
-    one Schur form A = Q U Q^H (||R(zr, A)||_2 = ||X(zr)||_2) and the sweep."""
-    U, Q = numlin.schur(A)
+def _sector_quad(U: np.ndarray, Q: np.ndarray, f: HolomorphicFn,
+                 contour: stolz.Contour, zr: complex) -> tuple:
+    """The sector quadrature of f at A = Q U Q^H (U upper triangular, Q
+    unitary) and |zr| ||R(zr, A)||_2 = |zr| ||X(zr)||_2, both from the sweep."""
     X = _node_resolvents(U, contour.nodes, "sector")
     _check_separation(contour.nodes, np.diag(U), "sector")
     Xr = _node_resolvents(U, [zr], "sector")[..., 0]
@@ -440,14 +432,14 @@ def transfer_check(T, f: HolomorphicFn, nu: Optional[float] = None,
 
     lhs: sectorial boundary integral of f at A = I - T (polynomial f is
     evaluated directly instead, since it has no sector decay).
-    rhs: Stolz boundary integral of phi(z) = f(1 - z) at T.
+    rhs: Stolz boundary integral of phi(z) = f(1 - z) at T.  The sector
+    sweeps I - S from the Schur form T = Q S Q^H of the rhs's calculus.
     Returns {"lhs", "rhs", "diff", ...} with the truncation estimate.
     """
     T = as_matrix(T, square=True)
-    n = T.shape[0]
-    A = np.eye(n, dtype=complex) - T
+    I = np.eye(T.shape[0], dtype=complex)
     spectrum = ritt._spectrum(T)
-    alpha = ritt._stolz_type(*spectrum)
+    alpha = ritt._stolz_type(*spectrum[:2])
     if alpha == NOT_STOLZ:
         raise ContourSpectrumError("spectrum lies in no Stolz closure")
     if nu is None:
@@ -456,26 +448,27 @@ def transfer_check(T, f: HolomorphicFn, nu: Optional[float] = None,
         raise ContourSpectrumError(
             f"sector angle nu={nu:.6g} must lie in (alpha, pi/2)")
 
+    if f.kind != "polynomial" and f.h0_certificate is None:
+        raise AdmissibilityError(
+            "sector route needs a decay certificate |f| <= c min(|z|^s, |z|^-s)")
+    calc = ContourCalculus(T, gamma=nu, _spectrum=spectrum)
     tail = 0.0
     if f.kind == "polynomial":
-        lhs = eval_poly(A, f)
+        lhs = eval_poly(I - T, f)
     else:
-        if f.h0_certificate is None:
-            raise AdmissibilityError(
-                "sector route needs a decay certificate |f| <= c min(|z|^s, |z|^-s)")
         c, s = f.h0_certificate
         mesh = sector_mesh or MeshSpec(segment_panels=90, arc_panels=1,
                                        points_per_panel=10, grading_ratio=0.5,
                                        min_panel=1e-14)
         sc = stolz.sector_contour(nu, r_max, mesh)
         # resolvent scale on the outer truncation circle
-        lhs, c_res = _sector_quad(A, f, sc, r_max * cmath.exp(1j * nu))
+        lhs, c_res = _sector_quad(I - calc._S, calc._Q, f, sc, r_max * cmath.exp(1j * nu))
         tail = c * c_res * sc.tail_factor(s)
 
     phi = HolomorphicFn(evaluator=lambda z: f(1.0 - np.asarray(z, dtype=complex)),
                         kind="closure", h0_certificate=f.h0_certificate,
                         label=f"{f.label or 'f'}(1-z)")
-    rhs_report = ContourCalculus(T, gamma=nu, _spectrum=spectrum).apply(phi)
+    rhs_report = calc.apply(phi)
     diff = float(np.linalg.norm(lhs - rhs_report.value, 2))
     return {
         "lhs": lhs,

@@ -45,7 +45,6 @@ __all__ = [
     "eig",
     "solve",
     "resolvents",
-    "schur",
     "triangular_resolvents",
     "resolvent_block_len",
     "node_block_len",
@@ -719,20 +718,11 @@ def _guarded_inverses(M: np.ndarray, z: np.ndarray) -> np.ndarray:
     return X
 
 
-def schur(M) -> tuple:
-    """Complex Schur form ``(U, Q)``: M = Q U Q^H, U upper triangular, Q unitary."""
-    M = as_matrix(M, square=True)
-    try:
-        return scipy.linalg.schur(M, output="complex")
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise EigNonConvergence(f"Schur form did not converge: {exc}") from exc
-
-
 def triangular_resolvents(U, nodes) -> np.ndarray:
     """Resolvents (z_j I - U)^-1 of an upper-triangular U for every node
     z_j, nodes last: shape (n, n, m), each slice upper triangular.
 
-    With T = Q U Q^H from :func:`schur`, R(z_j, T) = Q X[..., j] Q^H, so a
+    With T = Q U Q^H a complex Schur form, R(z_j, T) = Q X[..., j] Q^H, so a
     linear combination of resolvents needs one back-transform.  Every node
     keeps the guards of :func:`resolvents`, read off the triangular
     system: the exact reciprocal condition number

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from . import numlin, stolz
 from .numlin import Hilbert, ShapeError, SpaceModel, as_matrix, op_norms, power_blocks
@@ -60,10 +61,38 @@ def eigenvalue_one_tolerance(T: np.ndarray) -> float:
 
 
 def _spectrum(T: np.ndarray) -> tuple:
-    """``(eigs, one)``: the :func:`rittcalc.numlin.eig` eigenvalues of the
-    matrix T and the mask of those within :func:`eigenvalue_one_tolerance` of 1."""
-    eigs = numlin.eig(T).eigenvalues
-    return eigs, np.abs(eigs - 1.0) <= eigenvalue_one_tolerance(T)
+    """``(eigs, one, tol)``: the :func:`rittcalc.numlin.eig` eigenvalues of the
+    matrix T, :func:`eigenvalue_one_tolerance` ``tol`` and the mask of those within it of 1."""
+    eigs, tol = numlin.eig(T).eigenvalues, eigenvalue_one_tolerance(T)
+    return eigs, np.abs(eigs - 1.0) <= tol, tol
+
+
+def _split_one(T: np.ndarray, spectrum: tuple) -> tuple:
+    """``(P, U, S, Q)`` of the matrix T and its :func:`_spectrum`, from one
+    complex Schur form T = Q S Q^H whose k eigenvalues within ``tol`` of 1
+    lead: the mean ergodic projection P = Q B Q^H, B = [[I, X], [0, 0]]
+    with S11 X - X S22 = S12 (Golub and Van Loan, section 7.6), and the
+    triangular form U = S - B of T - P; P is None for k = 0.  A k other
+    than the mask's count (which the angle and the vertex tests read), or
+    ||S11 - I||_2 > 100 tol (a defective 1), raises SingularMatrixError."""
+    _, one, tol = spectrum
+    try:
+        S, Q, k = scipy.linalg.schur(T, output="complex", sort=lambda lam: abs(lam - 1.0) <= tol)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        raise numlin.EigNonConvergence(f"Schur form did not converge: {exc}") from exc
+    if k != np.count_nonzero(one):
+        raise numlin.SingularMatrixError(
+            f"eigenvalue 1 is ambiguous: {np.count_nonzero(one)} eigenvalues within {tol:.3g} "
+            f"of 1 by the eigensolver, {k} by the ordered Schur form", cond_estimate=np.inf)
+    if k == 0:
+        return None, S, S, Q
+    if np.linalg.norm(S[:k, :k] - np.eye(k), 2) > 100.0 * tol:
+        raise numlin.SingularMatrixError(
+            "eigenvalue 1 is defective: not power bounded at 1", cond_estimate=np.inf)
+    B = np.zeros_like(S)
+    B[:k, :k] = np.eye(k)
+    B[:k, k:] = scipy.linalg.solve_sylvester(S[:k, :k], -S[k:, k:], S[:k, k:])
+    return Q @ B @ Q.conj().T, S - B, S, Q
 
 
 class _DecayWalk:
@@ -338,12 +367,13 @@ def spectral_type(T) -> float:
     eigenvalue's error is eps ||T|| at best (far more for a non-normal
     T), so the classification would be noise.
     """
-    return _stolz_type(*_spectrum(as_matrix(T, square=True)))
+    return _stolz_type(*_spectrum(as_matrix(T, square=True))[:2])
 
 
 def _stolz_type(eigs: np.ndarray, one: np.ndarray) -> float:
-    """:func:`spectral_type` of the spectrum ``(eigs, one)`` of :func:`_spectrum`:
-    the maximum of :func:`rittcalc.stolz.min_angle` over the eigenvalues not at 1."""
+    """:func:`spectral_type` of the eigenvalues and mask ``(eigs, one)`` of
+    :func:`_spectrum`: the maximum of :func:`rittcalc.stolz.min_angle`
+    over the eigenvalues not at 1."""
     lams = eigs[~one]
     if np.any(np.abs(lams) >= 1.0 - 1e-11):
         return NOT_STOLZ
@@ -446,36 +476,13 @@ def _resolvent_stage(T: np.ndarray, betas, space: SpaceModel, per_piece: int,
 
 
 def mean_ergodic_projection(T) -> np.ndarray:
-    """Projection onto Ker(I-T) along Ran(I-T).
-
-    Computed from an ordered Schur form: the eigenvalue-1 cluster is
-    sorted to the leading block and its complement is split off with a
-    Sylvester solve.  Requires eigenvalue 1 (if present) to be
-    semisimple; a defective 1 means T is not power bounded and raises.
-    """
-    import scipy.linalg
-
+    """Projection onto Ker(I-T) along Ran(I-T): the P of :func:`_split_one`,
+    zero without eigenvalue 1.  A defective 1 (T is not power bounded
+    there), or one that the eigenvalues and the ordered Schur form count
+    differently, raises SingularMatrixError."""
     T = as_matrix(T, square=True)
-    n = T.shape[0]
-    tol1 = eigenvalue_one_tolerance(T)
-    S, Z, sdim = scipy.linalg.schur(T, output="complex",
-                                    sort=lambda lam: abs(lam - 1.0) <= tol1)
-    if sdim == 0:
-        return np.zeros_like(T)
-    k = int(sdim)
-    U11 = S[:k, :k]
-    defect = np.linalg.norm(U11 - np.eye(k), 2)
-    if defect > 1e-8 * (1.0 + np.linalg.norm(T, 2)):
-        raise numlin.SingularMatrixError(
-            "eigenvalue 1 is defective: not power bounded at 1",
-            cond_estimate=np.inf,
-        )
-    P_block = np.zeros((n, n), dtype=complex)
-    P_block[:k, :k] = np.eye(k)
-    if k < n:
-        X = scipy.linalg.solve_sylvester(U11, -S[k:, k:], S[:k, k:])
-        P_block[:k, k:] = X
-    return Z @ P_block @ Z.conj().T
+    P = _split_one(T, _spectrum(T))[0]
+    return np.zeros_like(T) if P is None else P
 
 
 @dataclass(frozen=True)
@@ -487,6 +494,8 @@ class RittConfig:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be >= 1")
+        if self.resolvent_per_piece < 1:
+            raise ValueError("resolvent_per_piece must be >= 1")
 
 
 @dataclass
@@ -533,7 +542,7 @@ def ritt_verdict(T, space: Optional[SpaceModel] = None,
     T = as_matrix(T, square=True)
     space = space or Hilbert(T.shape[0])
     cfg = config or RittConfig()
-    eigs, one = _spectrum(T)
+    eigs, one, _ = _spectrum(T)
     alpha = _stolz_type(eigs, one)
     reasons: list = []
     not_ritt = alpha == NOT_STOLZ or alpha >= math.pi / 2 - TYPE_MARGIN

@@ -146,16 +146,16 @@ class RadEstimate:
 
 def _effective_radius(T: np.ndarray) -> tuple:
     """(rho, P): the largest |eigenvalue| off the eigenvalue-1 cluster (0
-    if none) and the mean-ergodic projection (zero when no eigenvalue
-    lies within ``ritt.eigenvalue_one_tolerance`` of 1).
+    if none) and the mean-ergodic projection P of :func:`ritt._split_one`
+    (zero when no eigenvalue lies within ``ritt.eigenvalue_one_tolerance`` of 1).
 
-    A cluster at 1 must be semisimple: when it is not,
-    :func:`ritt.mean_ergodic_projection` raises SingularMatrixError, so
-    no square-function route sums a series that grows without bound.
+    The split raises SingularMatrixError on a defective cluster at 1, or
+    one that the eigenvalues and the ordered Schur form count differently,
+    so no square-function route sums a series that grows without bound.
     """
-    eigs, one = ritt._spectrum(T)
-    rho = max([0.0, *(abs(lam) for lam in eigs[~one])])
-    return rho, (ritt.mean_ergodic_projection(T) if one.any() else np.zeros_like(T))
+    eigs, one, _ = spectrum = ritt._spectrum(T)
+    P = ritt._split_one(T, spectrum)[0]
+    return max([0.0, *(abs(lam) for lam in eigs[~one])]), np.zeros_like(T) if P is None else P
 
 
 def square_function(T, x, space: SpaceModel, cfg: Optional[SFConfig] = None) -> SFReport:

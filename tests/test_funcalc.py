@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rittcalc import funcalc, numlin, ritt, stolz, verify
 from rittcalc.funcalc import (ContourCalculus, calculus_constant, eval_contour,
@@ -70,6 +72,47 @@ def test_contour_homomorphism():
     lhs = calc.apply(prod).value
     rhs = calc.apply(phi).value @ calc.apply(psi).value
     assert np.linalg.norm(lhs - rhs, 2) <= 1e-7
+
+
+def _random_operator(seed, dim, one):
+    """A verify.random_ritt operator, with a semisimple eigenvalue 1 planted
+    by a similarity when ``one``; and a random polynomial vanishing at 1."""
+    rng = np.random.default_rng(seed)
+    T = verify.random_ritt(rng, dim)
+    if one:
+        S = np.eye(dim + 1) + 0.3 * (rng.normal(size=(dim + 1,) * 2)
+                                     + 1j * rng.normal(size=(dim + 1,) * 2))
+        B = np.zeros((dim + 1, dim + 1), dtype=complex)
+        B[0, 0], B[1:, 1:] = 1.0, T
+        T = S @ B @ np.linalg.inv(S)
+    c = rng.normal(size=4) + 1j * rng.normal(size=4)
+    c[0] -= c.sum()
+    return T, c
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5), one=st.booleans())
+def test_contour_beta_independence_property(seed, dim, one):
+    T, c = _random_operator(seed, dim, one)
+    r1 = ContourCalculus(T, beta=math.pi / 4).apply(poly(c))
+    r2 = ContourCalculus(T, beta=math.pi / 3).apply(poly(c))
+    assert r1.converged and r2.converged
+    assert np.linalg.norm(r1.value - r2.value, 2) <= r1.error_estimate + r2.error_estimate
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5), one=st.booleans())
+def test_contour_homomorphism_property(seed, dim, one):
+    # (phi psi)(T) = phi(T) psi(T) within the errors propagated through the product
+    T, c = _random_operator(seed, dim, one)
+    d = np.array([0.5, -0.25j, 0.0, 0.3])
+    d[0] -= d.sum()
+    calc = ContourCalculus(T, beta=math.pi / 4)
+    a, b = calc.apply(poly(c)), calc.apply(poly(d))
+    ab = calc.apply(poly(np.convolve(c, d)))
+    bound = (ab.error_estimate + a.error_estimate * np.linalg.norm(b.value, 2)
+             + b.error_estimate * np.linalg.norm(a.value, 2) + a.error_estimate * b.error_estimate)
+    assert np.linalg.norm(ab.value - a.value @ b.value, 2) <= bound
 
 
 def test_contour_oracle_on_random_ritt_family():
@@ -216,6 +259,41 @@ def test_contour_calculus_takes_the_spectrum_once(monkeypatch, lams):
     monkeypatch.setattr(numlin, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
     calc = ContourCalculus(ritt_instance(6, dim=3, lams=lams))
     assert len(calls) == 1 and (calc._P is not None) == (1.0 in lams)
+
+
+@pytest.mark.parametrize("lams", [[0.5, 0.3j, -0.2], [1.0, 0.6j, -0.4]], ids=["plain", "one"])
+def test_contour_calculus_and_transfer_check_take_one_schur_form(monkeypatch, lams):
+    # the split at eigenvalue 1, the contour's triangular form and the
+    # sector's all come from one ordered Schur form of T
+    import scipy.linalg
+
+    calls = []
+    schur = scipy.linalg.schur
+    monkeypatch.setattr(scipy.linalg, "schur", lambda *a, **k: calls.append(1) or schur(*a, **k))
+    T = ritt_instance(6, dim=3, lams=lams)
+    ContourCalculus(T)
+    assert len(calls) == 1
+    f = funcalc.from_callable(lambda z: z / (1 + z) ** 2, certificate=(1.0, 1.0))
+    mesh = stolz.MeshSpec(segment_panels=20, arc_panels=1, points_per_panel=6)
+    transfer_check(T, f, sector_mesh=mesh)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("lams", [[0.5, 0.3j, -0.2], [1.0, 0.6j, -0.4]], ids=["plain", "one"])
+def test_contour_calculus_takes_the_norm_of_t_once(monkeypatch, lams):
+    # ||T||_2 sets the eigenvalue-1 tolerance, which the split reuses
+    T = ritt_instance(6, dim=3, lams=lams)
+    calls = []
+    norm = np.linalg.norm
+
+    def counted(x, *a, **k):
+        if (a[:1] == (2,) or k.get("ord") == 2) and np.shape(x) == T.shape and np.array_equal(x, T):
+            calls.append(1)
+        return norm(x, *a, **k)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    ContourCalculus(T)
+    assert len(calls) == 1
 
 
 def test_contour_admissibility_after_the_split():
@@ -481,16 +559,17 @@ def test_contour_matches_a_40_digit_oracle(name):
 @pytest.mark.parametrize("name", sorted(CONTOUR_CASES))
 def test_contour_sums_match_the_lu_route(name):
     # the Schur-coordinate sum of every level against the same quadrature
-    # over the stacked LU resolvents
+    # over the stacked LU resolvents of the operator under the contour, T - P
     T = CONTOUR_CASES[name]
     c = np.array([0.0, 0.4 - 0.3j, -1.2, 0.5j, 0.7])
     c[0] = -c.sum()
     phi = poly(c)
     calc = ContourCalculus(T)
+    A = calc.T if calc._P is None else calc.T - calc._P
     for k in range(3):
         contour, X = calc._level(k)
         coeff = contour.weights * contour.tangents * phi(contour.nodes) / (2j * math.pi)
-        lu = np.tensordot(coeff, numlin.resolvents(calc._A, contour.nodes), axes=(0, 0))
+        lu = np.tensordot(coeff, numlin.resolvents(A, contour.nodes), axes=(0, 0))
         got = funcalc._cauchy_sum(calc._Q, contour, X, phi)
         assert np.linalg.norm(got - lu, 2) <= 1e-12 * np.linalg.norm(lu, 2), (name, k)
 
@@ -508,10 +587,10 @@ def test_sector_node_on_eigenvalue_is_loud():
     mesh = stolz.MeshSpec(segment_panels=4, arc_panels=1, points_per_panel=4)
     contour = stolz.sector_contour(1.0, 10.0, mesh)
     node = complex(contour.nodes[5])
-    A = np.diag([node, 2.0])
+    U = np.diag([node, 2.0])  # triangular, in the Schur form with Q = I
     f = funcalc.from_callable(lambda z: z / (1 + z) ** 2, certificate=(1.0, 1.0))
     with pytest.raises(funcalc.ContourSpectrumError, match="rcond") as exc:
-        funcalc._sector_quad(A, f, contour, 10.0 * np.exp(1j))
+        funcalc._sector_quad(U, np.eye(2), f, contour, 10.0 * np.exp(1j))
     assert exc.value.node == node
     assert exc.value.rcond < numlin.RCOND_MIN
 

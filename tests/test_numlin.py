@@ -417,7 +417,7 @@ SWEEP_DIMS = (5, 19)
 
 def _schur_case(n):
     T = _similar(11, np.linspace(-0.4, 0.8, n) + 0.1j * np.sin(np.arange(n)))
-    U, Q = numlin.schur(T)
+    U, Q = scipy.linalg.schur(T, output="complex")
     beta = 0.5 * (ritt.spectral_type(T) + np.pi / 2)
     return T, U, Q, ritt.resolvent_sample_points(T, beta, per_piece=6)
 

@@ -350,6 +350,12 @@ def test_ritt_config_rejects_N_below_one():
         ritt.RittConfig(N=0)
 
 
+def test_ritt_config_rejects_resolvent_per_piece_below_one():
+    # refused when the config is made, not after the whole decay walk
+    with pytest.raises(ValueError, match="resolvent_per_piece must be >= 1"):
+        ritt.RittConfig(resolvent_per_piece=0)
+
+
 # ---------------------------------------------------------------------------
 # decay_profiles against an mpmath oracle
 # ---------------------------------------------------------------------------
@@ -754,3 +760,132 @@ def test_verdict_takes_the_spectrum_once_and_no_stage_without_betas(monkeypatch)
     rep = ritt_verdict(T, Hilbert(32), ritt.RittConfig(N=16))
     assert len(rep.resolvent_sup) == 3
     assert len(eigs) == 2 and pools  # the stage reads the verdict's spectrum
+
+
+# ---------------------------------------------------------------------------
+# the split at eigenvalue 1
+# ---------------------------------------------------------------------------
+
+#: V diag(1 + d, 0.5, 0.3 + 0.2i, -0.2) V^-1 with d = 2.467e-7 just inside
+#: eigenvalue_one_tolerance (2.47e-7): the eigensolver counts 1 + d as 1
+#: and the ordered Schur form does not.  Draw 13314 of a 4 x 4 family
+#: from np.random.default_rng(0), V = Q1 diag(geomspace(1, 10^u, 4)) Q2.
+AMBIGUOUS_ONE = np.array([
+    [complex(-293.76729915216146, -26.535145648662848),
+     complex(188.45580481182176, 681.35751948435905),
+     complex(-119.54436417912221, -365.59940289472013),
+     complex(-467.82797145657247, -137.70846244573113)],
+    [complex(50.260831581085952, 3.0007052491256161),
+     complex(-34.251737168899538, -115.26119484334731),
+     complex(22.40910981384857, 61.703095902249565),
+     complex(80.748265392182006, 21.090932320463523)],
+    [complex(24.687859945459877, -583.05373344564816),
+     complex(-1326.8251463396327, 431.29583446679175),
+     complex(710.93623537933047, -270.98082073594333),
+     complex(228.27458506695643, -937.6736343827082)],
+    [complex(-177.47442547736875, 289.84929449518523),
+     complex(796.67751030774821, 156.51789335483318),
+     complex(-438.51458889117021, -62.925443966746769),
+     complex(-381.31719881152378, 412.97716122795362)],
+])
+
+
+def test_the_ambiguous_operator_is_counted_differently():
+    # the premise of the refusal tests below
+    import scipy.linalg
+
+    eigs, one, tol = ritt._spectrum(AMBIGUOUS_ONE)
+    k = scipy.linalg.schur(AMBIGUOUS_ONE, output="complex",
+                           sort=lambda lam: abs(lam - 1.0) <= tol)[2]
+    assert np.count_nonzero(one) == 1 and k == 0
+
+
+def test_split_one_refuses_a_mask_the_schur_form_does_not_share():
+    # either way round, on an operator where both count exactly
+    T = np.diag([1.0, 0.5])
+    eigs, one, tol = ritt._spectrum(T)
+    for mask in (np.zeros(2, dtype=bool), np.ones(2, dtype=bool)):
+        with pytest.raises(numlin.SingularMatrixError,
+                           match=f"ambiguous: {mask.sum()} eigenvalues .* 1 by the ordered Schur"):
+            ritt._split_one(T, (eigs, mask, tol))
+
+
+def test_mean_ergodic_projection_refuses_the_ambiguous_cluster():
+    with pytest.raises(numlin.SingularMatrixError, match="ambiguous"):
+        mean_ergodic_projection(AMBIGUOUS_ONE)
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_split_one_without_eigenvalue_one_is_the_plain_schur_form(n):
+    # with an empty cluster the ordered Schur form is the plain one bit for
+    # bit, so no contour on an operator without eigenvalue 1 moves
+    import scipy.linalg
+
+    rng = np.random.default_rng(n)
+    T = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    P, U, S, Q = ritt._split_one(T, ritt._spectrum(T))
+    S0, Q0 = scipy.linalg.schur(T, output="complex")
+    assert P is None and U is S
+    assert np.array_equal(S, S0) and np.array_equal(Q, Q0)
+
+
+def test_split_one_gives_the_projection_and_the_form_of_t_minus_p():
+    lams = np.array([1.0, 1.0, 0.6j, -0.4])
+    rng = np.random.default_rng(3)
+    V = np.eye(4) + 0.4 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    T = V @ np.diag(lams) @ np.linalg.inv(V)
+    P, U, S, Q = ritt._split_one(T, ritt._spectrum(T))
+    want = V @ np.diag([1.0, 1.0, 0.0, 0.0]) @ np.linalg.inv(V)
+    assert np.linalg.norm(P - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
+    assert not np.tril(U, -1).any() and not np.tril(S, -1).any()
+    assert np.linalg.norm(Q @ U @ Q.conj().T - (T - P), 2) <= 1e-12 * np.linalg.norm(T, 2)
+    assert np.linalg.norm(Q @ S @ Q.conj().T - T, 2) <= 1e-12 * np.linalg.norm(T, 2)
+
+
+def _refusal(call):
+    """The exception ``call()`` raises, and the RuntimeWarnings it emits."""
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(Exception) as exc:
+            call()
+    return exc.value, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_contour_calculus_refuses_the_ambiguous_cluster():
+    from rittcalc import funcalc
+
+    exc, warned = _refusal(lambda: funcalc.ContourCalculus(AMBIGUOUS_ONE, beta=math.pi / 4))
+    assert type(exc) is funcalc.ContourSpectrumError and not warned
+    assert "1 eigenvalues within" in str(exc) and "0 by the ordered Schur form" in str(exc)
+
+
+@pytest.mark.parametrize("route", ["sf_constant", "gram_operator", "similarity_builder"])
+def test_square_function_routes_refuse_the_ambiguous_cluster(route):
+    # not numpy's LinAlgError from an overflowing series, and no overflow warning
+    from rittcalc import lab, sqfun
+
+    call = {"sf_constant": lambda: sqfun.sf_constant(AMBIGUOUS_ONE, 1, Hilbert(4)),
+            "gram_operator": lambda: sqfun.gram_operator(AMBIGUOUS_ONE),
+            "similarity_builder": lambda: lab.similarity_builder(AMBIGUOUS_ONE)}[route]
+    exc, warned = _refusal(call)
+    assert type(exc) is numlin.SingularMatrixError and "ambiguous" in str(exc)
+    assert not warned
+
+
+@pytest.mark.parametrize("args", [["funcalc", "--phi", "z-one-minus", "--beta", "0.785398"],
+                                  ["sqfun", "--constant"]], ids=["funcalc", "sqfun-constant"])
+def test_cli_refuses_the_ambiguous_cluster_in_one_line(tmp_path, capsys, args):
+    import json
+
+    from rittcalc import cli
+    from rittcalc.jsonutil import matrix_to_json
+
+    path = tmp_path / "T.json"
+    path.write_text(json.dumps(matrix_to_json(AMBIGUOUS_ONE)))
+    assert cli.main([args[0], str(path), *args[1:]]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("rittcalc: refused: ") and "ambiguous" in lines[0]
+    assert captured.out == ""

@@ -297,14 +297,14 @@ def _check_separation(nodes: np.ndarray, eigs: np.ndarray, what: str) -> None:
 class ContourCalculus:
     """Shared contour machinery for one operator at one angle.
 
-    :func:`rittcalc.ritt._split_one` gives the one Schur form T = Q S Q^H,
-    the mean ergodic projection P = Q B Q^H and the triangular form
-    S - B of T - P, the operator under the contour (S without eigenvalue
-    1); each mesh level stores the triangular resolvents of every node,
-    reused across functions, so a whole test family costs one sweep per
-    level and one back-transform per sum, summed in a fixed order.  A
-    defective eigenvalue 1, or one that the eigenvalues and the ordered
-    Schur form count differently, raises ContourSpectrumError.
+    The one ordered Schur form T = Q S Q^H of :func:`rittcalc.ritt._spectrum`
+    gives the eigenvalues, the angle and the cluster at 1, and
+    :func:`rittcalc.ritt._split_one` the mean ergodic projection P = Q B Q^H
+    and the triangular form S - B of T - P, the operator under the contour
+    (S without eigenvalue 1); each mesh level stores the triangular resolvents
+    of every node, reused across functions, so a whole test family costs one
+    sweep per level and one back-transform per sum, summed in a fixed order.
+    A defective eigenvalue 1 raises ContourSpectrumError.
     """
 
     def __init__(self, T, beta: Optional[float] = None,
@@ -312,8 +312,8 @@ class ContourCalculus:
                  mesh: Optional[MeshSpec] = None, *, _spectrum=None):
         self.T = as_matrix(T, square=True)
         spectrum = _spectrum or ritt._spectrum(self.T)  # a caller's, if it has one
-        self.eigs, one, _ = spectrum
-        self.alpha = ritt._stolz_type(self.eigs, one)
+        self.eigs, k, _, self._S, self._Q = spectrum
+        self.alpha = ritt._stolz_type(self.eigs, k)
         if self.alpha == NOT_STOLZ:
             raise ContourSpectrumError("spectrum lies in no Stolz closure")
         if beta is None:
@@ -333,11 +333,11 @@ class ContourCalculus:
         # T - P has 0 where T has 1, and an admissible phi vanishes at 1,
         # so phi(T) = phi(T - P) - phi(0) P
         try:
-            self._P, self._U, self._S, self._Q = ritt._split_one(self.T, spectrum)
+            self._P, self._U = ritt._split_one(spectrum)
         except numlin.SingularMatrixError as exc:
             raise ContourSpectrumError(f"contour calculus: {exc}") from exc
-        self._A_eigs = np.where(one, 0.0, self.eigs)  # those of T - P
-        self._vertex_under_contour = bool(np.any(np.abs(self._A_eigs - 1.0) <= VERTEX_CLUSTER))
+        self._vertex_under_contour = bool(  # diag(U): the eigenvalues of T - P
+            np.any(np.abs(np.diag(self._U) - 1.0) <= VERTEX_CLUSTER))
         self._levels: list = []  # (contour, triangular resolvents (n,n,m))
 
     def _level(self, k: int):
@@ -347,7 +347,7 @@ class ContourCalculus:
                 mesh = mesh.refined()
             contour = stolz.boundary_contour(self.beta, mesh)
             X = _node_resolvents(self._U, contour.nodes, "quadrature")
-            _check_separation(contour.nodes, self._A_eigs, "quadrature")
+            _check_separation(contour.nodes, np.diag(self._U), "quadrature")
             self._levels.append((contour, X))
         return self._levels[k]
 

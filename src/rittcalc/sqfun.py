@@ -147,15 +147,15 @@ class RadEstimate:
 def _effective_radius(T: np.ndarray) -> tuple:
     """(rho, P): the largest |eigenvalue| off the eigenvalue-1 cluster (0
     if none) and the mean-ergodic projection P of :func:`ritt._split_one`
-    (zero when no eigenvalue lies within ``ritt.eigenvalue_one_tolerance`` of 1).
+    (zero without a cluster), both from the one ordered Schur form of
+    :func:`ritt._spectrum`.
 
-    The split raises SingularMatrixError on a defective cluster at 1, or
-    one that the eigenvalues and the ordered Schur form count differently,
-    so no square-function route sums a series that grows without bound.
+    The split raises SingularMatrixError on a defective cluster at 1, so
+    no square-function route sums a series that grows without bound.
     """
-    eigs, one, _ = spectrum = ritt._spectrum(T)
-    P = ritt._split_one(T, spectrum)[0]
-    return max([0.0, *(abs(lam) for lam in eigs[~one])]), np.zeros_like(T) if P is None else P
+    eigs, k, *_ = spectrum = ritt._spectrum(T)
+    P = ritt._split_one(spectrum)[0]
+    return float(np.max(np.abs(eigs[k:]), initial=0.0)), np.zeros_like(T) if P is None else P
 
 
 def square_function(T, x, space: SpaceModel, cfg: Optional[SFConfig] = None) -> SFReport:
@@ -273,7 +273,7 @@ def _series_len(T: np.ndarray, Am: np.ndarray, m: int, rho: float) -> int:
     """
     if rho >= 1.0 - 1e-12:
         raise DivergenceError(0, "spectral radius off the fixed space is not < 1 "
-                                 f"(rho={rho:.6f})")
+                                 f"(rho={rho!r})")
     n = max(64, math.ceil(math.log(GRAM_TAIL_TOL) / (2.0 * math.log(rho))) if rho > 0 else 0)
     while True:
         if n > GRAM_N_MAX:

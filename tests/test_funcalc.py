@@ -253,30 +253,11 @@ def test_contour_calculus_refuses_a_defective_eigenvalue_one():
 
 
 @pytest.mark.parametrize("lams", [[0.5, 0.3j, -0.2], [1.0, 0.6j, -0.4]], ids=["plain", "one"])
-def test_contour_calculus_takes_the_spectrum_once(monkeypatch, lams):
-    calls = []
-    eig = numlin.eig
-    monkeypatch.setattr(numlin, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
+def test_contour_calculus_takes_the_spectrum_once(spectra, lams):
+    # the eigenvalues, the angle, the split at eigenvalue 1 and the
+    # contour's triangular form all come from one ordered Schur form of T
     calc = ContourCalculus(ritt_instance(6, dim=3, lams=lams))
-    assert len(calls) == 1 and (calc._P is not None) == (1.0 in lams)
-
-
-@pytest.mark.parametrize("lams", [[0.5, 0.3j, -0.2], [1.0, 0.6j, -0.4]], ids=["plain", "one"])
-def test_contour_calculus_and_transfer_check_take_one_schur_form(monkeypatch, lams):
-    # the split at eigenvalue 1, the contour's triangular form and the
-    # sector's all come from one ordered Schur form of T
-    import scipy.linalg
-
-    calls = []
-    schur = scipy.linalg.schur
-    monkeypatch.setattr(scipy.linalg, "schur", lambda *a, **k: calls.append(1) or schur(*a, **k))
-    T = ritt_instance(6, dim=3, lams=lams)
-    ContourCalculus(T)
-    assert len(calls) == 1
-    f = funcalc.from_callable(lambda z: z / (1 + z) ** 2, certificate=(1.0, 1.0))
-    mesh = stolz.MeshSpec(segment_panels=20, arc_panels=1, points_per_panel=6)
-    transfer_check(T, f, sector_mesh=mesh)
-    assert len(calls) == 2
+    assert spectra == {"eig": 0, "schur": 1} and (calc._P is not None) == (1.0 in lams)
 
 
 @pytest.mark.parametrize("lams", [[0.5, 0.3j, -0.2], [1.0, 0.6j, -0.4]], ids=["plain", "one"])
@@ -324,14 +305,14 @@ def test_transfer_check_builds_its_sector_contour_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_transfer_check_takes_the_spectrum_once(monkeypatch):
-    # the angle and the Stolz route's calculus share one eigendecomposition
-    calls = []
-    eig = numlin.eig
-    monkeypatch.setattr(numlin, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
+@pytest.mark.parametrize("lams", [[0.5, 0.3j, -0.2], [1.0, 0.6j, -0.4]], ids=["plain", "one"])
+def test_transfer_check_takes_the_spectrum_once(spectra, lams):
+    # the angle, the Stolz route's calculus and the sector's triangular
+    # form share one ordered Schur form
     f = funcalc.from_callable(lambda z: z / (1 + z) ** 2, certificate=(1.0, 1.0))
-    transfer_check(np.diag([0.5, 0.3]), f)
-    assert len(calls) == 1
+    mesh = stolz.MeshSpec(segment_panels=20, arc_panels=1, points_per_panel=6)
+    transfer_check(ritt_instance(6, dim=3, lams=lams), f, sector_mesh=mesh)
+    assert spectra == {"eig": 0, "schur": 1}
 
 
 def test_transfer_check_refusal_messages():

@@ -551,14 +551,16 @@ def test_worker_pool_stress_more_workers_than_cores(monkeypatch):
 
 
 def test_worker_pool_raises_the_first_refusing_block(monkeypatch):
-    # two Jordan pairs, each 1e-8 off one sample node (outside the skip
-    # tolerance), refuse that node alone (rcond about 1e-16) in blocks 2
-    # and 4 of the 28 nodes' blocks of 5: the earlier block's is raised
+    # two Jordan pairs, each just inside B(1.2) next to one sample node,
+    # so the spectral type stays below 1.2, refuse that node alone (rcond
+    # about 1e-15 against 6e-12 at the nodes next to it) in blocks 2 and
+    # 4 of the 28 nodes' blocks of 5: the earlier block's is raised
     nodes = ritt.resolvent_sample_points(np.zeros((4, 4)), 1.2, per_piece=6)
     T = np.zeros((4, 4), dtype=complex)
-    T[0, 1] = T[2, 3] = 1.0
-    T[0, 0] = T[1, 1] = nodes[22] + 1e-8
-    T[2, 2] = T[3, 3] = nodes[12] + 1e-8
+    T[0, 1] = T[2, 3] = 3e4
+    T[0, 0] = T[1, 1] = nodes[22] * (1 - 1e-3)
+    T[2, 2] = T[3, 3] = nodes[12] * (1 - 1e-3)
+    assert ritt.spectral_type(T) < 1.2
 
     def refused():
         with pytest.raises(numlin.SingularMatrixError) as exc:

@@ -5,6 +5,8 @@ import threading
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rittcalc import numlin, ritt, stolz
 from rittcalc.numlin import Hilbert, SchattenP, SupSeq
@@ -12,6 +14,7 @@ from rittcalc.ritt import (decay_suprema, increment_bound,
                            mean_ergodic_projection, power_bound,
                            resolvent_sample_points, resolvent_sup,
                            ritt_verdict, spectral_type)
+from test_funcalc import _random_operator
 
 N2 = np.array([[0.0, 10.0], [0.0, 0.0]])
 
@@ -736,19 +739,14 @@ def test_verdict_resolvent_stage_is_the_one_beta_calls_bit_for_bit(monkeypatch, 
         monkeypatch.undo()
 
 
-def test_verdict_takes_the_spectrum_once_and_no_stage_without_betas(monkeypatch):
-    eigs, pools = [], []
-    eig, pool = numlin.eig, numlin._pool
-
-    def counted_eig(*args, **kwargs):
-        eigs.append(1)
-        return eig(*args, **kwargs)
+def test_verdict_takes_the_spectrum_once_and_no_stage_without_betas(monkeypatch, spectra):
+    pools = []
+    pool = numlin._pool
 
     def counted_pool(workers):
         pools.append(workers)
         return pool(workers)
 
-    monkeypatch.setattr(numlin, "eig", counted_eig)
     monkeypatch.setattr(numlin, "_pool", counted_pool)
     monkeypatch.setattr(numlin, "_worker_count", lambda: 2)
     # with 118 nodes per beta on 32 x 32 operators the three betas take 12
@@ -756,10 +754,61 @@ def test_verdict_takes_the_spectrum_once_and_no_stage_without_betas(monkeypatch)
     T = _ritt_matrix(32, 36)
     rep = ritt_verdict(T, Hilbert(32), ritt.RittConfig(N=16, beta_fracs=()))
     assert rep.resolvent_sup == {}
-    assert len(eigs) == 1 and pools == []
+    assert spectra == {"eig": 0, "schur": 1} and pools == []
     rep = ritt_verdict(T, Hilbert(32), ritt.RittConfig(N=16))
     assert len(rep.resolvent_sup) == 3
-    assert len(eigs) == 2 and pools  # the stage reads the verdict's spectrum
+    # the stage reads the verdict's angle
+    assert spectra == {"eig": 0, "schur": 2} and pools
+
+
+def _route_operator(one):
+    """V diag(lams) V^-1, non-normal, with a semisimple eigenvalue 1 when ``one``."""
+    lams = [1.0, 0.6j, -0.4] if one else [0.5, 0.3j, -0.2]
+    rng = np.random.default_rng(6)
+    V = np.eye(3) + 0.3 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    return V @ np.diag(lams) @ np.linalg.inv(V)
+
+
+def _one_spectrum_routes():
+    from rittcalc import lab, sqfun
+
+    return {
+        "spectral_type": spectral_type,
+        "mean_ergodic_projection": mean_ergodic_projection,
+        "resolvent_sup": lambda T: resolvent_sup(T, math.pi / 3, Hilbert(3), per_piece=4),
+        "square_function": lambda T: sqfun.square_function(T, [1.0, 0.5, -1.0], Hilbert(3)),
+        "gram_operator": sqfun.gram_operator,
+        "similarity_builder": lab.similarity_builder,
+    }
+
+
+@pytest.mark.parametrize("one", [False, True], ids=["plain", "one"])
+@pytest.mark.parametrize("route", sorted(_one_spectrum_routes()))
+def test_each_route_takes_the_spectrum_once(spectra, route, one):
+    # the verdict, the calculus, the transfer check and sf_constant have
+    # their own counts; no route asks the eigensolver
+    _one_spectrum_routes()[route](_route_operator(one))
+    assert spectra == {"eig": 0, "schur": 1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6), one=st.booleans())
+def test_one_spectrum_property(seed, dim, one):
+    # the verdict, the angle and the calculus read one spectrum, its
+    # cluster at 1 spans the fixed space, and resolvent_sup refuses the
+    # spectral type itself and takes an angle just above it
+    from rittcalc import funcalc
+
+    T = _random_operator(seed, dim, one)[0]
+    alpha = spectral_type(T)
+    rep = ritt_verdict(T, config=ritt.RittConfig(N=8, beta_fracs=()))
+    assert rep.type_alpha == alpha == funcalc.ContourCalculus(T).alpha
+    k = ritt._spectrum(T)[1]
+    assert k == one and np.linalg.matrix_rank(mean_ergodic_projection(T)) == k
+    space = Hilbert(T.shape[0])
+    with pytest.raises(ValueError, match="must exceed the spectral type"):
+        resolvent_sup(T, alpha, space, per_piece=4)
+    assert math.isfinite(resolvent_sup(T, alpha + 1e-6 * (math.pi / 2 - alpha), space, per_piece=4))
 
 
 # ---------------------------------------------------------------------------
@@ -767,9 +816,10 @@ def test_verdict_takes_the_spectrum_once_and_no_stage_without_betas(monkeypatch)
 # ---------------------------------------------------------------------------
 
 #: V diag(1 + d, 0.5, 0.3 + 0.2i, -0.2) V^-1 with d = 2.467e-7 just inside
-#: eigenvalue_one_tolerance (2.47e-7): the eigensolver counts 1 + d as 1
-#: and the ordered Schur form does not.  Draw 13314 of a 4 x 4 family
-#: from np.random.default_rng(0), V = Q1 diag(geomspace(1, 10^u, 4)) Q2.
+#: eigenvalue_one_tolerance (2.47e-7), draw 13314 of a 4 x 4 family from
+#: np.random.default_rng(0), V = Q1 diag(geomspace(1, 10^u, 4)) Q2.  The
+#: ordered Schur form reads 1 + d outside the tolerance, so no eigenvalue
+#: is at 1 and the spectrum leaves the closed disc: every route says so.
 AMBIGUOUS_ONE = np.array([
     [complex(-293.76729915216146, -26.535145648662848),
      complex(188.45580481182176, 681.35751948435905),
@@ -790,29 +840,13 @@ AMBIGUOUS_ONE = np.array([
 ])
 
 
-def test_the_ambiguous_operator_is_counted_differently():
-    # the premise of the refusal tests below
-    import scipy.linalg
-
-    eigs, one, tol = ritt._spectrum(AMBIGUOUS_ONE)
-    k = scipy.linalg.schur(AMBIGUOUS_ONE, output="complex",
-                           sort=lambda lam: abs(lam - 1.0) <= tol)[2]
-    assert np.count_nonzero(one) == 1 and k == 0
-
-
-def test_split_one_refuses_a_mask_the_schur_form_does_not_share():
-    # either way round, on an operator where both count exactly
-    T = np.diag([1.0, 0.5])
-    eigs, one, tol = ritt._spectrum(T)
-    for mask in (np.zeros(2, dtype=bool), np.ones(2, dtype=bool)):
-        with pytest.raises(numlin.SingularMatrixError,
-                           match=f"ambiguous: {mask.sum()} eigenvalues .* 1 by the ordered Schur"):
-            ritt._split_one(T, (eigs, mask, tol))
-
-
-def test_mean_ergodic_projection_refuses_the_ambiguous_cluster():
-    with pytest.raises(numlin.SingularMatrixError, match="ambiguous"):
-        mean_ergodic_projection(AMBIGUOUS_ONE)
+def test_the_ambiguous_operator_has_no_eigenvalue_one():
+    # the premise of the tests below
+    eigs, k, tol, S, Q = ritt._spectrum(AMBIGUOUS_ONE)
+    off = np.abs(eigs - 1.0)
+    assert k == 0 and 0.0 < off.min() <= 1.01 * tol and np.abs(eigs).max() > 1.0
+    assert spectral_type(AMBIGUOUS_ONE) == stolz.NOT_STOLZ
+    assert not mean_ergodic_projection(AMBIGUOUS_ONE).any()
 
 
 @pytest.mark.parametrize("n", range(2, 41))
@@ -823,10 +857,12 @@ def test_split_one_without_eigenvalue_one_is_the_plain_schur_form(n):
 
     rng = np.random.default_rng(n)
     T = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    P, U, S, Q = ritt._split_one(T, ritt._spectrum(T))
+    spectrum = ritt._spectrum(T)
+    (P, U), (S, Q) = ritt._split_one(spectrum), spectrum[3:]
     S0, Q0 = scipy.linalg.schur(T, output="complex")
-    assert P is None and U is S
+    assert P is None and U is S and spectrum[1] == 0
     assert np.array_equal(S, S0) and np.array_equal(Q, Q0)
+    assert np.array_equal(spectrum[0], np.diag(S0))
 
 
 def test_split_one_gives_the_projection_and_the_form_of_t_minus_p():
@@ -834,7 +870,9 @@ def test_split_one_gives_the_projection_and_the_form_of_t_minus_p():
     rng = np.random.default_rng(3)
     V = np.eye(4) + 0.4 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     T = V @ np.diag(lams) @ np.linalg.inv(V)
-    P, U, S, Q = ritt._split_one(T, ritt._spectrum(T))
+    spectrum = ritt._spectrum(T)
+    (P, U), (S, Q) = ritt._split_one(spectrum), spectrum[3:]
+    assert spectrum[1] == 2 and np.abs(spectrum[0][:2] - 1.0).max() <= spectrum[2]
     want = V @ np.diag([1.0, 1.0, 0.0, 0.0]) @ np.linalg.inv(V)
     assert np.linalg.norm(P - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
     assert not np.tril(U, -1).any() and not np.tril(S, -1).any()
@@ -853,16 +891,24 @@ def _refusal(call):
     return exc.value, [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-def test_contour_calculus_refuses_the_ambiguous_cluster():
+def test_verdict_rules_the_ambiguous_operator_out():
+    rep = ritt_verdict(AMBIGUOUS_ONE)
+    assert rep.verdict == "not-ritt" and rep.N_used == 64
+    assert rep.reasons == ["spectrum leaves the closed unit disc or touches its boundary off 1"]
+
+
+def test_contour_routes_refuse_the_ambiguous_operator():
     from rittcalc import funcalc
 
     exc, warned = _refusal(lambda: funcalc.ContourCalculus(AMBIGUOUS_ONE, beta=math.pi / 4))
     assert type(exc) is funcalc.ContourSpectrumError and not warned
-    assert "1 eigenvalues within" in str(exc) and "0 by the ordered Schur form" in str(exc)
+    assert str(exc) == "spectrum lies in no Stolz closure"
+    exc, _ = _refusal(lambda: resolvent_sup(AMBIGUOUS_ONE, math.pi / 4, Hilbert(4)))
+    assert type(exc) is ValueError and str(exc) == "spectrum lies in no Stolz closure"
 
 
 @pytest.mark.parametrize("route", ["sf_constant", "gram_operator", "similarity_builder"])
-def test_square_function_routes_refuse_the_ambiguous_cluster(route):
+def test_square_function_routes_refuse_the_ambiguous_operator(route):
     # not numpy's LinAlgError from an overflowing series, and no overflow warning
     from rittcalc import lab, sqfun
 
@@ -870,13 +916,12 @@ def test_square_function_routes_refuse_the_ambiguous_cluster(route):
             "gram_operator": lambda: sqfun.gram_operator(AMBIGUOUS_ONE),
             "similarity_builder": lambda: lab.similarity_builder(AMBIGUOUS_ONE)}[route]
     exc, warned = _refusal(call)
-    assert type(exc) is numlin.SingularMatrixError and "ambiguous" in str(exc)
+    assert type(exc) is sqfun.DivergenceError and "rho=1.0000002" in str(exc)
     assert not warned
 
 
-@pytest.mark.parametrize("args", [["funcalc", "--phi", "z-one-minus", "--beta", "0.785398"],
-                                  ["sqfun", "--constant"]], ids=["funcalc", "sqfun-constant"])
-def test_cli_refuses_the_ambiguous_cluster_in_one_line(tmp_path, capsys, args):
+def _cli_on_the_ambiguous_operator(tmp_path, capsys, args):
+    """The exit code and the (stdout, stderr) lines of the CLI on AMBIGUOUS_ONE."""
     import json
 
     from rittcalc import cli
@@ -884,8 +929,25 @@ def test_cli_refuses_the_ambiguous_cluster_in_one_line(tmp_path, capsys, args):
 
     path = tmp_path / "T.json"
     path.write_text(json.dumps(matrix_to_json(AMBIGUOUS_ONE)))
-    assert cli.main([args[0], str(path), *args[1:]]) == 1
+    code = cli.main([args[0], str(path), *args[1:]])
     captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("rittcalc: refused: ") and "ambiguous" in lines[0]
-    assert captured.out == ""
+    return code, captured.out.splitlines(), captured.err.splitlines()
+
+
+@pytest.mark.parametrize("args", [["funcalc", "--phi", "z-one-minus", "--beta", "0.785398"],
+                                  ["sqfun", "--constant"]], ids=["funcalc", "sqfun-constant"])
+def test_cli_refuses_the_ambiguous_operator_in_one_line(tmp_path, capsys, args):
+    code, out, err = _cli_on_the_ambiguous_operator(tmp_path, capsys, args)
+    assert code == 1 and out == []
+    assert len(err) == 1 and err[0].startswith("rittcalc: refused: ")
+
+
+def test_cli_analyze_rules_the_ambiguous_operator_out(tmp_path, capsys):
+    import json
+
+    out_path = tmp_path / "report.json"
+    code, _, err = _cli_on_the_ambiguous_operator(
+        tmp_path, capsys, ["analyze", "--no-timestamp", "--out", str(out_path)])
+    report = json.loads(out_path.read_text())["result"]
+    assert code == 0 and err == []
+    assert report["verdict"] == "not-ritt" and report["type_alpha"] == "not-Stolz"

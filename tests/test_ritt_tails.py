@@ -5,13 +5,12 @@ one power's norm rules out every term it has not reached, and must give
 the maxima and the errors of the full walk.  ``ritt.resolvent_sup``
 samples one layer next to the Stolz boundary: by the maximum principle
 that layer holds the maximum over the outer dilation layers and far
-circles too, and its near-spectrum skip drops only the nodes on the
-spectrum, with a warning.
+circles too, and it refuses an angle at or below the spectral type,
+where the supremum is infinite.
 """
 
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -208,64 +207,43 @@ def test_resolvent_sup_is_the_maximum_over_the_outer_family(name):
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
-def test_resolvent_sup_skips_a_node_on_the_spectrum(model):
-    # an eigenvalue planted on a node of the layer, so beta is below the
-    # spectral type: that node alone is skipped, with one warning
-    space, beta, per_piece = MODELS[model], math.pi / 4, 6
-    lam = ritt.resolvent_sample_points(np.zeros((4, 4)), beta, per_piece)
-    node = lam[len(lam) // 2]
-    T = np.diag([node, 0.3, 0.2j, -0.1])
-    assert ritt.spectral_type(T) > beta
-    rest = np.delete(lam, len(lam) // 2)
-    ref = float(space.scaled_resolvent_norms(numlin.as_matrix(T), rest).max())
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = ritt.resolvent_sup(T, beta, space, per_piece)
-    assert [str(w.message) for w in caught] == [
-        "resolvent_sup skipped 1 sample points inside the spectrum tolerance"]
-    assert value.hex() == ref.hex()
-
-
-def _recorded(call):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = call()
-    return value, [str(w.message) for w in caught]
+def test_resolvent_sup_refuses_an_angle_at_or_below_the_spectral_type(model):
+    # the supremum is infinite there, so no value is given: diag(0.6i, 0.3)
+    # of type 0.644 at the angles 0.2, 0.5 and the type itself, an
+    # eigenvalue planted on a node of the pi/4 layer, and a spectrum in no
+    # Stolz closure
+    space, per_piece = MODELS[model], 6
+    lam = ritt.resolvent_sample_points(np.zeros((4, 4)), math.pi / 4, per_piece)
+    low = np.diag([0.6j, 0.3, 0.0, 0.0])
+    alpha = ritt.spectral_type(low)
+    assert abs(alpha - math.asin(0.6)) <= 1e-12
+    planted = np.diag([lam[len(lam) // 2], 0.3, 0.2j, -0.1])
+    for T, beta in ((low, 0.2), (low, 0.5), (low, alpha), (planted, math.pi / 4)):
+        with pytest.raises(ValueError, match=r"^beta=.* must exceed the spectral type "):
+            ritt.resolvent_sup(T, beta, space, per_piece)
+    with pytest.raises(ValueError, match="^spectrum lies in no Stolz closure$"):
+        ritt.resolvent_sup(np.diag([0.5, -1.0, 0.0, 0.0]), 1.0, space, per_piece)
+    assert math.isfinite(ritt.resolvent_sup(low, alpha + 1e-3, space, per_piece))
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
-def test_verdict_warns_once_per_unrefused_beta_in_beta_order(monkeypatch, model):
-    # the spectral type is pinned at 0, so the verdict's betas are pi/2
-    # times 0.25, 0.5, 0.75, and eigenvalues planted on their nodes are
-    # skipped; the warnings are those of the one-beta calls in beta order
+def test_verdict_refuses_one_beta_and_keeps_the_others_in_beta_order(monkeypatch, model):
+    # a Jordan pair of type below every verdict beta whose pseudospectrum
+    # swallows nodes of the first beta only: the verdict refuses that beta,
+    # as its one-beta call does, and gives the others' one-beta values bit
+    # for bit, on two workers
     space, per_piece, cfg = MODELS[model], 6, ritt.RittConfig(N=8, resolvent_per_piece=6)
-    betas = [math.pi / 2 * f for f in cfg.beta_fracs]
-    lam = [ritt.resolvent_sample_points(np.zeros((4, 4)), b, per_piece) for b in betas]
-    monkeypatch.setattr(ritt, "_stolz_type", lambda eigs, one: 0.0)
+    T = np.diag([0.5, 0.5, 0.3, 0.1]).astype(complex)
+    T[0, 1] = 2.5e6
+    alpha = ritt.spectral_type(T)
+    betas = [alpha + (math.pi / 2 - alpha) * f for f in cfg.beta_fracs]
     # 84 nodes in blocks of 5 on two workers
     _small_blocks(monkeypatch, block_len=22)
     monkeypatch.setattr(numlin, "_worker_count", lambda: 2)
-    skip = "resolvent_sup skipped {} sample points inside the spectrum tolerance"
-
-    def one_beta(T, beta):
-        return _recorded(lambda: ritt.resolvent_sup(T, beta, space, per_piece))[0].hex()
-
-    # one node of beta 1 and two of beta 3
-    T = np.diag([lam[0][18], lam[2][14], lam[2][18], 0.1])
-    rep, caught = _recorded(lambda: ritt.ritt_verdict(T, space, cfg))
-    assert caught == [skip.format(1), skip.format(2)]
-    want = {round(b, 12): one_beta(T, b) for b in betas}
-    assert {b: v.hex() for b, v in rep.resolvent_sup.items()} == want
-    # a Jordan pair on a node of beta 1 refuses that beta, which then
-    # warns of nothing, and one node each of betas 2 and 3
-    T = np.zeros((4, 4), dtype=complex)
-    T[:2, :2] = [[lam[0][18], 2e6], [0.0, lam[0][18]]]
-    T[2, 2], T[3, 3] = lam[1][14], lam[2][14]
-    with pytest.raises(numlin.SingularMatrixError):
+    with pytest.raises(numlin.SingularMatrixError) as exc:
         ritt.resolvent_sup(T, betas[0], space, per_piece)
-    rep, caught = _recorded(lambda: ritt.ritt_verdict(T, space, cfg))
-    assert caught == [skip.format(1), skip.format(1)]
-    assert [r for r in rep.reasons if "refused" in r][0].startswith(
-        f"resolvent_sup at beta={betas[0]:.6g} refused: ")
-    want = {round(b, 12): one_beta(T, b) for b in betas[1:]}
+    rep = ritt.ritt_verdict(T, space, cfg)
+    assert [r for r in rep.reasons if "refused" in r] == [
+        f"resolvent_sup at beta={betas[0]:.6g} refused: {exc.value}"]
+    want = {round(b, 12): ritt.resolvent_sup(T, b, space, per_piece).hex() for b in betas[1:]}
     assert {b: v.hex() for b, v in rep.resolvent_sup.items()} == want

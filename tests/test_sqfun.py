@@ -115,6 +115,14 @@ def test_gram_routes_refuse_a_radius_of_one_off_the_fixed_space(T, route):
         GRAM_ROUTE_CALLS[route](T)
 
 
+def test_divergence_message_shows_the_radius_at_full_precision():
+    # 1 + 1e-8 is no eigenvalue 1; rounded to six places its radius prints as 1.000000
+    with pytest.raises(sqfun.DivergenceError) as exc:
+        gram_operator(np.diag([1 + 1e-8, 0.5]))
+    rho = float(re.search(r"\(rho=([^)]*)\)", str(exc.value)).group(1))
+    assert rho > 1.0 and rho == pytest.approx(1 + 1e-8, rel=1e-15)
+
+
 JORDAN_AT_ONE = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
 LP3 = LpWeighted(3.0, (1.0, 1.0, 1.0))
 DEFECTIVE_ONE_CALLS = {
@@ -821,17 +829,11 @@ def test_sf_constant_refuses_a_method_the_model_does_not_have(space, method):
         sf_constant(ritt_instance(3), 1, space, trials=5, method=method)
 
 
-def test_sf_constant_takes_the_spectral_radius_once(monkeypatch):
-    calls = []
-    eig = numlin.eig
-
-    def counted(T, *args, **kwargs):
-        calls.append(1)
-        return eig(T, *args, **kwargs)
-
-    monkeypatch.setattr(numlin, "eig", counted)
+def test_sf_constant_takes_the_spectrum_once(spectra):
+    # the spectral radius off 1 and the mean ergodic projection come from
+    # one ordered Schur form
     sf_constant(ritt_instance(3), 1, LpWeighted(3.0, (1.0,) * 4), trials=20, seed=1)
-    assert len(calls) == 1
+    assert spectra == {"eig": 0, "schur": 1}
 
 
 def _sample_operator(seed, dim, log_vcond, rescale):

@@ -140,8 +140,15 @@ def _schur_delta(text: str) -> float:
     return value
 
 
-def _float_list(text: str) -> list:
-    return [float(v) for v in text.split(",")]
+def _kappa(text: str) -> float:
+    value = float(text)
+    if not 1.0 <= value < np.inf:  # also NaN
+        raise ValueError("must be finite and >= 1")
+    return value
+
+
+def _kappa_list(text: str) -> list:
+    return [_kappa(v) for v in text.split(",")]
 
 
 def _schatten_p(text: str) -> float:
@@ -276,7 +283,7 @@ def cmd_gallery(args) -> int:
         return 0
     elif args.kind == "conditional-basis":
         if args.kappa_grid:
-            grid = _float_list(args.kappa_grid)
+            grid = _kappa_list(args.kappa_grid)
             out = {"grid": [lab.conditional_basis_demo(args.n, k) for k in grid]}
         else:
             out = lab.conditional_basis_demo(args.n, args.kappa)
@@ -420,9 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="random Schur symbols drawn from [-1+delta, 1]")
     sp.add_argument("--flip", action="store_true",
                     help="markov: the two-point flip witness instead of random")
-    sp.add_argument("--kappa", type=float, default=1e3,
+    sp.add_argument("--kappa", type=_arg_type(_kappa), default=1e3,
                     help="conditional-basis: target basis condition number")
-    sp.add_argument("--kappa-grid", type=_arg_type(_float_list, keep_text=True),
+    sp.add_argument("--kappa-grid", type=_arg_type(_kappa_list, keep_text=True),
                     help="conditional-basis: comma list of kappas; emits a "
                          "trend series instead of a single instance")
     common(sp)

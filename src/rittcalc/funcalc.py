@@ -59,6 +59,11 @@ REFINE_ROUNDS = 4
 #: the vertex disc, which holds every eigenvalue that ritt counts as 1
 VERTEX_CLUSTER = ritt._ONE_TOL_MAX
 MIN_CERT_S = 0.5
+#: the outer radius and the mesh of the truncated sector of transfer_check
+SECTOR_R_MAX = 1e7
+SECTOR_MESH = MeshSpec(segment_panels=90, arc_panels=1, points_per_panel=10,
+                       grading_ratio=0.5, min_panel=1e-14)
+VECTOR_PER_PIECE, MATRIX_PER_PIECE = 512, 256
 
 
 class AdmissibilityError(ValueError):
@@ -401,14 +406,13 @@ def eval_contour(T, phi: HolomorphicFn, beta: Optional[float] = None,
     return ContourCalculus(T, beta=beta, gamma=gamma, mesh=mesh).apply(phi)
 
 
-def frac_power(T, delta: float, beta: Optional[float] = None,
-               mesh: Optional[MeshSpec] = None) -> CalcReport:
+def frac_power(T, delta: float, beta: Optional[float] = None) -> CalcReport:
     """(I - T)^delta via the contour; cross-check with frac_power_eig.
 
     A semisimple eigenvalue 1 is split off by :class:`ContourCalculus`;
     a defective one raises ContourSpectrumError.
     """
-    return eval_contour(T, frac_power_fn(delta), beta=beta, mesh=mesh)
+    return eval_contour(T, frac_power_fn(delta), beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +429,7 @@ def _sector_quad(U: np.ndarray, Q: np.ndarray, f: HolomorphicFn,
     return _cauchy_sum(Q, contour, X, f), abs(zr) * float(np.linalg.norm(Xr, 2))
 
 
-def transfer_check(T, f: HolomorphicFn, nu: Optional[float] = None,
-                   r_max: float = 1e7,
-                   sector_mesh: Optional[MeshSpec] = None) -> dict:
+def transfer_check(T, f: HolomorphicFn, nu: Optional[float] = None) -> dict:
     """Compare the two independent routes of the transfer identity.
 
     lhs: sectorial boundary integral of f at A = I - T (polynomial f is
@@ -457,12 +459,9 @@ def transfer_check(T, f: HolomorphicFn, nu: Optional[float] = None,
         lhs = eval_poly(I - T, f)
     else:
         c, s = f.h0_certificate
-        mesh = sector_mesh or MeshSpec(segment_panels=90, arc_panels=1,
-                                       points_per_panel=10, grading_ratio=0.5,
-                                       min_panel=1e-14)
-        sc = stolz.sector_contour(nu, r_max, mesh)
+        sc = stolz.sector_contour(nu, SECTOR_R_MAX, SECTOR_MESH)
         # resolvent scale on the outer truncation circle
-        lhs, c_res = _sector_quad(I - calc._S, calc._Q, f, sc, r_max * cmath.exp(1j * nu))
+        lhs, c_res = _sector_quad(I - calc._S, calc._Q, f, sc, SECTOR_R_MAX * cmath.exp(1j * nu))
         tail = c * c_res * sc.tail_factor(s)
 
     phi = HolomorphicFn(evaluator=lambda z: f(1.0 - np.asarray(z, dtype=complex)),
@@ -555,7 +554,7 @@ def hinf_norm(phi, gamma: float, per_piece: int = 512) -> float:
     return float(_boundary_sup(lambda z: _modulus(fn, z), gamma, per_piece)[0])
 
 
-def hinf_vector_norm(phis: Sequence, gamma: float, per_piece: int = 512) -> float:
+def hinf_vector_norm(phis: Sequence, gamma: float) -> float:
     """sup over the boundary of the l2 norm of (phi_1(z), ..., phi_n(z))."""
     ev = _stack(phis)
 
@@ -565,10 +564,10 @@ def hinf_vector_norm(phis: Sequence, gamma: float, per_piece: int = 512) -> floa
             acc = acc + v ** 2
         return np.sqrt(acc)[None]
 
-    return float(_boundary_sup(fun, gamma, per_piece)[0])
+    return float(_boundary_sup(fun, gamma, VECTOR_PER_PIECE)[0])
 
 
-def hinf_matrix_norm(phi_matrix, gamma: float, per_piece: int = 256) -> float:
+def hinf_matrix_norm(phi_matrix, gamma: float) -> float:
     """sup over the boundary of the spectral norm of the n x n [phi_lj(z)]."""
     n = len(phi_matrix)
     if n == 0 or any(len(row) != n for row in phi_matrix):
@@ -580,7 +579,7 @@ def hinf_matrix_norm(phi_matrix, gamma: float, per_piece: int = 256) -> float:
         F = np.moveaxis(ev(z).reshape(n, n, -1), -1, 0)  # (m, n, n)
         return np.linalg.svd(F, compute_uv=False).max(axis=-1)[None]
 
-    return float(_boundary_sup(fun, gamma, per_piece)[0])
+    return float(_boundary_sup(fun, gamma, MATRIX_PER_PIECE)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +610,7 @@ def default_test_family(seed: int = 0, max_k: int = 64, max_j: int = 4,
 
 
 def calculus_constant(T, gamma: float, space: SpaceModel,
-                      family: Optional[list] = None, seed: int = 0) -> float:
+                      family: Optional[list] = None) -> float:
     """Certified lower bound for the best calculus constant K on B(gamma).
 
     max over the polynomial family of ||phi(T)|| / sup_{B(gamma)} |phi|;
@@ -621,7 +620,7 @@ def calculus_constant(T, gamma: float, space: SpaceModel,
     :func:`rittcalc.numlin.op_norms` call over the family.
     """
     T = as_matrix(T, square=True)
-    fam = family if family is not None else default_test_family(seed)
+    fam = family if family is not None else default_test_family()
     fun = _poly_stack(fam)
     denoms = _boundary_sup(lambda z: _modulus(fun, z), gamma, 256)
     kept = [(phi, float(d)) for phi, d in zip(fam, denoms) if d > 0]

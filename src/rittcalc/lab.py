@@ -42,6 +42,8 @@ __all__ = [
     "conditional_basis_demo",
 ]
 
+MARKOV_UNITARIES = 3
+
 
 # ---------------------------------------------------------------------------
 # exact identities
@@ -303,7 +305,7 @@ def _choi_matrix(L: np.ndarray, n: int) -> np.ndarray:
     return C
 
 
-def gallery_markov(n: int, seed: int, p: float = 2.0, n_unitaries: int = 3) -> GalleryInstance:
+def gallery_markov(n: int, seed: int, p: float = 2.0) -> GalleryInstance:
     """Random selfadjoint Markov map x -> sum_i p_i (U_i x U_i* + U_i* x U_i)/2.
 
     The symmetrized unitary-conjugation form is unital, trace
@@ -316,9 +318,9 @@ def gallery_markov(n: int, seed: int, p: float = 2.0, n_unitaries: int = 3) -> G
     if n < 2:
         raise ValueError("n must be >= 2")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    ws = rng.uniform(0.5, 1.5, size=n_unitaries)
+    ws = rng.uniform(0.5, 1.5, size=MARKOV_UNITARIES)
     ws = ws / np.sum(ws)
-    Us = [_haar_unitary(n, rng) for _ in range(n_unitaries)]
+    Us = [_haar_unitary(n, rng) for _ in range(MARKOV_UNITARIES)]
     L = np.zeros((n * n, n * n), dtype=complex)
     for w, U in zip(ws, Us):
         B = np.kron(U, U.conj())          # x -> U x U*  (row-major vec)
@@ -348,7 +350,7 @@ def gallery_markov(n: int, seed: int, p: float = 2.0, n_unitaries: int = 3) -> G
     return GalleryInstance(
         kind="markov",
         params={"n": n, "seed": seed, "weights": ws.tolist(),
-                "n_unitaries": n_unitaries, "p": p},
+                "n_unitaries": MARKOV_UNITARIES, "p": p},
         operator=L,
         space=SchattenP(p, n),
         certificates=certificates,
@@ -471,8 +473,8 @@ def conditional_basis_demo(n: int = 8, kappa: float = 1.0) -> dict:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if kappa < 1.0:
-        raise ValueError("kappa must be >= 1")
+    if not 1.0 <= kappa < math.inf:  # also NaN
+        raise ValueError("kappa must be finite and >= 1")
     d = 1.0 - 2.0 ** -(np.arange(1, n + 1, dtype=float))
     c = (kappa**2 - 1.0) / (kappa**2 + 1.0)
     # symmetric root of the pair Gram [[1, c], [c, 1]] on the last two coords

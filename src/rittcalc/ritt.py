@@ -43,6 +43,8 @@ __all__ = [
 
 #: dilation factor of the resolvent sample layer just outside the Stolz boundary
 RESOLVENT_DILATION = 1.0 + 1e-4
+#: points per boundary piece of the resolvent sample layer, the verdict's density
+RESOLVENT_PER_PIECE = 24
 VERTEX_EXCLUSION = 1e-8
 #: a spectral type within this of pi/2 rules T out
 TYPE_MARGIN = 1e-6
@@ -226,13 +228,13 @@ def _tail_peak(j: int, c: int, L: int, q: float, A: float, kmax: int) -> float:
 
 
 def decay_suprema(T, space: SpaceModel, N: int, orders=(0, 1, 2, 3),
-                  left=None, cut: Optional[int] = None) -> tuple:
+                  cut: Optional[int] = None) -> tuple:
     """Maxima of the :func:`decay_profiles` rows, bit for bit, from few norms.
 
     One float per order, the maximum over n <= N; with ``cut``, one pair
     per order, the maxima over n <= cut and over n <= N (1 <= cut <= N),
     which is what a doubling test reads.  The inputs, the walk and the
-    overflow rule are those of :func:`decay_profiles`.
+    overflow rule are those of :func:`decay_profiles` without ``left``.
 
     Each term has a cheap ceiling, ``space.op_norm_ceilings`` of its
     matrix times n^j, that its norm never exceeds: the Frobenius norm
@@ -251,7 +253,7 @@ def decay_suprema(T, space: SpaceModel, N: int, orders=(0, 1, 2, 3),
     The walk ends early once the terms it has not reached are ruled out
     too.  After a block of the powers T^s..T^e, q is the ceiling of
     T^L, L = max(s, ceil(e/2)).  An unreached order-j term has the matrix
-    ``left T^r (I-T)^j`` times T^(kL) for one of the last L exponents r
+    ``T^r (I-T)^j`` times T^(kL) for one of the last L exponents r
     walked and some k >= 1, and an n at most c + kL, c the largest n
     walked, so it is at most (c + kL)^j q^k A_j, A_j the largest ceiling
     of those L walked matrices.  When q < 1 that bound is log-concave in
@@ -262,7 +264,7 @@ def decay_suprema(T, space: SpaceModel, N: int, orders=(0, 1, 2, 3),
     after).  A q >= 1, or a NaN or inf in q or in A_j, never stops it,
     so a walk whose powers overflow still reaches the overflow.
     """
-    walk = _DecayWalk(T, space, N, orders, left)
+    walk = _DecayWalk(T, space, N, orders, None)
     if cut is not None and not 1 <= cut <= N:
         raise ValueError(f"cut must lie in 1..N, got {cut}")
     split = N if cut is None else cut
@@ -375,7 +377,7 @@ def _stolz_type(eigs: np.ndarray, k: int) -> float:
     return float(np.max(stolz.min_angle(lams), initial=0.0))
 
 
-def resolvent_sample_points(T, beta: float, per_piece: int = 48) -> np.ndarray:
+def resolvent_sample_points(T, beta: float, per_piece: int = RESOLVENT_PER_PIECE) -> np.ndarray:
     """The nodes of :func:`resolvent_sup`: the ``per_piece`` points per
     piece of :func:`rittcalc.stolz.boundary_samples`, dilated by
     ``RESOLVENT_DILATION`` off the closure (B(beta) is star-shaped about
@@ -385,7 +387,8 @@ def resolvent_sample_points(T, beta: float, per_piece: int = 48) -> np.ndarray:
     return lam[np.abs(lam - 1.0) > VERTEX_EXCLUSION]
 
 
-def resolvent_sup(T, beta: float, space: SpaceModel, per_piece: int = 48) -> float:
+def resolvent_sup(T, beta: float, space: SpaceModel,
+                  per_piece: int = RESOLVENT_PER_PIECE) -> float:
     """Sampled supremum of ||(lam - 1) R(lam, T)|| off closure(B(beta)).
 
     The spectrum of T lies in closure(B(beta)), so lam -> (lam - 1)
@@ -479,13 +482,10 @@ def mean_ergodic_projection(T) -> np.ndarray:
 class RittConfig:
     N: int = 512
     beta_fracs: tuple = (0.25, 0.5, 0.75)
-    resolvent_per_piece: int = 24
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be >= 1")
-        if self.resolvent_per_piece < 1:
-            raise ValueError("resolvent_per_piece must be >= 1")
 
 
 @dataclass
@@ -570,7 +570,7 @@ def ritt_verdict(T, space: Optional[SpaceModel] = None,
     betas = [alpha + (math.pi / 2 - alpha) * f for f in cfg.beta_fracs]
     betas = [beta for beta in betas if alpha < beta < math.pi / 2]
     res = {}
-    for beta, value in zip(betas, _resolvent_stage(T, betas, space, cfg.resolvent_per_piece)):
+    for beta, value in zip(betas, _resolvent_stage(T, betas, space, RESOLVENT_PER_PIECE)):
         if isinstance(value, numlin.SingularMatrixError):
             # the message names the refused node and its rcond
             stable = False

@@ -60,6 +60,8 @@ MC_DEFAULT_SAMPLES = 4096
 GRAM_TAIL_TOL = 1e-13  # geometric tail at which the Gram series is cut
 GRAM_HEAD = 8192  # Gram terms walked one power at a time; longer series double
 GRAM_N_MAX = 2**60  # longest Gram series before DivergenceError
+SF_N_MAX = 20000  # most square-function terms before the sum is flagged truncated
+C512_TOL = 1e-8  # slack on the right of c512_check's C2 <= sqrt(6) C1^2
 
 
 class DivergenceError(ArithmeticError):
@@ -75,17 +77,14 @@ class SFConfig:
     """Truncation policy for square-function sums."""
 
     m: int = 1
-    n_max: int = 20000
     tail_tol: float = 1e-10
     side: str = "column"  # Schatten models: column (y*y) or row (yy*)
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        if self.tail_tol <= 0:
-            raise ValueError("tail_tol must be positive")
+        if not 0.0 < self.tail_tol < math.inf:  # also NaN
+            raise ValueError("tail_tol must be positive and finite")
         if self.side not in ("column", "row"):
             raise ValueError("side must be 'column' or 'row'")
 
@@ -163,7 +162,7 @@ def square_function(T, x, space: SpaceModel, cfg: Optional[SFConfig] = None) -> 
 
     The sum is cut at the smallest N whose geometric tail estimate
     (driven by the spectral radius off the fixed space) drops below
-    ``cfg.tail_tol``; if that never happens by ``cfg.n_max`` the result
+    ``cfg.tail_tol``; if that never happens by ``SF_N_MAX`` terms the result
     is flagged truncated.  Terms that grow raise DivergenceError.
     """
     cfg = cfg or SFConfig()
@@ -193,7 +192,7 @@ def _square_sums(T: np.ndarray, y: np.ndarray, space: SpaceModel, cfg: SFConfig,
     k = 0
     tail = math.inf
     truncated = True
-    while k < cfg.n_max:
+    while k < SF_N_MAX:
         k += 1
         a_k = k ** (m - 0.5) * float(space.norms(y))
         per_k.append(a_k)
@@ -371,9 +370,7 @@ def sf_constant(T, m: int, space: SpaceModel,
     otherwise.
     """
     T = as_operator(T, space)
-    cfg = cfg or SFConfig(m=m)
-    if cfg.m != m:
-        cfg = dataclasses.replace(cfg, m=m)
+    cfg = dataclasses.replace(cfg or SFConfig(), m=m)
     euclidean = isinstance(space, Hilbert)
     if method not in (("auto", "gram", "maximize") if euclidean else ("auto",)):
         raise ValueError(f"unknown sf_constant method {method!r} on {type(space).__name__}")
@@ -389,18 +386,18 @@ def sf_constant(T, m: int, space: SpaceModel,
         X = _unit_starts(rng, max(trials // 50, 4), T.shape[0]).T
         return math.sqrt(_top_rayleigh(_series_gram(T, m, rho), X))
 
-    x = space.square_witness(_square_stack(T, m, rho, cfg.n_max), cfg.side)
+    x = space.square_witness(_square_stack(T, m, rho), cfg.side)
     return float(_square_sums(T, x, space, cfg, rho).value / space.norms(x))
 
 
-def _square_stack(T: np.ndarray, m: int, rho: float, n_max: int) -> np.ndarray:
+def _square_stack(T: np.ndarray, m: int, rho: float) -> np.ndarray:
     """S_k = k^(m-1/2) T^(k-1) (I-T)^m for k = 1..n, shape (n, d, d), from
     one walk of :func:`numlin.power_blocks`: n is the series length of
     :func:`_series_len`, cut at ``numlin.resolvent_block_len(d)`` and at
-    n_max."""
+    ``SF_N_MAX``."""
     d = T.shape[0]
     Am = np.linalg.matrix_power(np.eye(d, dtype=complex) - T, m)
-    n = min(_series_len(T, Am, m, rho), numlin.resolvent_block_len(d), n_max)
+    n = min(_series_len(T, Am, m, rho), numlin.resolvent_block_len(d), SF_N_MAX)
     S = np.empty((n, d, d), dtype=complex)
     for s, P in numlin.power_blocks(T, n - 1):
         np.matmul(P, Am, out=S[s:s + len(P)])
@@ -743,10 +740,10 @@ def sfe_family(m: int, count: int, exponent: str = "l") -> list:
     return fam
 
 
-def c512_check(T, tol: float = 1e-8) -> dict:
+def c512_check(T) -> dict:
     """Order-1 vs order-2 square-function constants on the Euclidean model.
 
-    Checks C2 <= sqrt(6) C1^2 + tol; the chain behind it uses only the
+    Checks C2 <= sqrt(6) C1^2 + ``C512_TOL``; the chain behind it uses only the
     exact two-variable sign identity and the convolution identity
     sum_{j<=k} j (k+1-j) = k(k+1)(k+2)/6, so on the Euclidean model the
     constant sqrt(6) is not an equivalence fudge.
@@ -754,5 +751,5 @@ def c512_check(T, tol: float = 1e-8) -> dict:
     T = as_matrix(T, square=True)
     c1 = sf_constant(T, 1, Hilbert(T.shape[0]))
     c2 = sf_constant(T, 2, Hilbert(T.shape[0]))
-    bound = math.sqrt(6.0) * c1 * c1 + tol
+    bound = math.sqrt(6.0) * c1 * c1 + C512_TOL
     return {"C1": c1, "C2": c2, "bound": bound, "holds": bool(c2 <= bound)}

@@ -40,6 +40,7 @@ __all__ = [
 
 #: sentinel returned by min_angle when z lies in no Stolz closure
 NOT_STOLZ = math.inf
+MIN_ANGLE_TOL = 1e-12
 _gauss_legendre = lru_cache(maxsize=32)(np.polynomial.legendre.leggauss)
 
 
@@ -98,20 +99,20 @@ def _check_angle(gamma: float):
         raise ValueError(f"Stolz angle must lie in (0, pi/2), got {gamma}")
 
 
-def min_angle(z, tol: float = 1e-12):
+def min_angle(z):
     """Infimum of gamma with z in closure(B(gamma)), exact to rounding.
 
     With w = 1 - z the closed tangent triangle holds z exactly when
     |arg w| <= gamma and Re z >= sin(gamma)^2, possible iff
     |w| <= cos(arg w), and the disc once sin(gamma) >= |z|: the infimum
     is min(asin|z|, |arg w|) in the first case and asin|z| otherwise.
-    ``tol`` only snaps z to 0.0 near the vertex and the segment [0, 1];
+    ``MIN_ANGLE_TOL`` only snaps z to 0.0 near the vertex and the segment [0, 1];
     ``NOT_STOLZ`` means no closure holds z (|z| >= 1 off the vertex).
     An array z gives the angles elementwise.
     """
     z = np.asarray(z, dtype=complex)
     w = 1.0 - z
-    r, rho, theta = np.abs(z), np.abs(w), np.abs(np.angle(w))
+    r, rho, theta, tol = np.abs(z), np.abs(w), np.abs(np.angle(w)), MIN_ANGLE_TOL
     disc = np.arcsin(np.minimum(r, 1.0))
     gamma = np.select(
         [rho <= tol, ~(r < 1.0),  # every Stolz closure sits in the closed unit disc

@@ -182,12 +182,29 @@ def test_usage_error_exit_2():
     (["gallery", "schur", "--n", "0"], "argument --n: '0': must be >= 1"),
     (["gallery", "schur", "--p", "0.5", "--N", "4"],
      "argument --p: '0.5': p must lie in [1, inf), got 0.5"),
-    (["sqfun", "T.json", "--tail-tol", "0"], "argument --tail-tol: '0': tail_tol must be positive"),
+    (["sqfun", "T.json", "--tail-tol", "0"],
+     "argument --tail-tol: '0': tail_tol must be positive and finite"),
+    (["sqfun", "T.json", "--tail-tol", "nan"],
+     "argument --tail-tol: 'nan': tail_tol must be positive and finite"),
+    (["sqfun", "T.json", "--tail-tol", "inf"],
+     "argument --tail-tol: 'inf': tail_tol must be positive and finite"),
+    (["gallery", "conditional-basis", "--kappa", "0.5"],
+     "argument --kappa: '0.5': must be finite and >= 1"),
+    (["gallery", "conditional-basis", "--kappa", "nan"],
+     "argument --kappa: 'nan': must be finite and >= 1"),
+    (["gallery", "conditional-basis", "--kappa", "inf"],
+     "argument --kappa: 'inf': must be finite and >= 1"),
+    (["gallery", "conditional-basis", "--kappa-grid", "1,0.5"],
+     "argument --kappa-grid: '1,0.5': must be finite and >= 1"),
+    (["gallery", "conditional-basis", "--kappa-grid", "2,nan"],
+     "argument --kappa-grid: '2,nan': must be finite and >= 1"),
     (["gallery", "schur", "--delta", "-0.5"], "argument --delta: '-0.5': must lie in [0, 2]"),
     (["gallery", "schur", "--delta", "2.5"], "argument --delta: '2.5': must lie in [0, 2]"),
     (["gallery", "schur", "--delta", "nan"], "argument --delta: 'nan': must lie in [0, 2]"),
 ], ids=["phi-unknown", "phi-frac-negative", "sqfun-m-0", "analyze-N-0", "kappa-grid-1,x",
         "conditional-basis-n-1", "c0-witness-n-13", "schur-n-0", "schur-p-0.5", "sqfun-tail-tol-0",
+        "sqfun-tail-tol-nan", "sqfun-tail-tol-inf", "kappa-0.5", "kappa-nan", "kappa-inf",
+        "kappa-grid-1,0.5", "kappa-grid-2,nan",
         "schur-delta-negative", "schur-delta-above-2", "schur-delta-nan"])
 def test_option_values_the_library_rejects_are_usage_errors(tdir, capsys, args, message):
     with pytest.raises(SystemExit) as exc:

@@ -306,12 +306,13 @@ def test_transfer_check_builds_its_sector_contour_once(monkeypatch):
 
 
 @pytest.mark.parametrize("lams", [[0.5, 0.3j, -0.2], [1.0, 0.6j, -0.4]], ids=["plain", "one"])
-def test_transfer_check_takes_the_spectrum_once(spectra, lams):
+def test_transfer_check_takes_the_spectrum_once(monkeypatch, spectra, lams):
     # the angle, the Stolz route's calculus and the sector's triangular
     # form share one ordered Schur form
     f = funcalc.from_callable(lambda z: z / (1 + z) ** 2, certificate=(1.0, 1.0))
-    mesh = stolz.MeshSpec(segment_panels=20, arc_panels=1, points_per_panel=6)
-    transfer_check(ritt_instance(6, dim=3, lams=lams), f, sector_mesh=mesh)
+    monkeypatch.setattr(funcalc, "SECTOR_MESH",
+                        stolz.MeshSpec(segment_panels=20, arc_panels=1, points_per_panel=6))
+    transfer_check(ritt_instance(6, dim=3, lams=lams), f)
     assert spectra == {"eig": 0, "schur": 1}
 
 
@@ -330,21 +331,34 @@ def test_transfer_check_truncation_resolvent_is_the_lu_one(monkeypatch):
     # |zr| ||R(zr, A)||_2 comes from the sector's Schur form, not the LU kernel
     T = ritt_instance(3)
     f = funcalc.from_callable(lambda z: z / (1 + z) ** 3, certificate=(1.0, 1.0))
-    nu, r_max = 1.2, 1e7
+    nu, r_max = 1.2, funcalc.SECTOR_R_MAX
     zr = r_max * cmath.exp(1j * nu)
     c_res = abs(zr) * np.linalg.norm(numlin.resolvents(np.eye(4) - T, [zr])[0], 2)
     mesh = stolz.MeshSpec(segment_panels=20, arc_panels=1, points_per_panel=6)
     want = c_res * stolz.sector_contour(nu, r_max, mesh).tail_factor(1.0)
     monkeypatch.setattr(numlin, "resolvents", None)
-    got = transfer_check(T, f, nu=nu, r_max=r_max, sector_mesh=mesh)["truncation_estimate"]
+    monkeypatch.setattr(funcalc, "SECTOR_MESH", mesh)
+    got = transfer_check(T, f, nu=nu)["truncation_estimate"]
     assert abs(got - want) <= 1e-14 * want
 
 
-def test_transfer_check_refuses_an_infinite_radius():
-    # the sector contour used to carry nan nodes to a singular resolvent
+def test_a_node_within_the_spectrum_tolerance_is_refused():
+    # an eigenvalue 6e-14 from a node: the rcond guard passes the node, the
+    # separation check refuses it, on the Stolz contour and on the sector
+    z0 = stolz.boundary_contour(0.6).nodes[150]
+    T = np.diag([z0 * (1 - 6e-14 / abs(z0)), 0.3])
+    with pytest.raises(funcalc.ContourSpectrumError, match=r"^quadrature node z=.* hits "
+                       r"the spectrum tolerance \(distance 5\.995e-14\)$"):
+        ContourCalculus(T, beta=0.6).apply(poly([0, 1, -1]))
+    # an eigenvalue of I - T just inside the lower ray of the sector of angle 1
+    nodes = stolz.sector_contour(1.0, funcalc.SECTOR_R_MAX, funcalc.SECTOR_MESH).nodes
+    lower = nodes[:len(nodes) // 2]
+    w = lower[np.argmin(np.abs(np.abs(lower) - 0.1))]
+    T = np.diag([1 - w * cmath.exp(6e-14j / abs(w)), 0.3])
     f = funcalc.from_callable(lambda z: z / (1 + z) ** 2, certificate=(1.0, 1.0))
-    with pytest.raises(ValueError, match="r_max must be positive and finite"):
-        transfer_check(np.diag([0.5]), f, r_max=math.inf)
+    with pytest.raises(funcalc.ContourSpectrumError, match=r"^sector node z=.* hits "
+                       r"the spectrum tolerance \(distance 6\.\d+e-14\)$"):
+        transfer_check(T, f, nu=1.0)
 
 
 def test_transfer_check_polynomial_route():
@@ -704,7 +718,7 @@ def test_hinf_norm_and_calculus_constant_match_the_scalar_reference(gamma):
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
-def test_closures_and_vector_and_matrix_norms_match_the_scalar_reference(gamma):
+def test_closures_and_vector_and_matrix_norms_match_the_scalar_reference(monkeypatch, gamma):
     def close(a, b):
         assert abs(a - b) <= 1e-12 * abs(b)
 
@@ -715,12 +729,14 @@ def test_closures_and_vector_and_matrix_norms_match_the_scalar_reference(gamma):
     rng = np.random.default_rng(8)
     phis = [poly(rng.normal(size=4) + 1j * rng.normal(size=4)) for _ in range(3)]
     mixed = phis[:2] + [frac_power_fn(0.5)]
+    monkeypatch.setattr(funcalc, "VECTOR_PER_PIECE", 64)
+    monkeypatch.setattr(funcalc, "MATRIX_PER_PIECE", 64)
     for fam in (phis, mixed):
-        close(funcalc.hinf_vector_norm(fam, gamma, per_piece=64),
+        close(funcalc.hinf_vector_norm(fam, gamma),
               _ref_hinf_vector_norm([_ref_fn(p) for p in fam], gamma, per_piece=64))
     for mat in ([[phis[0], phis[1]], [phis[2], poly([1.0])]], [[mixed[2]]],
                 [[mixed[0], mixed[2]], [mixed[1], mixed[0]]]):
-        close(funcalc.hinf_matrix_norm(mat, gamma, per_piece=64),
+        close(funcalc.hinf_matrix_norm(mat, gamma),
               _ref_hinf_matrix_norm([[_ref_fn(p) for p in row] for row in mat], gamma,
                                     per_piece=64))
 
@@ -786,13 +802,14 @@ def test_matrix_norm_rejects_a_non_square_phi_matrix():
         funcalc.hinf_matrix_norm([], 1.2)
 
 
-def test_a_nan_on_the_boundary_raises():
+def test_a_nan_on_the_boundary_raises(monkeypatch):
     # (z - z^2) / (1 - z) is 0/0 at the vertex z = 1, which every Stolz grid holds
     phi = funcalc.rational([0.0, 1.0, -1.0], [1.0, -1.0])
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="nan"):
         hinf_norm(phi, math.pi / 3)
+    monkeypatch.setattr(funcalc, "VECTOR_PER_PIECE", 64)
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="nan"):
-        funcalc.hinf_vector_norm([poly([1.0]), phi], math.pi / 3, per_piece=64)
+        funcalc.hinf_vector_norm([poly([1.0]), phi], math.pi / 3)
 
 
 def test_nevanlinna_diag_skips_the_spectral_type_when_gamma_is_given(monkeypatch):

@@ -209,8 +209,9 @@ def test_gallery_markov_certificates():
     assert -1.0 - 1e-9 <= lo <= hi <= 1.0 + 1e-9
 
 
-def test_gallery_markov_single_unitary():
-    inst = lab.gallery_markov(2, seed=0, n_unitaries=1)
+def test_gallery_markov_single_unitary(monkeypatch):
+    monkeypatch.setattr(lab, "MARKOV_UNITARIES", 1)
+    inst = lab.gallery_markov(2, seed=0)
     L = inst.operator
     assert L.shape == (4, 4)
     assert inst.certificates["unital_residual"] <= 1e-12
@@ -268,6 +269,13 @@ def test_conditional_basis_blowup():
     assert out["contraction_norm"] <= 1.0 + 1e-8
     # the reverse constant never crosses the finite-size floor
     assert out["lambda_min_M"] >= out["lambda_min_floor"] - 1e-12
+
+
+@pytest.mark.parametrize("kappa", [0.5, math.nan, math.inf])
+def test_conditional_basis_rejects_a_kappa_below_one_or_not_finite(kappa):
+    # NaN and inf used to reach an SVD that did not converge
+    with pytest.raises(ValueError, match="kappa must be finite and >= 1"):
+        lab.conditional_basis_demo(8, kappa)
 
 
 def test_conditional_basis_trend_monotone():

@@ -370,7 +370,7 @@ def test_scaled_resolvent_norms_match_mpmath_at_the_worst_nodes(name):
     I = np.eye(T.shape[0])
     for f in cfg.beta_fracs:
         beta = alpha + (np.pi / 2 - alpha) * f
-        pts = ritt.resolvent_sample_points(T, beta, cfg.resolvent_per_piece)
+        pts = ritt.resolvent_sample_points(T, beta)
         s = np.linalg.svd(pts[:, None, None] * I - T, compute_uv=False)
         z = pts[np.argsort(s[:, -1] / s[:, 0])[:5]]
         oracle = np.array([_mp_scaled_resolvent_norm(T, zj) for zj in z])
@@ -713,7 +713,7 @@ def test_ritt_verdicts_unchanged_on_gallery():
         assert rep.verdict == GALLERY_VERDICTS[name], name
         # every sampled supremum against a dense-inverse oracle
         for beta, val in rep.resolvent_sup.items():
-            pts = ritt.resolvent_sample_points(T, beta, cfg.resolvent_per_piece)
+            pts = ritt.resolvent_sample_points(T, beta)
             I = np.eye(T.shape[0])
             oracle = max(np.linalg.norm((z - 1) * np.linalg.inv(z * I - T), 2) for z in pts)
             assert abs(val - oracle) <= 1e-9 * oracle, name

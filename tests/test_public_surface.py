@@ -1,4 +1,5 @@
-"""Every public name of rittcalc has a caller outside the tests.
+"""Every public name and every public option of rittcalc has a caller
+outside the tests.
 
 A name in a module's ``__all__`` is reached when code in ``src/`` or
 ``bench/`` refers to it outside its own definition (a name, an
@@ -7,10 +8,17 @@ count), or when the benchmark tracer wraps it.  The few paper
 identities that no report reaches yet wait on the roadmap item that
 will wire them in; the one other exception is a constructor kept for
 library callers.
+
+An option is a parameter with a default of a public function or of the
+constructor of a public class (a dataclass's fields).  It is set when a
+call in ``src/`` or ``bench/`` to a callable of that name passes it, by
+keyword or by position; a value that no caller sets is a module constant
+instead, unless the option allowlist gives the reason to keep it.
 """
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import rittcalc
@@ -33,6 +41,22 @@ ALLOWED_UNREACHED = {
     "sqfun.sfe_family": "item 7",
     "sqfun.nc_khintchine_report": "item 11",
     "funcalc.rational": "user-facing constructor, the rational counterpart of poly",
+}
+
+#: module.callable.option -> why it stays settable with no caller outside the tests
+ALLOWED_UNSET = {
+    "funcalc.frac_power.beta": "a calculus angle, whose independence the tests check",
+    "funcalc.transfer_check.nu": "a calculus angle, whose independence the tests check",
+    "sqfun.SFConfig.side": "item 11",
+    "sqfun.rad_norm.mode": "the Monte Carlo route past EXACT_ENUM_MAX, item 1",
+    "sqfun.rad_norm.samples": "the Monte Carlo route past EXACT_ENUM_MAX, item 1",
+    "sqfun.rad_norm.seed": "the Monte Carlo route past EXACT_ENUM_MAX, item 1",
+    "funcalc.nevanlinna_diag.gamma": "item 7",
+    "lab.pairing_bound_check.N": "item 7",
+    "lab.pairing_bound_check.tail_tol": "item 7",
+    "sqfun.sfe_family.exponent": "item 7",
+    "stolz.contour_moment.mesh": "item 7",
+    "funcalc.rational.label": "user-facing constructor, labelled as poly is",
 }
 
 
@@ -84,13 +108,18 @@ class _References(ast.NodeVisitor):
         self.found.update(f"{owner}.{alias.name}" for alias in node.names)
 
 
-def _reached() -> set:
-    found = _traced()
+def _scanned() -> list:
+    """(module, syntax tree) of every file in src/ and bench/."""
     files = [(p.stem, p) for p in SRC.glob("*.py")] + \
         [("bench", p) for p in (ROOT / "bench").glob("*.py")]
-    for module, path in files:
+    return [(module, ast.parse(path.read_text(encoding="utf-8"))) for module, path in files]
+
+
+def _reached() -> set:
+    found = _traced()
+    for module, tree in _scanned():
         refs = _References(module)
-        refs.visit(ast.parse(path.read_text(encoding="utf-8")))
+        refs.visit(tree)
         found |= refs.found
     return found
 
@@ -115,3 +144,44 @@ def test_the_allowlist_holds_only_unreached_public_names():
     allowed = set(ALLOWED_UNREACHED)
     assert allowed <= _public(), sorted(allowed - _public())
     assert not allowed & _reached(), sorted(allowed & _reached())
+
+
+def _options() -> dict:
+    """module.callable.option -> (callable name, position or None) for every
+    public option; parameters led by an underscore are private."""
+    out = {}
+    for name in sorted(_public()):
+        module, attr = name.split(".")
+        try:
+            params = inspect.signature(getattr(getattr(rittcalc, module), attr)).parameters
+        except (TypeError, ValueError):  # a constant, or a builtin exception's constructor
+            continue
+        for pos, p in enumerate(params.values()):
+            if p.default is not p.empty and not p.name.startswith("_"):
+                positional = p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+                out[f"{name}.{p.name}"] = (attr, pos if positional else None)
+    return out
+
+
+def _unset() -> set:
+    """The public options that no call in src/ or bench/ passes."""
+    passed = {}  # callable name -> the keywords and positions some call passes
+    for _, tree in _scanned():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _owner(node.func) is not None:
+                got = passed.setdefault(_owner(node.func), set())
+                got.update(kw.arg for kw in node.keywords if kw.arg is not None)
+                got.update(range(len(node.args)))
+    return {option for option, (name, pos) in _options().items()
+            if not {option.rsplit(".", 1)[1], pos} & passed.get(name, set())}
+
+
+def test_every_option_is_set_outside_the_tests():
+    unset = sorted(_unset() - set(ALLOWED_UNSET))
+    assert not unset, unset
+
+
+def test_the_option_allowlist_holds_only_unset_options():
+    allowed = set(ALLOWED_UNSET)
+    assert allowed <= set(_options()), sorted(allowed - set(_options()))
+    assert allowed <= _unset(), sorted(allowed - _unset())

@@ -353,12 +353,6 @@ def test_ritt_config_rejects_N_below_one():
         ritt.RittConfig(N=0)
 
 
-def test_ritt_config_rejects_resolvent_per_piece_below_one():
-    # refused when the config is made, not after the whole decay walk
-    with pytest.raises(ValueError, match="resolvent_per_piece must be >= 1"):
-        ritt.RittConfig(resolvent_per_piece=0)
-
-
 # ---------------------------------------------------------------------------
 # decay_profiles against an mpmath oracle
 # ---------------------------------------------------------------------------
@@ -600,16 +594,14 @@ def test_decay_suprema_are_the_row_maxima_bit_for_bit(monkeypatch, space, kind):
     # blocks of 22 powers cut into slices of 5; the cut at n = 17 splits a
     # slice; T = I and T = 0 give tied and constant rows
     T = SUPREMA_T[kind]
-    left = _ritt_matrix(4, 32)
     monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", SMALL_BLOCK_BYTES)
-    for L in (None, left):
-        rows = ritt.decay_profiles(T, space, SUPREMA_N, left=L)
-        for cut in (None, SUPREMA_CUT):
-            ref = _row_maxima(rows, cut)
-            for workers in (1, 2, 8):
-                monkeypatch.setattr(numlin, "_worker_count", lambda w=workers: w)
-                got = ritt.decay_suprema(T, space, SUPREMA_N, left=L, cut=cut)
-                assert _hex_suprema(got) == ref, (L is None, cut, workers)
+    rows = ritt.decay_profiles(T, space, SUPREMA_N)
+    for cut in (None, SUPREMA_CUT):
+        ref = _row_maxima(rows, cut)
+        for workers in (1, 2, 8):
+            monkeypatch.setattr(numlin, "_worker_count", lambda w=workers: w)
+            got = ritt.decay_suprema(T, space, SUPREMA_N, cut=cut)
+            assert _hex_suprema(got) == ref, (cut, workers)
 
 
 def test_decay_suprema_orders_and_cut_checks():
@@ -716,7 +708,7 @@ def _one_beta_calls(T, space, cfg):
     for f in cfg.beta_fracs:
         beta = alpha + (math.pi / 2 - alpha) * f
         try:
-            out.append((beta, resolvent_sup(T, beta, space, cfg.resolvent_per_piece)))
+            out.append((beta, resolvent_sup(T, beta, space, ritt.RESOLVENT_PER_PIECE)))
         except numlin.SingularMatrixError as exc:
             out.append((beta, exc))
     return out
@@ -726,7 +718,8 @@ def _one_beta_calls(T, space, cfg):
 def test_verdict_resolvent_stage_is_the_one_beta_calls_bit_for_bit(monkeypatch, space):
     # 28 nodes per beta, 84 in all: blocks of 5 on the small block bytes,
     # each beta's last block partial; the default block holds one beta
-    cfg = ritt.RittConfig(N=8, resolvent_per_piece=6)
+    cfg = ritt.RittConfig(N=8)
+    monkeypatch.setattr(ritt, "RESOLVENT_PER_PIECE", 6)
     for T, refused in ((_ritt_matrix(4, 31), 0), (REFUSING_FIRST_BETA, 1)):
         calls = _one_beta_calls(T, space, cfg)
         want_res = {round(b, 12): v.hex() for b, v in calls if isinstance(v, float)}

@@ -83,40 +83,36 @@ def _walked(mp):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(sorted(MODELS)),
        radius=st.floats(0.1, 0.97), vcond=st.floats(1.0, 30.0),
-       grow=st.sampled_from([0.0, 0.0, 0.02]), with_left=st.booleans(),
-       cut=st.sampled_from([None, 1, 17, 40]))
+       grow=st.sampled_from([0.0, 0.0, 0.02]), cut=st.sampled_from([None, 1, 17, 40]))
 def test_decay_suprema_are_the_row_maxima_on_random_operators(seed, model, radius, vcond,
-                                                              grow, with_left, cut):
+                                                              grow, cut):
     # Ritt operators, whose walks may stop early, and growing ones, whose
     # power ceilings never fall below 1
     N = 80
     space = MODELS[model]
     T = _operator(seed, radius, vcond, grow)
-    left = _operator(seed + 1, 0.9, 3.0) if with_left else None
     with pytest.MonkeyPatch.context() as mp:
         _small_blocks(mp)
-        ref = _row_maxima(ritt.decay_profiles(T, space, N, left=left), N, cut)
+        ref = _row_maxima(ritt.decay_profiles(T, space, N), N, cut)
         ends = _walked(mp)
-        got = ritt.decay_suprema(T, space, N, left=left, cut=cut)
+        got = ritt.decay_suprema(T, space, N, cut=cut)
     assert _hex(got) == ref
     if grow:
         assert ends[-1] == N  # a growing walk never stops
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
-@pytest.mark.parametrize("with_left", [False, True], ids=["I", "left"])
 @pytest.mark.parametrize("cut", [None, 100])
-def test_decaying_walks_stop_early(monkeypatch, model, with_left, cut):
+def test_decaying_walks_stop_early(monkeypatch, model, cut):
     # spectral radius 0.5: after the first block of 16 powers the ceiling
     # of T^8 rules out every later term of 2N = 200
     N = 200
     space = MODELS[model]
     T = _operator(7, 0.5, 2.0)
-    left = _operator(8, 0.9, 3.0) if with_left else None
     _small_blocks(monkeypatch)
-    ref = _row_maxima(ritt.decay_profiles(T, space, N, left=left), N, cut)
+    ref = _row_maxima(ritt.decay_profiles(T, space, N), N, cut)
     ends = _walked(monkeypatch)
-    got = ritt.decay_suprema(T, space, N, left=left, cut=cut)
+    got = ritt.decay_suprema(T, space, N, cut=cut)
     assert _hex(got) == ref
     assert ends[-1] < N // 4, ends
 
@@ -197,7 +193,7 @@ def test_resolvent_sup_is_the_maximum_over_the_outer_family(name):
     # the maximum principle on the verdict's inputs: the layer next to the
     # boundary alone gives the maximum over every outer node, bit for bit
     T, space = VERDICT_CASES[name]
-    per_piece = ritt.RittConfig().resolvent_per_piece
+    per_piece = ritt.RESOLVENT_PER_PIECE
     alpha = ritt.spectral_type(T)
     for f in ritt.RittConfig().beta_fracs:
         beta = alpha + (math.pi / 2 - alpha) * f
@@ -232,7 +228,8 @@ def test_verdict_refuses_one_beta_and_keeps_the_others_in_beta_order(monkeypatch
     # swallows nodes of the first beta only: the verdict refuses that beta,
     # as its one-beta call does, and gives the others' one-beta values bit
     # for bit, on two workers
-    space, per_piece, cfg = MODELS[model], 6, ritt.RittConfig(N=8, resolvent_per_piece=6)
+    space, per_piece, cfg = MODELS[model], 6, ritt.RittConfig(N=8)
+    monkeypatch.setattr(ritt, "RESOLVENT_PER_PIECE", per_piece)
     T = np.diag([0.5, 0.5, 0.3, 0.1]).astype(complex)
     T[0, 1] = 2.5e6
     alpha = ritt.spectral_type(T)

@@ -60,10 +60,10 @@ def test_square_function_other_models():
 def test_square_function_divergence_detected():
     # the 32nd growing term in a row is the first bad k
     with pytest.raises(sqfun.DivergenceError) as exc:
-        square_function(np.diag([1.5]), [1.0], Hilbert(1), SFConfig(n_max=4000))
+        square_function(np.diag([1.5]), [1.0], Hilbert(1))
     assert exc.value.k == 33
     with pytest.raises(sqfun.DivergenceError) as exc:
-        square_function(np.diag([1.5, 0.5]), [1.0, 1.0], Hilbert(2), SFConfig(n_max=4000))
+        square_function(np.diag([1.5, 0.5]), [1.0, 1.0], Hilbert(2))
     assert exc.value.k == 33
 
 
@@ -259,9 +259,11 @@ def test_rad_rad_norm_names_a_bad_grid_shape(grid, shape):
         rad_rad_norm(grid, Hilbert(2))
 
 
-def test_sfconfig_rejects_n_max_below_one():
-    with pytest.raises(ValueError, match="n_max"):
-        SFConfig(n_max=0)
+@pytest.mark.parametrize("tail_tol", [0.0, -1e-10, math.nan, math.inf])
+def test_sfconfig_rejects_a_tail_tol_not_positive_and_finite(tail_tol):
+    # a NaN tolerance used to pass, and its sums ran until the iterate underflowed
+    with pytest.raises(ValueError, match="tail_tol must be positive and finite"):
+        SFConfig(tail_tol=tail_tol)
 
 
 def test_nc_khintchine_report():
@@ -378,7 +380,7 @@ def test_matrix_ratio_rejects_a_non_square_phi_matrix_or_wrong_vector_count():
         matrix_calc_ratio(T, [[one, zero], [zero, one]], xs[:1], Hilbert(2), gamma=1.2)
 
 
-def test_matrix_ratio_sampling_stability():
+def test_matrix_ratio_sampling_stability(monkeypatch):
     rng = np.random.default_rng(16)
     T = np.diag([0.5, 0.9])
     mat = [[funcalc.poly(rng.normal(size=3)) for _ in range(2)] for _ in range(2)]
@@ -386,7 +388,8 @@ def test_matrix_ratio_sampling_stability():
     a = matrix_calc_ratio(T, mat, xs, Hilbert(2), gamma=1.2)
     # denominator sampling refinement changes the ratio only marginally
     num = a * funcalc.hinf_matrix_norm(mat, 1.2) * rad_norm(xs, Hilbert(2)).value
-    den_fine = funcalc.hinf_matrix_norm(mat, 1.2, per_piece=1024)
+    monkeypatch.setattr(funcalc, "MATRIX_PER_PIECE", 1024)
+    den_fine = funcalc.hinf_matrix_norm(mat, 1.2)
     b = num / (den_fine * rad_norm(xs, Hilbert(2)).value)
     assert abs(a - b) <= 1e-6 * (1 + a)
 
@@ -489,7 +492,7 @@ def _ladder_square_function(T, x, space, cfg):
     k = 0
     tail = math.inf
     truncated = True
-    while k < cfg.n_max:
+    while k < sqfun.SF_N_MAX:
         k += 1
         w = k ** (2 * m - 1)
         a_k = k ** (m - 0.5) * _ladder_vec_norm(y, space)
@@ -747,7 +750,7 @@ def _parent_square_function(T, x, space, cfg):
     k = 0
     tail = math.inf
     truncated = True
-    while k < cfg.n_max:
+    while k < sqfun.SF_N_MAX:
         k += 1
         w = k ** (2 * m - 1)
         a_k = k ** (m - 0.5) * float(space.norms(y))
@@ -791,10 +794,12 @@ def test_square_function_is_the_parent_loop_bit_for_bit(space, side):
         T = ritt_instance(seed, lam_hi=0.97)
         for m in (1, 2):
             x = rng.normal(size=4) + 1j * rng.normal(size=4)
-            cfg = SFConfig(m=m, side=side, tail_tol=10.0 ** -rng.integers(8, 14),
-                           n_max=int(rng.choice([5, 20000])))
-            rep = square_function(T, x, space, cfg)
-            value, tail, n_terms, truncated, per_k = _parent_square_function(T, x, space, cfg)
+            cfg = SFConfig(m=m, side=side, tail_tol=10.0 ** -rng.integers(8, 14))
+            with pytest.MonkeyPatch.context() as mp:  # both loops read the cap
+                mp.setattr(sqfun, "SF_N_MAX", int(rng.choice([5, 20000])))
+                rep = square_function(T, x, space, cfg)
+                value, tail, n_terms, truncated, per_k = _parent_square_function(
+                    T, x, space, cfg)
             assert (rep.value, rep.tail_bound, rep.n_terms, rep.truncated) == \
                 (value, tail, n_terms, truncated)
             assert np.array_equal(rep.per_k, per_k)
@@ -1020,11 +1025,13 @@ def test_gram_series_and_square_stack_share_one_length_rule(monkeypatch):
     T = ritt_instance(5, lam_hi=0.97)
     rho = sqfun._effective_radius(T)[0]
     sqfun._series_gram(T, 2, rho)
-    assert len(sqfun._square_stack(T, 2, rho, 20000)) == lengths[1] == lengths[0] > 64
-    # cut at the block length of the resolvents and at n_max
-    assert len(sqfun._square_stack(T, 2, rho, 100)) == 100
+    assert len(sqfun._square_stack(T, 2, rho)) == lengths[1] == lengths[0] > 64
+    # cut at the block length of the resolvents and at SF_N_MAX
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sqfun, "SF_N_MAX", 100)
+        assert len(sqfun._square_stack(T, 2, rho)) == 100
     monkeypatch.setattr(numlin, "RESOLVENT_BLOCK_BYTES", 16 * 16 * 50)
-    assert len(sqfun._square_stack(T, 2, rho, 20000)) == numlin.resolvent_block_len(4) == 50
+    assert len(sqfun._square_stack(T, 2, rho)) == numlin.resolvent_block_len(4) == 50
 
 
 def test_sf_constant_on_a_slow_operator_holds_a_few_blocks():

@@ -87,7 +87,7 @@ def test_contains_conjugation_symmetry():
         assert contains(0.7, z) == contains(0.7, z.conjugate())
 
 
-def test_min_angle_examples():
+def test_min_angle_examples(monkeypatch):
     assert min_angle(1.0) == 0.0
     assert min_angle(0.5) == 0.0  # the segment [0, 1] lies in every hull
     # tangency oracle: on the arc portion the critical angle is arcsin|z|
@@ -95,12 +95,13 @@ def test_min_angle_examples():
     assert abs(min_angle(-0.3) - math.asin(0.3)) <= 1e-10
     assert min_angle(-1.0) == NOT_STOLZ
     assert min_angle(1.0j) == NOT_STOLZ
-    # tol only snaps z to 0 next to the vertex and the segment [0, 1]
+    # MIN_ANGLE_TOL only snaps z to 0 next to the vertex and the segment [0, 1]
     assert min_angle(1.0 + 5e-13j) == min_angle(0.3 - 1e-12j) == min_angle(-1e-12) == 0.0
     assert min_angle(0.3 - 2e-12j) > 0.0
-    assert min_angle(0.3 - 2e-12j, tol=1e-11) == 0.0
     for z in (1.0 + 2e-12, 0.6 + 0.8j, complex(math.nan, 0.0), complex(math.inf, 0.0)):
         assert min_angle(z) == NOT_STOLZ, z
+    monkeypatch.setattr(stolz, "MIN_ANGLE_TOL", 1e-11)
+    assert min_angle(0.3 - 2e-12j) == 0.0
 
 
 def test_min_angle_is_the_membership_crossing():

@@ -90,7 +90,7 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
             return _fn(self, A)
 
         monkeypatch.setattr(type(space), "op_norm_ceilings", ceiling_thread)
-        ritt.ritt_verdict(T, space, ritt.RittConfig(N=16, resolvent_per_piece=2))
+        ritt.ritt_verdict(T, space, ritt.RittConfig(N=16))
         ritt.decay_profiles(T, space, 32)
     # rad_norm at K = 10 on lp:3 takes 32 blocks of 16 patterns, rad_rad_norm
     # on a 3 x 4 grid 2 blocks of 16; the blocks are built on workers

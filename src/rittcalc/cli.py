@@ -28,6 +28,8 @@ from .jsonutil import matrix_from_json, sanitize
 from .numlin import (Hilbert, LpWeighted, SchattenP, ShapeError, SingularMatrixError, SupSeq,
                      check_vector)
 
+__all__ = ["IngestError", "load_matrix", "main"]
+
 SCHEMA = "ritt-calc/1"
 # what the library raises when it declines an operator or a function
 REFUSALS = (sqfun.DivergenceError, SingularMatrixError, funcalc.ContourSpectrumError,

@@ -51,6 +51,7 @@ __all__ = [
     "hinf_vector_norm",
     "hinf_matrix_norm",
     "calculus_constant",
+    "default_test_family",
     "nevanlinna_diag",
 ]
 
@@ -98,17 +99,15 @@ def _node_resolvents(U: np.ndarray, nodes: np.ndarray, what: str) -> np.ndarray:
 class HolomorphicFn:
     """A scalar holomorphic function with optional structure.
 
-    ``kind`` is one of ``polynomial`` (ascending ``coeffs``),
-    ``rational`` (``coeffs``/``den_coeffs``) or ``closure``.  The
+    ``coeffs`` holds the ascending coefficients of a polynomial and is
+    None for every other function.  The
     ``h0_certificate`` (c, s) asserts |phi(z)| <= c |1 - z|^s on the
     Stolz domains in use, which is what makes the boundary integral
     absolutely convergent when 1 is in the spectrum.
     """
 
     evaluator: Callable
-    kind: str = "closure"
     coeffs: Optional[np.ndarray] = None
-    den_coeffs: Optional[np.ndarray] = None
     h0_certificate: Optional[tuple] = None
     label: str = ""
 
@@ -139,7 +138,7 @@ def poly(coeffs: Sequence[complex], label: str = "") -> HolomorphicFn:
     c = np.asarray(list(coeffs), dtype=complex)
     if c.size == 0:
         c = np.zeros(1, dtype=complex)
-    fn = HolomorphicFn(evaluator=_horner(c), kind="polynomial", coeffs=c,
+    fn = HolomorphicFn(evaluator=_horner(c), coeffs=c,
                        label=label or f"poly deg {len(c) - 1}")
     val1 = complex(np.sum(c))
     if abs(val1) <= 1e-13 * (1.0 + float(np.sum(np.abs(c)))):
@@ -156,21 +155,18 @@ def poly(coeffs: Sequence[complex], label: str = "") -> HolomorphicFn:
 def rational(num: Sequence[complex], den: Sequence[complex],
              label: str = "") -> HolomorphicFn:
     """Rational function num/den, ascending coefficients."""
-    n = np.asarray(list(num), dtype=complex)
-    d = np.asarray(list(den), dtype=complex)
-    ev_n, ev_d = _horner(n), _horner(d)
+    ev_n, ev_d = (_horner(np.asarray(list(c), dtype=complex)) for c in (num, den))
 
     def ev(z):
         return ev_n(z) / ev_d(z)
 
-    return HolomorphicFn(evaluator=ev, kind="rational", coeffs=n, den_coeffs=d,
-                         label=label or "rational")
+    return HolomorphicFn(evaluator=ev, label=label or "rational")
 
 
 def from_callable(f: Callable, certificate: Optional[tuple] = None,
                   label: str = "") -> HolomorphicFn:
     return HolomorphicFn(evaluator=lambda z: f(np.asarray(z, dtype=complex)),
-                         kind="closure", h0_certificate=certificate,
+                         h0_certificate=certificate,
                          label=label or "closure")
 
 
@@ -182,8 +178,7 @@ def frac_power_fn(delta: float) -> HolomorphicFn:
     def ev(z):
         return np.power(1.0 - np.asarray(z, dtype=complex), delta)
 
-    return HolomorphicFn(evaluator=ev, kind="closure",
-                         h0_certificate=(1.0, float(delta)),
+    return HolomorphicFn(evaluator=ev, h0_certificate=(1.0, float(delta)),
                          label=f"(1-z)^{delta}")
 
 
@@ -214,7 +209,7 @@ def named_function(spec: str) -> HolomorphicFn:
 def _poly_coeffs(phi) -> np.ndarray:
     """Ascending coefficients of a polynomial HolomorphicFn or sequence."""
     if isinstance(phi, HolomorphicFn):
-        if phi.kind != "polynomial":
+        if phi.coeffs is None:
             raise ValueError("eval_poly needs a polynomial")
         return phi.coeffs
     return np.asarray(list(phi), dtype=complex)
@@ -450,12 +445,12 @@ def transfer_check(T, f: HolomorphicFn, nu: Optional[float] = None) -> dict:
         raise ContourSpectrumError(
             f"sector angle nu={nu:.6g} must lie in (alpha, pi/2)")
 
-    if f.kind != "polynomial" and f.h0_certificate is None:
+    if f.coeffs is None and f.h0_certificate is None:
         raise AdmissibilityError(
             "sector route needs a decay certificate |f| <= c min(|z|^s, |z|^-s)")
     calc = ContourCalculus(T, gamma=nu, _spectrum=spectrum)
     tail = 0.0
-    if f.kind == "polynomial":
+    if f.coeffs is not None:
         lhs = eval_poly(I - T, f)
     else:
         c, s = f.h0_certificate
@@ -465,7 +460,7 @@ def transfer_check(T, f: HolomorphicFn, nu: Optional[float] = None) -> dict:
         tail = c * c_res * sc.tail_factor(s)
 
     phi = HolomorphicFn(evaluator=lambda z: f(1.0 - np.asarray(z, dtype=complex)),
-                        kind="closure", h0_certificate=f.h0_certificate,
+                        h0_certificate=f.h0_certificate,
                         label=f"{f.label or 'f'}(1-z)")
     rhs_report = calc.apply(phi)
     diff = float(np.linalg.norm(lhs - rhs_report.value, 2))
@@ -640,7 +635,7 @@ def nevanlinna_diag(T, phi: HolomorphicFn, space: SpaceModel, N: int,
     domain; the ratio reported here is the measured constant.
     """
     T = as_matrix(T, square=True)
-    if phi.kind == "polynomial":
+    if phi.coeffs is not None:
         phiT = eval_poly(T, phi)
     else:
         phiT = eval_contour(T, phi, gamma=gamma).value

@@ -141,22 +141,6 @@ class SimilarityReport:
     equivalence_constants: tuple = (math.nan, math.nan)
     condition_V: float = math.nan
 
-    @property
-    def equivalence_ratio(self) -> float:
-        lo, hi = self.equivalence_constants
-        return hi / lo if lo > 0 else math.inf
-
-    def to_json_dict(self) -> dict:
-        from .jsonutil import matrix_to_json, sanitize
-
-        return sanitize({
-            "V": matrix_to_json(self.V),
-            "contraction_norm": self.contraction_norm,
-            "equivalence_constants": list(self.equivalence_constants),
-            "equivalence_ratio": self.equivalence_ratio,
-            "condition_V": self.condition_V,
-        })
-
 
 def similarity_builder(T) -> SimilarityReport:
     """Renorm so that T becomes a contraction.
@@ -206,7 +190,7 @@ def pairing_bound_check(T, phi, x, y, N: int = 400,
     T = as_matrix(T, square=True)
     x = np.asarray(x, dtype=complex).reshape(-1)
     y = np.asarray(y, dtype=complex).reshape(-1)
-    if not isinstance(phi, funcalc.HolomorphicFn) or phi.kind != "polynomial":
+    if not isinstance(phi, funcalc.HolomorphicFn) or phi.coeffs is None:
         raise ValueError("pairing bound is run on polynomial phi")
     if abs(complex(np.sum(phi.coeffs))) > 1e-12 * (1 + float(np.sum(np.abs(phi.coeffs)))):
         raise ValueError("phi must vanish at 1")
@@ -485,7 +469,6 @@ def conditional_basis_demo(n: int = 8, kappa: float = 1.0) -> dict:
     T = E @ np.diag(d.astype(complex)) @ np.linalg.inv(E)
 
     kappa_achieved = float(np.linalg.cond(E))
-    sf = sqfun.sf_constant(T, 1, Hilbert(n))
     sim = similarity_builder(T)
     K = np.empty((n, n))
     for i in range(n):
@@ -498,7 +481,10 @@ def conditional_basis_demo(n: int = 8, kappa: float = 1.0) -> dict:
         "n": n,
         "kappa": kappa,
         "kappa_achieved": kappa_achieved,
-        "sf_constant": sf,
+        # no eigenvalue is 1, so P = 0 and M is the order-1 Gram operator:
+        # its top constant is sqfun.sf_constant(T, 1, Hilbert(n)), which
+        # would take a second Schur form and Gram series of the same T
+        "sf_constant": hi,
         "equivalence_constants": (lo, hi),
         "lambda_min_M": lo * lo,
         "lambda_max_M": hi * hi,

@@ -178,8 +178,8 @@ class LpWeighted(_Pointwise):
         if not 1.0 < self.p < np.inf:
             raise ValueError(f"p must lie in (1, inf), got {self.p}")
         w = np.asarray(self.weights, dtype=float)
-        if w.size == 0 or np.any(w <= 0):
-            raise ValueError("weights must be a nonempty strictly positive tuple")
+        if w.size == 0 or not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError("weights must be a nonempty tuple of finite positive numbers")
         object.__setattr__(self, "weights", tuple(float(v) for v in w))
 
     @property

@@ -31,7 +31,6 @@ __all__ = [
     "RittReport",
     "decay_profiles",
     "decay_suprema",
-    "power_bound",
     "increment_bound",
     "spectral_type",
     "resolvent_sample_points",
@@ -338,15 +337,6 @@ def decay_suprema(T, space: SpaceModel, N: int, orders=(0, 1, 2, 3),
     walk.run(on_block, tail_ruled_out)
     maxima = [(float(best[j, 0]), float(np.max([best[j, 0], best[j, 1]]))) for j in orders]
     return tuple(maxima if cut is not None else (b for _, b in maxima))
-
-
-def power_bound(T, space: SpaceModel, N: int) -> float:
-    """max over 0 <= n <= N of the operator norm of T^n.
-
-    Lower-bound flavor on the non-exact norm models, like everything
-    built on :func:`rittcalc.numlin.op_norm`.
-    """
-    return decay_suprema(T, space, N, orders=(0,))[0]
 
 
 def increment_bound(T, space: SpaceModel, N: int) -> float:

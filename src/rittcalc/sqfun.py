@@ -127,17 +127,6 @@ class RadEstimate:
     seed: Optional[int] = None
     standard_error: float = 0.0
 
-    def to_json_dict(self) -> dict:
-        from .jsonutil import sanitize
-
-        return sanitize({
-            "value": self.value,
-            "mode": self.mode,
-            "samples": self.samples,
-            "seed": self.seed,
-            "standard_error": self.standard_error,
-        })
-
 
 # ---------------------------------------------------------------------------
 # square functions
@@ -665,7 +654,7 @@ def _apply_family(T: np.ndarray, phis: Sequence, gamma: Optional[float]):
     outs = []
     calc = None
     for phi in phis:
-        if isinstance(phi, funcalc.HolomorphicFn) and phi.kind == "polynomial":
+        if isinstance(phi, funcalc.HolomorphicFn) and phi.coeffs is not None:
             outs.append(funcalc.eval_poly(T, phi))
         else:
             if calc is None:

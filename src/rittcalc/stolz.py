@@ -142,10 +142,6 @@ class Contour:
     weights: np.ndarray
     r_max: float = math.inf
 
-    @property
-    def length(self) -> float:
-        return float(np.sum(self.weights))
-
     def tail_factor(self, s: float) -> float:
         """Geometry factor r_max^(-s) / (pi s) of the outer-truncation error.
 

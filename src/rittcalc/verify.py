@@ -17,9 +17,15 @@ import numpy as np
 from . import funcalc, lab, numlin, ritt, sqfun
 from .numlin import Hilbert, LpWeighted, SchattenP, SupSeq
 
+__all__ = ["DEFAULT_SEED", "SUITES", "random_ritt", "run_suite", "run_all"]
+
 DEFAULT_SEED = 0xC0FFEE
 
 SUITES = ("identities", "contour", "rad", "similarity", "gallery")
+
+#: spectral type bound and eigenvector conditioning of :func:`random_ritt`
+TYPE_MAX = math.pi / 6
+VCOND = 5.0
 
 
 def _rng(seed, stream: int):
@@ -33,13 +39,12 @@ def _check(name: str, observed, bound, ok: Optional[bool] = None, **extra) -> di
     return d
 
 
-def random_ritt(rng, dim: int, type_max: float = math.pi / 6,
-                vcond: float = 5.0, noncontractive: bool = False) -> np.ndarray:
-    """Random diagonalizable matrix with spectral type <= type_max.
+def random_ritt(rng, dim: int, noncontractive: bool = False) -> np.ndarray:
+    """Random diagonalizable matrix with spectral type <= ``TYPE_MAX``.
 
     Eigenvalues are a mix of reals in [0.05, 0.9] (type 0) and points of
-    the disc |z| < sin(type_max); the eigenvector matrix has controlled
-    conditioning.  With ``noncontractive`` the conditioning is raised
+    the disc |z| < sin(TYPE_MAX); the eigenvector matrix has condition
+    number ``VCOND``.  With ``noncontractive`` the conditioning is raised
     until the operator norm exceeds 1.
     """
     for attempt in range(64):
@@ -48,12 +53,12 @@ def random_ritt(rng, dim: int, type_max: float = math.pi / 6,
             if rng.uniform() < 0.5:
                 lam[i] = rng.uniform(0.05, 0.9)
             else:
-                r = 0.95 * math.sin(type_max) * math.sqrt(rng.uniform())
+                r = 0.95 * math.sin(TYPE_MAX) * math.sqrt(rng.uniform())
                 th = rng.uniform(0.0, 2 * math.pi)
                 lam[i] = r * complex(math.cos(th), math.sin(th))
         Q1, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
         Q2, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-        cond = vcond * (2.0 ** attempt if noncontractive else 1.0)
+        cond = VCOND * (2.0 ** attempt if noncontractive else 1.0)
         s = np.geomspace(1.0, cond, dim)
         V = Q1 @ np.diag(s) @ Q2
         T = V @ np.diag(lam) @ np.linalg.inv(V)

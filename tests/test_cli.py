@@ -314,6 +314,17 @@ def test_space_of_the_wrong_size_is_an_ingestion_error(tmp_path, capsys, command
     assert ("trailing fields" if spec in TRAILING_SPECS else "size 4") in err
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "0"])
+def test_a_weight_that_is_not_finite_and_positive_is_an_ingestion_error(tmp_path, capsys, weight):
+    import scipy.io
+
+    scipy.io.mmwrite(str(tmp_path / "T.mtx"), np.diag([0.5, 0.2, 0.1, 0.3]))
+    spec = f"lp:3:{weight},1,1,1"
+    assert run(["analyze", tmp_path / "T.mtx", "--space", spec]) == 3
+    err = capsys.readouterr().err
+    assert "ingestion error" in err and "finite positive" in err
+
+
 @pytest.mark.parametrize("space, x, sizes", [
     ("hilbert", np.ones((3, 1)), ("size 3", "dimension 4")),
     ("lp:3", np.ones((1, 5)), ("size 5", "dimension 4")),

@@ -32,6 +32,17 @@ def test_eval_poly_examples():
     assert np.allclose(eval_poly(T_TRI, poly([0, 1, -1])), T_TRI - T_TRI @ T_TRI)
 
 
+def test_only_a_polynomial_skips_the_certificate():
+    # a rational function has no coefficients: eval_poly refuses it, and
+    # the sector route asks it for a decay certificate
+    phi = funcalc.rational([0.0, 1.0], [2.0, -1.0])
+    assert phi.coeffs is None
+    with pytest.raises(ValueError, match="needs a polynomial"):
+        eval_poly(T_TRI, phi)
+    with pytest.raises(funcalc.AdmissibilityError, match="certificate"):
+        transfer_check(T_TRI, phi)
+
+
 def test_polynomial_horner_matches_generic_evaluation():
     rng = np.random.default_rng(0)
     c = rng.normal(size=9) + 1j * rng.normal(size=9)
@@ -693,7 +704,7 @@ def _ref_hinf_matrix_norm(phi_matrix, gamma: float, per_piece: int = 256) -> flo
 
 def _ref_fn(phi):
     """phi as the reference evaluates it: polynomials by _ref_horner."""
-    return _ref_horner(phi.coeffs) if phi.kind == "polynomial" else phi
+    return _ref_horner(phi.coeffs) if phi.coeffs is not None else phi
 
 
 GAMMAS = (math.pi / 4, math.pi / 3, 0.9, 1.2, math.pi / 2)

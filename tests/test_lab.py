@@ -271,6 +271,18 @@ def test_conditional_basis_blowup():
     assert out["lambda_min_M"] >= out["lambda_min_floor"] - 1e-12
 
 
+@pytest.mark.parametrize("kappa", [1.0, 10.0, 1e3, 1e6])
+def test_conditional_basis_takes_one_spectrum(monkeypatch, kappa):
+    # the similarity renorming's Gram series also gives sf_constant, bit for bit
+    seen = []
+    spectrum = ritt._spectrum
+    monkeypatch.setattr(ritt, "_spectrum", lambda T: seen.append(T) or spectrum(T))
+    out = lab.conditional_basis_demo(8, kappa)
+    assert len(seen) == 1
+    monkeypatch.undo()
+    assert out["sf_constant"] == sqfun.sf_constant(seen[0], 1, Hilbert(8))
+
+
 @pytest.mark.parametrize("kappa", [0.5, math.nan, math.inf])
 def test_conditional_basis_rejects_a_kappa_below_one_or_not_finite(kappa):
     # NaN and inf used to reach an SVD that did not converge

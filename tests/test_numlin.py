@@ -218,6 +218,12 @@ def test_space_validation():
         vec_norm(np.ones(3), Hilbert(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+def test_lp_weights_must_be_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="finite positive"):
+        LpWeighted(3.0, (bad, 1.0, 1.0, 1.0))
+
+
 def test_op_norm_weighted_diagonal_multiplier():
     # multiplication operators on weighted-p spaces have norm max |a_i|,
     # independent of the weights

@@ -1,9 +1,10 @@
 """Every public name and every public option of rittcalc has a caller
 outside the tests.
 
-A name in a module's ``__all__`` is reached when code in ``src/`` or
-``bench/`` refers to it outside its own definition (a name, an
-attribute of its module or an import; strings and docstrings do not
+Every module declares its public names in an ``__all__``.  A name there
+is reached when code in ``src/`` or ``bench/`` refers to it outside its
+own definition (a name read, an attribute of its module or an import;
+strings, docstrings, assignment targets and dataclass fields do not
 count), or when the benchmark tracer wraps it.  The few paper
 identities that no report reaches yet wait on the roadmap item that
 will wire them in; the one other exception is a constructor kept for
@@ -43,6 +44,9 @@ ALLOWED_UNREACHED = {
     "funcalc.rational": "user-facing constructor, the rational counterpart of poly",
 }
 
+#: the test family's sizes, which bench/workloads.py passes as one dict
+_FAMILY_DICT = 'bench/workloads.py sets it through **p["family"], which the scan cannot attribute'
+
 #: module.callable.option -> why it stays settable with no caller outside the tests
 ALLOWED_UNSET = {
     "funcalc.frac_power.beta": "a calculus angle, whose independence the tests check",
@@ -57,6 +61,11 @@ ALLOWED_UNSET = {
     "sqfun.sfe_family.exponent": "item 7",
     "stolz.contour_moment.mesh": "item 7",
     "funcalc.rational.label": "user-facing constructor, labelled as poly is",
+    "funcalc.default_test_family.max_k": _FAMILY_DICT,
+    "funcalc.default_test_family.max_j": _FAMILY_DICT,
+    "funcalc.default_test_family.n_random": _FAMILY_DICT,
+    "funcalc.default_test_family.random_deg": _FAMILY_DICT,
+    "funcalc.default_test_family.n_fejer": _FAMILY_DICT,
 }
 
 
@@ -79,7 +88,8 @@ def _owner(node):
 
 class _References(ast.NodeVisitor):
     """module.name for every reference in one file, except those inside
-    the top-level definition of that very name."""
+    the top-level definition of that very name.  A bare name counts only
+    where it is read, so a field or a variable of the same name does not."""
 
     def __init__(self, module: str):
         self.module, self.inside, self.found = module, None, set()
@@ -94,7 +104,7 @@ class _References(ast.NodeVisitor):
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
 
     def visit_Name(self, node):
-        if node.id != self.inside:
+        if isinstance(node.ctx, ast.Load) and node.id != self.inside:
             self.found.add(f"{self.module}.{node.id}")
 
     def visit_Attribute(self, node):
@@ -125,8 +135,27 @@ def _reached() -> set:
 
 
 def _public() -> set:
-    return {f"{m}.{name}" for m in MODULES
-            for name in getattr(getattr(rittcalc, m), "__all__", ())}
+    return {f"{m}.{name}" for m in MODULES for name in getattr(rittcalc, m).__all__}
+
+
+def test_a_reference_reads_the_name():
+    # a field or an assignment target that shares a public function's name
+    # does not reach that function; a call does
+    tree = ast.parse(
+        "@dataclass\n"
+        "class Report:\n"
+        "    power_bound: float\n"
+        "def verdict(T):\n"
+        "    increment_bound = 0.0\n"
+        "    return Report(power_bound=decay_suprema(T))\n")
+    refs = _References("ritt")
+    refs.visit(tree)
+    assert "ritt.decay_suprema" in refs.found
+    assert not {"ritt.power_bound", "ritt.increment_bound"} & refs.found
+
+
+def test_every_module_declares_its_public_names():
+    assert [m for m in MODULES if not hasattr(getattr(rittcalc, m), "__all__")] == []
 
 
 def test_every_public_name_exists():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rittcalc import numlin, ritt, stolz
 from rittcalc.numlin import Hilbert, SchattenP, SupSeq
 from rittcalc.ritt import (decay_suprema, increment_bound,
-                           mean_ergodic_projection, power_bound,
+                           mean_ergodic_projection,
                            resolvent_sample_points, resolvent_sup,
                            ritt_verdict, spectral_type)
 from test_funcalc import _random_operator
@@ -20,13 +20,13 @@ N2 = np.array([[0.0, 10.0], [0.0, 0.0]])
 
 
 def test_power_bound_examples():
-    assert power_bound(np.eye(2), Hilbert(2), 8) == pytest.approx(1.0)
-    assert power_bound(np.diag([0.5]), Hilbert(1), 8) == pytest.approx(1.0)
+    assert decay_suprema(np.eye(2), Hilbert(2), 8, orders=(0,))[0] == pytest.approx(1.0)
+    assert decay_suprema(np.diag([0.5]), Hilbert(1), 8, orders=(0,))[0] == pytest.approx(1.0)
 
 
 def test_power_bound_matches_enumeration():
     T = 0.5 * np.eye(2) + N2
-    val = power_bound(T, Hilbert(2), 64)
+    val = decay_suprema(T, Hilbert(2), 64, orders=(0,))[0]
     brute = max(np.linalg.norm(np.linalg.matrix_power(T, n), 2) for n in range(65))
     assert abs(val - brute) <= 1e-10
 
@@ -275,7 +275,8 @@ def test_streamed_profiles_match_power_list(monkeypatch, space, block_len):
     for r, g in zip(ref, got):
         assert g.shape == r.shape
         assert np.max(np.abs(g - r)) <= 1e-12 * np.max(r)
-    assert abs(power_bound(T, space, N_STREAM) - ref[0].max()) <= 1e-12 * ref[0].max()
+    S0 = decay_suprema(T, space, N_STREAM, orders=(0,))[0]
+    assert abs(S0 - ref[0].max()) <= 1e-12 * ref[0].max()
     prof = ritt.decay_profiles(T, space, N_STREAM, orders=(1,))[0]
     assert np.max(np.abs(prof - inc)) <= 1e-12 * np.max(inc)
     assert abs(increment_bound(T, space, N_STREAM) - inc.max()) <= 1e-12 * inc.max()
@@ -288,7 +289,7 @@ def test_power_overflow_mid_block_matches_power_list(monkeypatch):
         numlin.mat_power_seq(T, 20)
     assert ref.value.n == 6
     for call in (lambda: decay_suprema(T, Hilbert(2), 20),
-                 lambda: power_bound(T, Hilbert(2), 20),
+                 lambda: decay_suprema(T, Hilbert(2), 20, orders=(0,))[0],
                  lambda: increment_bound(T, Hilbert(2), 20)):
         with pytest.raises(numlin.PowerOverflow) as exc:
             call()
@@ -406,14 +407,14 @@ def test_decay_profiles_match_mpmath_oracle(space, norm, left):
                                    numlin.LpWeighted(3.0, (1.0, 2.0, 0.5, 1.5))],
                          ids=["hilbert", "sup", "schatten2", "lp3"])
 def test_verdict_bounds_are_the_bounds_at_2N(space):
-    # one walk over the powers: the verdict's S0 and S1 are power_bound and
-    # increment_bound at 2N, bit for bit (S1 as n ||T^(n-1)(I-T)|| differed
+    # one walk over the powers: the verdict's S0 and S1 are the order-0 and
+    # order-1 suprema at 2N, bit for bit (S1 as n ||T^(n-1)(I-T)|| differed
     # in the last bits for this T on all four models)
     N = 16
     T = _ritt_matrix(4, 14)
     rep = ritt_verdict(T, space, ritt.RittConfig(N=N, beta_fracs=()))
     assert rep.verdict != "not-ritt"
-    assert rep.power_bound == power_bound(T, space, 2 * N)
+    assert rep.power_bound == decay_suprema(T, space, 2 * N, orders=(0,))[0]
     assert rep.increment_bound == increment_bound(T, space, 2 * N)
 
 
@@ -520,7 +521,7 @@ def test_pooled_walk_raises_the_serial_power_overflow(monkeypatch):
             return exc.value.n
         return run
 
-    for call in (lambda: power_bound(T, Hilbert(2), 40),
+    for call in (lambda: decay_suprema(T, Hilbert(2), 40, orders=(0,))[0],
                  lambda: increment_bound(T, Hilbert(2), 40),
                  lambda: decay_suprema(T, Hilbert(2), 40),
                  lambda: decay_suprema(T, SupSeq(2), 40)):

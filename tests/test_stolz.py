@@ -226,14 +226,14 @@ def test_boundary_contour_nodes_weights_orientation():
     c = boundary_contour(beta)
     assert all(_on_boundary(z, beta) for z in c.nodes)
     assert np.all(c.weights > 0)
-    assert abs(c.length - boundary_length(beta)) <= 1e-8
+    assert abs(np.sum(c.weights) - boundary_length(beta)) <= 1e-8
     assert abs(winding_number(c) - 1.0) <= 1e-10
 
 
 def test_boundary_length_vs_refined_mesh_oracle():
     beta = 0.9
-    coarse = boundary_contour(beta).length
-    fine = boundary_contour(beta, MeshSpec().refined().refined()).length
+    coarse = np.sum(boundary_contour(beta).weights)
+    fine = np.sum(boundary_contour(beta, MeshSpec().refined().refined()).weights)
     assert abs(coarse - fine) <= 1e-8
 
 
@@ -252,7 +252,7 @@ def test_sector_contour_geometry():
     # rays on the imaginary axis
     assert np.max(np.abs(sc.nodes.real)) <= 1e-12
     assert len(sc.nodes) == 2 * 10 * 6
-    assert abs(sc.length - 2 * 10.0) <= 1e-10
+    assert abs(np.sum(sc.weights) - 2 * 10.0) <= 1e-10
 
 
 def test_sector_contour_tail_factor():

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import sys
 import threading
+import warnings
 
 import mpmath
 import numpy as np
@@ -91,6 +92,111 @@ def test_vec_norm_frobenius_consistency():
     a = vec_norm(x, SchattenP(2.0, 3))
     b = vec_norm(x.reshape(-1), Hilbert(9))
     assert abs(a - b) <= 1e-12 * (1 + b)
+
+
+def _unitary(rng):
+    Z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return np.linalg.qr(Z)[0]
+
+
+def _order2_cases():
+    """2 x 2 elements with sigma_1 = sigma_2 (scalar times unitary), rank one,
+    zero, diagonal and random, at scales 1 and 1e+-150."""
+    rng = np.random.default_rng(31)
+    u, v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    base = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(20)]
+    base += [np.outer(u, v), np.outer(u, v.conj()), np.zeros((2, 2)),
+             np.diag([3.0, -0.5j]), np.diag([1e-9, 2.0]), np.array([[1.0, 1e-9], [1e-9, 1.0]]),
+             (0.3 - 2.0j) * _unitary(rng), 5.0 * _unitary(rng), np.eye(2)]
+    return [c * M for c in (1.0, 1e150, 1e-150) for M in base]
+
+
+def test_order2_singular_values_match_mpmath():
+    cases = _order2_cases()
+    m, s1, s2 = numlin._singular_values_2x2(np.array([M.reshape(-1) for M in cases]))
+    stacked = zip(m * s1, m * s2)
+    one = [(m1 * t1, m1 * t2) for m1, t1, t2 in
+           (numlin._singular_values_2x2(M.reshape(-1)) for M in cases)]
+    with mpmath.workdps(30):
+        for M, values, value in zip(cases, stacked, one):
+            ref = mpmath.svd_c(mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in M]),
+                               compute_uv=False)
+            r1, r2 = sorted((abs(ref[0]), abs(ref[1])), reverse=True)
+            for sigma1, sigma2 in (values, value):  # the stack and one element
+                assert abs(sigma1 - r1) <= 2e-15 * r1
+                assert abs(sigma2 - r2) <= 2e-15 * r1  # exactly 0 for the zero element
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0]),
+       kind=st.sampled_from(["random", "rank-one", "diagonal"]), e=st.integers(-300, 300))
+def test_order2_schatten_norms_are_unitarily_invariant_and_homogeneous(seed, p, kind, e):
+    rng = np.random.default_rng(seed)
+    u, v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    X = {"random": rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+         "rank-one": np.outer(u, v), "diagonal": np.diag(u)}[kind] * 2.0 ** e
+    c = rng.normal() + 1j * rng.normal()
+    space = SchattenP(p, 2)
+    V = np.array([X, _unitary(rng) @ X @ _unitary(rng), c * X]).reshape(3, 4)
+    # the stack and one element at a time
+    for nx, nu, nc in (space.norms(V), [space.norms(row) for row in V]):
+        assert abs(nu - nx) <= 4e-15 * nx
+        assert abs(nc - abs(c) * nx) <= 4e-15 * abs(c) * nx
+    assert space.norms(V) == pytest.approx([space.norms(row) for row in V], rel=4e-15)
+
+
+def test_order2_schatten_norms_treat_nan_and_inf_as_the_svd_does():
+    space = SchattenP(3.0, 2)
+    good = [1.0, 2.0, -1j, 0.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([np.nan, 0, 0, 1], [1, 2, 3, complex(0, np.nan)]):
+            V = np.array([good, bad], dtype=complex)
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.svd(V.reshape(2, 2, 2), compute_uv=False)
+            with pytest.raises(np.linalg.LinAlgError):
+                space.norms(V)
+            with pytest.raises(np.linalg.LinAlgError):
+                space.norms(V[1])
+        for bad in ([np.inf, 0, 0, 1], [1, complex(0, -np.inf), 3, 4], [np.inf] * 4):
+            V = np.array([good, bad], dtype=complex)
+            assert np.isnan(np.linalg.svd(V.reshape(2, 2, 2), compute_uv=False)[1]).all()
+            norms = space.norms(V)
+            assert norms[0] == space.norms(V[:1])[0] and np.isnan(norms[1])
+            assert np.isnan(space.norms(V[1]))
+
+
+@pytest.mark.parametrize("space", [LpWeighted(3.0, (0.3, 1.0, 4.0, 1.2)), SchattenP(3.0, 2),
+                                   SchattenP(3.0, 3)], ids=repr)
+def test_norms_stay_homogeneous_past_the_float_range(space):
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1e-120, 1e120):
+            assert vec_norm(c * x, space) == pytest.approx(c * vec_norm(x, space), rel=1e-14)
+        # a row out of range costs the rows in range none of their bits
+        V = np.array([x, 1e-120 * x, np.zeros_like(x), 1e120 * x])
+        norms = space.norms(V)
+        assert norms[0] == space.norms(V[:1])[0] and norms[2] == 0.0
+        assert norms[1] == pytest.approx(1e-120 * norms[0], rel=1e-14)
+        assert norms[3] == pytest.approx(1e120 * norms[0], rel=1e-14)
+        inf = space.norms(np.array([np.full(space.dim, np.inf)]))
+        assert np.isnan(inf[0]) if isinstance(space, SchattenP) else inf[0] == np.inf
+
+
+def test_lp_ascent_norms_stay_in_the_float_range():
+    # the ascent's unweighted p-norms share the range-safe p-sum of LpWeighted.norms
+    rng = np.random.default_rng(33)
+    V = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = numlin._lp_norms(V, 3.0)
+        assert np.array_equal(base, LpWeighted(3.0, (1.0,) * 5).norms(V))
+        for c in (1e-120, 1e120):
+            assert numlin._lp_norms(c * V, 3.0) == pytest.approx(c * base, rel=1e-14)
+    A = np.array([[1.0, 2.0], [0.5, -1.0]])
+    assert op_norm(1e-120 * A, LpWeighted(3.0, (1.0, 1.0))).value > 0.0
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.0])

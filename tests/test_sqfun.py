@@ -428,7 +428,8 @@ def test_square_function_weighted_diagonal_oracle():
 # -- the space-model protocol against the per-model ladders it replaced ------
 
 def _ladder_vec_norm(x, space):
-    """vec_norm as one isinstance ladder, verbatim."""
+    """vec_norm as one isinstance ladder, verbatim but for the order-2
+    Schatten singular values, which come from the closed-form kernel."""
     x = check_vector(x, space)
     if isinstance(space, Hilbert):
         return float(np.linalg.norm(x))
@@ -436,6 +437,9 @@ def _ladder_vec_norm(x, space):
         w = np.asarray(space.weights)
         return float(np.sum(w * np.abs(x) ** space.p) ** (1.0 / space.p))
     if isinstance(space, SchattenP):
+        if space.n == 2:
+            m, s1, s2 = numlin._singular_values_2x2(x.reshape(-1))
+            return float(m * s1 * (1.0 + (s2 / s1) ** space.p) ** (1.0 / space.p) if s1 else 0.0)
         s = svd(x)
         return float(np.sum(s ** space.p) ** (1.0 / space.p))
     if isinstance(space, SupSeq):
@@ -444,7 +448,8 @@ def _ladder_vec_norm(x, space):
 
 
 def _ladder_batch_norms(Y, space):
-    """Norms of the rows of Y as one isinstance ladder, verbatim."""
+    """Norms of the rows of Y as one isinstance ladder, verbatim but for the
+    order-2 Schatten singular values, which come from the closed-form kernel."""
     if isinstance(space, Hilbert):
         return np.linalg.norm(Y, axis=1)
     if isinstance(space, LpWeighted):
@@ -454,6 +459,9 @@ def _ladder_batch_norms(Y, space):
         return np.max(np.abs(Y), axis=1)
     if isinstance(space, SchattenP):
         n = space.n
+        if n == 2:
+            m, s1, s2 = numlin._singular_values_2x2(Y)
+            return m * s1 * (1.0 + (s2 / np.where(s1 > 0, s1, 1.0)) ** space.p) ** (1.0 / space.p)
         s = np.linalg.svd(Y.reshape(-1, n, n), compute_uv=False)
         return np.sum(s ** space.p, axis=1) ** (1.0 / space.p)
     raise ValueError(f"unknown space model {space!r}")
